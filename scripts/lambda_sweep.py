@@ -29,11 +29,9 @@ def main():
                                       tol_zero=1e-6, polish=False))
         Hl = infconv(spec.hamiltonian, lam, 4.0)
         iv = interval_data(res.path)
-        disp = 0.0
-        for k in range(iv.pbar.shape[0]):
-            ip, jq = prox_points(Hl, iv.pbar[k], iv.qbar[k])
-            disp = max(disp, float(np.linalg.norm(iv.pbar[k] - ip)
-                                   + np.linalg.norm(iv.qbar[k] - jq)))
+        ip, jq = prox_points(Hl, iv.pbar, iv.qbar)
+        disp = float(np.max(np.linalg.norm(iv.pbar - ip, axis=1)
+                            + np.linalg.norm(iv.qbar - jq, axis=1)))
         slope = float(np.max(np.linalg.norm(iv.dp, axis=1)
                              + np.linalg.norm(iv.dq, axis=1)))
         print(f"{lam:>8.3g} {res.status.value:>12} "

@@ -210,12 +210,9 @@ def _max_displacement(spec, path, lam, r):
     except Exception:
         hl = InfConvolved(quad_perturb(H, 1e-6), lam, r)
     iv = interval_data(path)
-    worst = 0.0
-    for k in range(iv.pbar.shape[0]):
-        ip, jq = hl.attaining_points(iv.pbar[k], iv.qbar[k])
-        disp = float(np.linalg.norm(iv.pbar[k] - ip) + np.linalg.norm(iv.qbar[k] - jq))
-        worst = max(worst, disp)
-    return worst
+    ip, jq = hl.attaining_points(iv.pbar, iv.qbar)
+    disp = np.linalg.norm(iv.pbar - ip, axis=1) + np.linalg.norm(iv.qbar - jq, axis=1)
+    return float(disp.max())
 
 
 def cmd_sweep(args) -> int:

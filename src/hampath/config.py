@@ -105,7 +105,7 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
     comp_box = Box.cube(N, halfwidth)
 
     ham = _build_hamiltonian(_req(raw, "hamiltonian", ""), N, phase_box, base_dir)
-    boundary = _build_boundary(_req(raw, "boundary", ""), N, comp_box, base_dir)
+    boundary = _build_boundary(_req(raw, "boundary", ""), N, T, comp_box, base_dir)
     cert = _build_cert(raw.get("growth"), "growth")
     params = _build_params(raw.get("solver", {}), "solver")
     output = raw.get("output", {}) or {}
@@ -197,7 +197,7 @@ def _build_hamiltonian(cfg, N: int, phase_box: Box, base_dir: str) -> Hamiltonia
     return Hamiltonian(fn, N)
 
 
-def _build_boundary(cfg, N: int, comp_box: Box, base_dir: str):
+def _build_boundary(cfg, N: int, T: float, comp_box: Box, base_dir: str):
     if not isinstance(cfg, dict):
         raise ConfigError("boundary", "must be a mapping")
     mode = _req(cfg, "mode", "boundary")
@@ -219,6 +219,11 @@ def _build_boundary(cfg, N: int, comp_box: Box, base_dir: str):
         psi2 = _build_fn(_req(cfg, "psi2", "boundary"), N, comp_box, "boundary.psi2", base_dir)
         d1 = _num(_req(cfg, "delta1", "boundary"), "boundary.delta1")
         d2 = _num(_req(cfg, "delta2", "boundary"), "boundary.delta2")
+        lim = 1.0 / (2.0 * T)
+        for key, d in (("delta1", d1), ("delta2", d2)):
+            if abs(d) >= lim:
+                raise ConfigError(f"boundary.{key}", f"feedback strength {d:g} reaches the "
+                                  f"solvability limit 1/(2T) = {lim:g}")
         return SemiConvex(psi1, psi2, d1, d2)
     raise ConfigError("boundary.mode", f"unknown mode {mode!r}")
 

@@ -70,13 +70,6 @@ class PathGrid:
         q0 = np.atleast_1d(np.asarray(q0, dtype=float))
         return PathGrid(T, np.tile(p0, (M + 1, 1)), np.tile(q0, (M + 1, 1)))
 
-    @staticmethod
-    def from_functions(T: float, p_fn, q_fn, M: int, N: int = 1) -> "PathGrid":
-        t = np.linspace(0.0, T, M + 1)
-        p = np.asarray([np.atleast_1d(p_fn(tk)) for tk in t], dtype=float)
-        q = np.asarray([np.atleast_1d(q_fn(tk)) for tk in t], dtype=float)
-        return PathGrid(T, p.reshape(M + 1, N), q.reshape(M + 1, N))
-
     def to_csv(self, path) -> None:
         """Columns t, p_1..p_N, q_1..q_N with 17 significant digits."""
         N = self.N

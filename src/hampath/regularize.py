@@ -179,12 +179,17 @@ class InfConvolved(Hamiltonian):
         super().__init__(fn, base.N)
 
     def attaining_points(self, p, q):
-        """Unique minimizers realizing the inf-convolution at (p, q)."""
+        """Unique minimizers realizing the inf-convolution at (p, q).
+
+        ``p`` and ``q`` are one point, shape (N,), or a stack of K points,
+        shape (K, N), solved together in one inner minimization; the
+        returned pair has the shape of the inputs.
+        """
         p = np.atleast_1d(np.asarray(p, dtype=float))
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        xy = np.concatenate([p, q])[None, :]
-        u = self.fn.minimizers(xy)[0]
-        return u[: self.N], u[self.N:]
+        xy = np.concatenate([p, q], axis=-1)
+        u = self.fn.minimizers(np.atleast_2d(xy)).reshape(xy.shape)
+        return u[..., : self.N], u[..., self.N:]
 
     def attainment_residual(self, p, q) -> float:
         """|H_lam(p,q) - H(i_p,j_q) - penalty|; zero when the inner solve is exact."""
@@ -206,5 +211,5 @@ def infconv(H: Hamiltonian, lam: float, r: float = 4.0) -> InfConvolved:
 
 
 def prox_points(Hl: InfConvolved, p, q):
-    """The pair (i(p), j(q)) attaining the inf-convolution at (p, q)."""
+    """The pair (i(p), j(q)) attaining the inf-convolution at (p, q); see ``attaining_points``."""
     return Hl.attaining_points(p, q)

@@ -1,8 +1,18 @@
 """Vectorized safeguarded Newton for increasing scalar residuals.
 
-Used for coordinatewise proximal maps and inf-convolution inner
-minimizations, where the first-order condition is a strictly increasing
-scalar equation per coordinate.
+Three callers reduce a smooth inner problem to one strictly increasing
+scalar equation per element:
+
+* derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
+  solves f'(u) = y),
+* coordinatewise proximal maps (``PowerNorm._prox``, ``Sum._prox``
+  solve u - x + step f'(u) = 0),
+* inf-convolution inner solves (``_InfConvFn._minimizers_separable``
+  solves f'(u) + penalty'(u - x) = 0).
+
+Elements stop independently: an element is done once its residual meets
+``tol * scale`` or its bracket has shrunk to rounding, and from then on its
+iterate is left unchanged while the others keep iterating.
 """
 
 from __future__ import annotations
@@ -41,8 +51,10 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
 
     ``rho_drho(u) -> (rho, drho)``.  Newton steps are taken when they stay
     inside the bracket, otherwise the bracket is bisected; the bracket is
-    updated from the residual sign each iteration.  Raises if the residual
-    tolerance is not met at the cap.
+    updated from the residual sign each iteration.  An element whose
+    residual meets ``tol * scale``, or whose bracket is below rounding, is
+    frozen at its current iterate; the call returns once every element is.
+    Raises if the residual tolerance is not met at the cap.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -54,13 +66,14 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
         r, dr = rho_drho(u)
         lo = np.where(r <= 0, u, lo)
         hi = np.where(r > 0, u, hi)
-        if np.all(np.abs(r) <= tol * scale) or np.all(hi - lo <= 1e-15 * (1.0 + np.abs(u))):
+        done = (np.abs(r) <= tol * scale) | (hi - lo <= 1e-15 * (1.0 + np.abs(u)))
+        if np.all(done):
             return u
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where((dr > 0) & np.isfinite(dr), r / dr, np.nan)
             cand = u - step
         ok = np.isfinite(cand) & (cand > lo) & (cand < hi)
-        u = np.where(ok, cand, 0.5 * (lo + hi))
+        u = np.where(done, u, np.where(ok, cand, 0.5 * (lo + hi)))
     r, _ = rho_drho(u)
     worst = float(np.max(np.abs(r)))
     if worst > 1e-6 * np.max(scale if np.ndim(scale) else [scale]):

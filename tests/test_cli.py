@@ -105,6 +105,18 @@ class TestSolveCommand:
         assert main(["solve", str(CONFIG_DIR / "semiconvex.yaml"),
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("key", ["delta1", "delta2"])
+    def test_semiconvex_feedback_at_limit_exit_1(self, tmp_path, capsys, key):
+        with open(CONFIG_DIR / "semiconvex.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["boundary"][key] = 0.6  # limit 1/(2T) = 0.5 at T = 1
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: boundary.{key}:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0

@@ -182,6 +182,26 @@ class TestProxPoints:
             q = rng.uniform(-2, 2, size=1)
             assert Hl.attainment_residual(p, q) < 1e-8
 
+    @pytest.mark.parametrize("lam", [0.4, 0.1])
+    def test_batched_matches_per_point_on_solved_path(self, lam):
+        from dataclasses import replace
+        from pathlib import Path
+
+        from hampath.config import load_config
+        from hampath.grid import interval_data
+        from hampath.solver import solve
+
+        cfg = load_config(str(Path(__file__).parent.parent / "configs" / "lambda_sweep.yaml"))
+        params = replace(cfg.params, lambda_schedule=(lam,), eps_schedule=(), polish=False)
+        iv = interval_data(solve(cfg.spec, params).path)
+        Hl = infconv(cfg.spec.hamiltonian, lam, params.r)
+        ip, jq = prox_points(Hl, iv.pbar, iv.qbar)
+        assert ip.shape == iv.pbar.shape and jq.shape == iv.qbar.shape
+        for k in range(iv.pbar.shape[0]):
+            ip_k, jq_k = prox_points(Hl, iv.pbar[k], iv.qbar[k])
+            np.testing.assert_allclose(ip[k], ip_k, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(jq[k], jq_k, rtol=0, atol=1e-10)
+
     def test_generic_path_matches_separable(self):
         # same quadratic, once with coupling epsilon=0 via full matrix (generic
         # route) and once diagonal (separable route)
