@@ -62,10 +62,13 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ActionBreakdown:
-    """Total action and its exact decomposition.
+    """Total action, its exact decomposition, and what the same evaluation yields.
 
     total = h * sum(interior) + boundary_start + boundary_end, with each
-    interior entry a pointwise Fenchel-Young gap.
+    interior entry a pointwise Fenchel-Young gap.  ``grad_p``, ``grad_q``: exact
+    gradient in all nodes (Cauchy mode included; the solver masks the fixed
+    rows), None unless the Hamiltonian pair and both boundary potentials are
+    smooth.  ``inclusion``: |y - grad H(x)| per interval when the primal is smooth.
     """
 
     total: float
@@ -73,51 +76,112 @@ class ActionBreakdown:
     boundary_start: float
     boundary_end: float
     h: float
+    grad_p: np.ndarray | None = None
+    grad_q: np.ndarray | None = None
+    inclusion: np.ndarray | None = None
+
+    def gradient(self):
+        """(grad_p, grad_q); ValueError when the evaluation had a nonsmooth side."""
+        if self.grad_p is None:
+            raise ValueError("gradient requires a smooth Hamiltonian pair and smooth boundary "
+                             "potentials; regularize first")
+        return self.grad_p, self.grad_q
 
 
-def _interior_gaps(H: Hamiltonian, g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
-    """Per-interval gaps H(x) + H*(y) - x.y at the midpoint/slope pairing."""
-    primal, dual = H.pair()
+def pairing(g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
+    """Midpoint/slope pairing x = (pbar, qbar), y = (-dq - delta2 pbar, dp - delta1 qbar).
+
+    Returns (interval data, x, y); linear feedback is folded into the dual slot.
+    """
     iv = interval_data(g)
     x = np.concatenate([iv.pbar, iv.qbar], axis=1)
     yu = -iv.dq - delta2 * iv.pbar
     yv = iv.dp - delta1 * iv.qbar
-    y = np.concatenate([yu, yv], axis=1)
-    gaps = primal._value(x) + dual._value(y) - np.sum(x * y, axis=1)
-    return gaps, iv, x, y
+    return iv, x, np.concatenate([yu, yv], axis=1)
 
 
-def _boundary_end(end_potential: ConvexFn, g: PathGrid) -> float:
-    pT, qT = g.p_nodes[-1], g.q_nodes[-1]
-    prim, conj = end_potential.conjugate_pair()
-    return float(prim.value(qT) + conj.value(-pT) + pT @ qT)
+def _evaluate(fn: ConvexFn, pts):
+    """Values at pts, with gradients from the same inner solve when fn is smooth."""
+    if fn.smooth:
+        return fn._value_grad(pts)
+    return fn._value(pts), None
 
 
-def _boundary_start(start_potential: ConvexFn, g: PathGrid) -> float:
-    p0, q0 = g.p_nodes[0], g.q_nodes[0]
-    prim, conj = start_potential.conjugate_pair()
-    return float(prim.value(p0) + conj.value(q0) - p0 @ q0)
+def _node_gradient(dHx, dHy, iv, delta1, delta2, M, N):
+    """Node gradient of h * sum(gaps), assembled from midpoint/slope partials."""
+    d_pbar = dHx[:, :N] - delta2 * dHy[:, :N] + 2.0 * delta2 * iv.pbar + iv.dq
+    d_qbar = dHx[:, N:] - delta1 * dHy[:, N:] + 2.0 * delta1 * iv.qbar - iv.dp
+    d_dp = dHy[:, N:] - iv.qbar
+    d_dq = -dHy[:, :N] + iv.pbar
+    h = iv.h
+    gp = np.zeros((M + 1, N))
+    gq = np.zeros((M + 1, N))
+    gp[:-1] += 0.5 * h * d_pbar - d_dp
+    gp[1:] += 0.5 * h * d_pbar + d_dp
+    gq[:-1] += 0.5 * h * d_qbar - d_dq
+    gq[1:] += 0.5 * h * d_qbar + d_dq
+    return gp, gq
+
+
+def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> ActionBreakdown:
+    """The discrete action of the spec's boundary mode; H overrides the spec's Hamiltonian.
+
+    One evaluation of each Fenchel pair side yields the gaps, the boundary
+    split, the node gradient and the inclusion residuals.  Connecting mode is
+    the semiconvex action with delta1 = delta2 = 0.
+    """
+    H = H if H is not None else spec.hamiltonian
+    b = spec.boundary
+    d1 = d2 = 0.0
+    if isinstance(b, SemiConvex):
+        d1, d2 = b.delta1, b.delta2
+    elif isinstance(b, Cauchy):
+        if not (np.array_equal(g.p_nodes[0], b.p0) and np.array_equal(g.q_nodes[0], b.q0)):
+            raise ValueError("path does not satisfy the prescribed initial conditions")
+    elif not isinstance(b, Connecting):
+        raise TypeError(f"unknown boundary mode {type(b).__name__}")
+
+    primal, dual = H.pair()
+    iv, x, y = pairing(g, d1, d2)
+    Hx, dHx = _evaluate(primal, x)
+    Hy, dHy = _evaluate(dual, y)
+    gaps = Hx + Hy - np.sum(x * y, axis=1)
+    inclusion = None if dHx is None else np.linalg.norm(y - dHx, axis=1)
+    gp = gq = None
+    if dHx is not None and dHy is not None:
+        gp, gq = _node_gradient(dHx, dHy, iv, d1, d2, g.M, g.N)
+
+    b0 = bT = 0.0
+    if not isinstance(b, Cauchy):
+        sp, sd = b.start_potential.conjugate_pair()
+        ep, ed = b.end_potential.conjugate_pair()
+        p0, q0 = g.p_nodes[0], g.q_nodes[0]
+        pT, qT = g.p_nodes[-1], g.q_nodes[-1]
+        (sp0, dsp0), (sdq0, dsdq0) = _evaluate(sp, p0[None]), _evaluate(sd, q0[None])
+        (epT, depT), (edT, dedT) = _evaluate(ep, qT[None]), _evaluate(ed, -pT[None])
+        b0 = float(sp0[0] + sdq0[0] - p0 @ q0)
+        bT = float(epT[0] + edT[0] + pT @ qT)
+        if gp is not None and all(d is not None for d in (dsp0, dsdq0, depT, dedT)):
+            gp[-1] += -dedT[0] + qT
+            gq[-1] += depT[0] + pT
+            gp[0] += dsp0[0] - q0
+            gq[0] += dsdq0[0] - p0
+        else:
+            gp = gq = None
+
+    total = iv.h * float(np.sum(gaps)) + b0 + bT
+    return ActionBreakdown(total, gaps, b0, bT, iv.h, gp, gq, inclusion)
 
 
 def connecting_action(H: Hamiltonian, start_potential: ConvexFn, end_potential: ConvexFn,
                       g: PathGrid) -> ActionBreakdown:
     """Action for paths joining the graphs of the two boundary subdifferentials."""
-    gaps, iv, _, _ = _interior_gaps(H, g)
-    b0 = _boundary_start(start_potential, g)
-    bT = _boundary_end(end_potential, g)
-    total = iv.h * float(np.sum(gaps)) + b0 + bT
-    return ActionBreakdown(total, gaps, b0, bT, iv.h)
+    return action_for(ProblemSpec(H, g.T, Connecting(start_potential, end_potential)), g)
 
 
 def cauchy_action(H: Hamiltonian, g: PathGrid, p0, q0) -> ActionBreakdown:
     """Action for the initial value problem; the start nodes are hard constraints."""
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    if not (np.array_equal(g.p_nodes[0], p0) and np.array_equal(g.q_nodes[0], q0)):
-        raise ValueError("path does not satisfy the prescribed initial conditions")
-    gaps, iv, _, _ = _interior_gaps(H, g)
-    total = iv.h * float(np.sum(gaps))
-    return ActionBreakdown(total, gaps, 0.0, 0.0, iv.h)
+    return action_for(ProblemSpec(H, g.T, Cauchy(p0, q0)), g)
 
 
 def semiconvex_action(H: Hamiltonian, start_potential: ConvexFn, end_potential: ConvexFn,
@@ -126,24 +190,16 @@ def semiconvex_action(H: Hamiltonian, start_potential: ConvexFn, end_potential: 
 
     With delta1 = delta2 = 0 this reproduces connecting_action exactly.
     """
-    gaps, iv, _, _ = _interior_gaps(H, g, delta1, delta2)
-    b0 = _boundary_start(start_potential, g)
-    bT = _boundary_end(end_potential, g)
-    total = iv.h * float(np.sum(gaps)) + b0 + bT
-    return ActionBreakdown(total, gaps, b0, bT, iv.h)
+    return action_for(ProblemSpec(H, g.T, SemiConvex(start_potential, end_potential,
+                                                     delta1, delta2)), g)
 
 
-def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> ActionBreakdown:
-    """Dispatch on the boundary mode; H overrides the spec's Hamiltonian."""
-    H = H if H is not None else spec.hamiltonian
-    b = spec.boundary
-    if isinstance(b, Connecting):
-        return connecting_action(H, b.start_potential, b.end_potential, g)
-    if isinstance(b, Cauchy):
-        return cauchy_action(H, g, b.p0, b.q0)
-    if isinstance(b, SemiConvex):
-        return semiconvex_action(H, b.start_potential, b.end_potential, b.delta1, b.delta2, g)
-    raise TypeError(f"unknown boundary mode {type(b).__name__}")
+def action_gradient(spec_boundary: BoundaryMode, H: Hamiltonian, g: PathGrid):
+    """Exact gradient of the discrete action with respect to all nodes.
+
+    Cauchy mode returns the full gradient; the solver masks the fixed rows.
+    """
+    return action_for(ProblemSpec(H, g.T, spec_boundary), g).gradient()
 
 
 def witness_lagrangian(H: Hamiltonian, start_potential: ConvexFn, end_potential: ConvexFn,
@@ -153,10 +209,8 @@ def witness_lagrangian(H: Hamiltonian, start_potential: ConvexFn, end_potential:
     if (g.p_nodes.shape != rs.p_nodes.shape) or (g.T != rs.T):
         raise ValueError("trial pair must share the grid of the path")
     _, dual = H.pair()
-    iv = interval_data(g)
-    ivr = interval_data(rs)
-    y = np.concatenate([-iv.dq, iv.dp], axis=1)
-    yr = np.concatenate([-ivr.dq, ivr.dp], axis=1)
+    iv, _, y = pairing(g)
+    ivr, _, yr = pairing(rs)
     interior = (np.sum(ivr.dp * iv.qbar - ivr.dq * iv.pbar, axis=1)
                 + dual._value(y) - dual._value(yr)
                 + 2.0 * np.sum(iv.dq * iv.pbar, axis=1))
@@ -171,65 +225,3 @@ def witness_lagrangian(H: Hamiltonian, start_potential: ConvexFn, end_potential:
     val += float(r0 @ q0 + sprim.value(p0) - sprim.value(r0))
     return val
 
-
-# -- gradients ----------------------------------------------------------
-
-
-def _scatter(gap_grads, iv, M, N):
-    """Assemble node gradients from midpoint/slope partials."""
-    d_pbar, d_qbar, d_dp, d_dq = gap_grads
-    h = iv.h
-    gp = np.zeros((M + 1, N))
-    gq = np.zeros((M + 1, N))
-    gp[:-1] += 0.5 * h * d_pbar - d_dp
-    gp[1:] += 0.5 * h * d_pbar + d_dp
-    gq[:-1] += 0.5 * h * d_qbar - d_dq
-    gq[1:] += 0.5 * h * d_qbar + d_dq
-    return gp, gq
-
-
-def _interior_grad(H: Hamiltonian, g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
-    primal, dual = H.pair()
-    if not (primal.smooth and dual.smooth):
-        raise ValueError("gradient requires a smooth Hamiltonian pair; regularize first")
-    iv = interval_data(g)
-    N = g.N
-    x = np.concatenate([iv.pbar, iv.qbar], axis=1)
-    yu = -iv.dq - delta2 * iv.pbar
-    yv = iv.dp - delta1 * iv.qbar
-    y = np.concatenate([yu, yv], axis=1)
-    Hg = primal._grad(x)
-    Hs = dual._grad(y)
-    Hg_p, Hg_q = Hg[:, :N], Hg[:, N:]
-    Hs_u, Hs_v = Hs[:, :N], Hs[:, N:]
-    d_pbar = Hg_p - delta2 * Hs_u + 2.0 * delta2 * iv.pbar + iv.dq
-    d_qbar = Hg_q - delta1 * Hs_v + 2.0 * delta1 * iv.qbar - iv.dp
-    d_dp = Hs_v - iv.qbar
-    d_dq = -Hs_u + iv.pbar
-    return _scatter((d_pbar, d_qbar, d_dp, d_dq), iv, g.M, N)
-
-
-def action_gradient(spec_boundary: BoundaryMode, H: Hamiltonian, g: PathGrid):
-    """Exact gradient of the discrete action with respect to all nodes.
-
-    Cauchy mode returns the full gradient; the solver masks the fixed rows.
-    """
-    d1 = d2 = 0.0
-    if isinstance(spec_boundary, SemiConvex):
-        d1, d2 = spec_boundary.delta1, spec_boundary.delta2
-    gp, gq = _interior_grad(H, g, d1, d2)
-    if isinstance(spec_boundary, Cauchy):
-        return gp, gq
-    start_potential = spec_boundary.start_potential
-    end_potential = spec_boundary.end_potential
-    sp, sd = start_potential.conjugate_pair()
-    ep, ed = end_potential.conjugate_pair()
-    if not (sp.smooth and sd.smooth and ep.smooth and ed.smooth):
-        raise ValueError("gradient requires smooth boundary potentials")
-    pT, qT = g.p_nodes[-1], g.q_nodes[-1]
-    p0, q0 = g.p_nodes[0], g.q_nodes[0]
-    gp[-1] += -ed.grad(-pT) + qT
-    gq[-1] += ep.grad(qT) + pT
-    gp[0] += sp.grad(p0) - q0
-    gq[0] += sd.grad(q0) - p0
-    return gp, gq

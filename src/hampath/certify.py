@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hampath.action import Cauchy, ProblemSpec, SemiConvex, action_for
+from hampath.action import Cauchy, ProblemSpec, SemiConvex, action_for, pairing
 from hampath.convex import Hamiltonian
-from hampath.grid import PathGrid, interval_data
+from hampath.grid import PathGrid
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,15 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _inclusion_residuals(H: Hamiltonian, g: PathGrid, delta1=0.0, delta2=0.0):
-    """Distance of the slope pair to the selected subgradient at the midpoints.
+def _subgradient_inclusions(H: Hamiltonian, boundary, g: PathGrid):
+    """Distance of the slope pair to the minimal-norm subgradient at the midpoints,
+    for nonsmooth primals (smooth ones get theirs from ``action_for``).
 
     Entries are NaN on intervals where the subdifferential is not a singleton.
     """
-    iv = interval_data(g)
-    x = np.concatenate([iv.pbar, iv.qbar], axis=1)
-    yu = -iv.dq - delta2 * iv.pbar
-    yv = iv.dp - delta1 * iv.qbar
-    y = np.concatenate([yu, yv], axis=1)
+    d1, d2 = (boundary.delta1, boundary.delta2) if isinstance(boundary, SemiConvex) else (0.0, 0.0)
+    _, x, y = pairing(g, d1, d2)
     primal = H.pair()[0]
-    if primal.smooth:
-        grads = primal._grad(x)
-        return np.linalg.norm(y - grads, axis=1)
     out = np.empty(x.shape[0])
     for k in range(x.shape[0]):
         res = primal.subgradient(x[k])
@@ -86,10 +81,9 @@ def certify(spec: ProblemSpec, g: PathGrid, tol: float | None = None,
     if tol is None:
         tol = 1e-6 * g.scale()
     breakdown = action_for(spec, g, H=H)
-    d1 = d2 = 0.0
-    if isinstance(spec.boundary, SemiConvex):
-        d1, d2 = spec.boundary.delta1, spec.boundary.delta2
-    inclusions = _inclusion_residuals(H, g, d1, d2)
+    inclusions = breakdown.inclusion
+    if inclusions is None:
+        inclusions = _subgradient_inclusions(H, spec.boundary, g)
     energy = None
     if isinstance(spec.boundary, Cauchy):
         nodes = np.concatenate([g.p_nodes, g.q_nodes], axis=1)

@@ -21,7 +21,7 @@ from hampath.conditions import run_checks
 from hampath.config import ConfigError, ProblemConfig, load_config
 from hampath.grid import interval_data
 from hampath.regularize import InfConvolved, quad_perturb
-from hampath.solver import SolveStatus, solve
+from hampath.solver import ScheduleError, SolveStatus, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,14 +45,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
-
-
-def _trajectory_csv(path_grid) -> str:
-    N = path_grid.N
-    header = ",".join(["t"] + [f"p_{i+1}" for i in range(N)] + [f"q_{i+1}" for i in range(N)])
-    rows = np.column_stack([path_grid.times, path_grid.p_nodes, path_grid.q_nodes])
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _residual_csv(cert) -> str:
@@ -129,9 +121,13 @@ def cmd_solve(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     proceed = bool(cfg.output.get("proceed_on_check_failure", False))
-    result = _run_solve(cfg, seed=args.seed, proceed=proceed)
+    try:
+        result = _run_solve(cfg, seed=args.seed, proceed=proceed)
+    except ScheduleError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     outdir = args.out or cfg.output.get("dir", ".")
-    _atomic_write(os.path.join(outdir, "trajectory.csv"), _trajectory_csv(result.path))
+    _atomic_write(os.path.join(outdir, "trajectory.csv"), result.path.csv_text())
     _atomic_write(os.path.join(outdir, "report.txt"), _solve_report(result, cfg))
     _atomic_write(os.path.join(outdir, "residuals.csv"), _residual_csv(result.certificate))
     print(_solve_report(result, cfg))

@@ -193,6 +193,10 @@ class ConvexFn:
     def _grad(self, pts):
         raise NotImplementedError
 
+    def _value_grad(self, pts):
+        """Values and gradients at the same points; one inner solve where kinds need one."""
+        return self._value(pts), self._grad(pts)
+
 
 def _prox_numeric(f, pts, step, tol=1e-12, maxiter=500):
     from scipy.optimize import minimize
@@ -423,6 +427,10 @@ class SeparableSum(ConvexFn):
             g[:, sl] = p._grad(pts[:, sl])
         return g
 
+    def _value_grad(self, pts):
+        vg = [p._value_grad(pts[:, sl]) for p, sl in zip(self.parts, self.slices)]
+        return sum(v for v, _ in vg), np.concatenate([g for _, g in vg], axis=1)
+
     def subgradient(self, x):
         x = np.asarray(x, dtype=float).reshape(self.dim)
         vals, uniq = [], True
@@ -488,6 +496,10 @@ class Sum(ConvexFn):
 
     def _grad(self, pts):
         return sum(p._grad(pts) for p in self.parts)
+
+    def _value_grad(self, pts):
+        vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
+        return sum(vals), sum(grads)
 
     def subgradient(self, x):
         x = np.asarray(x, dtype=float).reshape(self.dim)
@@ -780,12 +792,15 @@ class ScalarConjugate(ConvexFn):
         return newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(y))
 
     def _value(self, pts):
-        y = pts[:, 0]
-        u = self._argsup(y)
-        return u * y - self.piece.value(u[:, None])
+        return self._value_grad(pts)[0]
 
     def _grad(self, pts):
         return self._argsup(pts[:, 0])[:, None]
+
+    def _value_grad(self, pts):
+        y = pts[:, 0]
+        u = self._argsup(y)
+        return u * y - self.piece.value(u[:, None]), u[:, None]
 
     def closed_conjugate(self):
         return self.piece
@@ -824,27 +839,21 @@ class MoreauEnvelope(ConvexFn):
         super().__init__(inner.dim, inner.box)
         self.inner = inner
         self.step = float(step)
-        self._memo_key = None
-        self._memo_val = None
 
     @property
     def coercive(self):
         return self.inner.coercive
 
-    def _prox_memo(self, pts):
-        key = pts.tobytes()
-        if key != self._memo_key:
-            self._memo_val = self.inner._prox(pts, self.step)
-            self._memo_key = key
-        return self._memo_val
-
     def _value(self, pts):
-        p = self._prox_memo(pts)
-        return self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step)
+        return self._value_grad(pts)[0]
 
     def _grad(self, pts):
-        p = self._prox_memo(pts)
-        return (pts - p) / self.step
+        return (pts - self.inner._prox(pts, self.step)) / self.step
+
+    def _value_grad(self, pts):
+        p = self.inner._prox(pts, self.step)
+        return (self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step),
+                (pts - p) / self.step)
 
     def closed_conjugate(self):
         ic = self.inner.closed_conjugate()

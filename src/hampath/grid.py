@@ -70,15 +70,17 @@ class PathGrid:
         q0 = np.atleast_1d(np.asarray(q0, dtype=float))
         return PathGrid(T, np.tile(p0, (M + 1, 1)), np.tile(q0, (M + 1, 1)))
 
-    def to_csv(self, path) -> None:
-        """Columns t, p_1..p_N, q_1..q_N with 17 significant digits."""
+    def csv_text(self) -> str:
+        """Columns t, p_1..p_N, q_1..q_N with 17 significant digits, one row per node."""
         N = self.N
         header = ",".join(["t"] + [f"p_{i+1}" for i in range(N)] + [f"q_{i+1}" for i in range(N)])
         rows = np.column_stack([self.times, self.p_nodes, self.q_nodes])
+        lines = [header] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(self.csv_text())
 
     @staticmethod
     def from_csv(path) -> "PathGrid":

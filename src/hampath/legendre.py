@@ -55,6 +55,11 @@ class GridFn:
             raise ValueError("hi must exceed lo on every axis")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
+        # interpolation reads the nodes on every evaluation; build them once
+        nodes = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, vals.shape))
+        for x in nodes:
+            x.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def d(self) -> int:
@@ -65,7 +70,8 @@ class GridFn:
         return self.values.shape
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        return np.linspace(self.lo[axis], self.hi[axis], self.values.shape[axis])
+        """Read-only node coordinates along one axis."""
+        return self._nodes[axis]
 
     def spacing(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / (self.values.shape[axis] - 1)

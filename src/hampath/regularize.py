@@ -88,8 +88,6 @@ class _InfConvFn(ConvexFn):
         self.r = float(r)
         self.s = r / (r - 1.0)
         self.pieces = base_primal.scalar_pieces()
-        self._memo_key = None
-        self._memo_val = None
 
     def penalty(self, w):
         return np.sum(np.abs(w) ** self.s, axis=-1) / (self.s * self.lam**self.s)
@@ -103,13 +101,9 @@ class _InfConvFn(ConvexFn):
 
     def minimizers(self, pts):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
-        key = pts.tobytes()
-        if key == self._memo_key:
-            return self._memo_val
-        u = self._minimizers_separable(pts) if self.pieces is not None else self._minimizers_generic(pts)
-        self._memo_key = key
-        self._memo_val = u
-        return u
+        if self.pieces is not None:
+            return self._minimizers_separable(pts)
+        return self._minimizers_generic(pts)
 
     def _minimizers_separable(self, pts):
         u = np.empty_like(pts)
@@ -150,12 +144,14 @@ class _InfConvFn(ConvexFn):
         return out
 
     def _value(self, pts):
-        u = self.minimizers(pts)
-        return self.base_primal._value(u) + self.penalty(pts - u)
+        return self._value_grad(pts)[0]
 
     def _grad(self, pts):
+        return self.penalty_d1(pts - self.minimizers(pts))
+
+    def _value_grad(self, pts):
         u = self.minimizers(pts)
-        return self.penalty_d1(pts - u)
+        return self.base_primal._value(u) + self.penalty(pts - u), self.penalty_d1(pts - u)
 
     def closed_conjugate(self):
         power = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim, box=self.base_dual.box)

@@ -32,6 +32,10 @@ from hampath.regularize import EpsPerturbed, InfConvolved
 logger = logging.getLogger("hampath")
 
 
+class ScheduleError(ValueError):
+    """The schedules give no usable stage: none at all, or one whose Fenchel pair is nonsmooth."""
+
+
 class SolveStatus(enum.Enum):
     CONVERGED = "Converged"
     STALLED = "StalledAboveTol"
@@ -208,9 +212,8 @@ class _PathObjective:
         return PathGrid(self.spec.T, p, q)
 
     def fun_grad(self, z):
-        g = self.unpack(z)
-        breakdown = action_for(self.spec, g, H=self.H)
-        gp, gq = action_gradient(self.spec.boundary, self.H, g)
+        breakdown = action_for(self.spec, self.unpack(z), H=self.H)
+        gp, gq = breakdown.gradient()
         sufp = np.cumsum(gp[::-1], axis=0)[::-1]
         sufq = np.cumsum(gq[::-1], axis=0)[::-1]
         gv = (self.h * sufp[1:]).ravel()
@@ -282,7 +285,7 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
     if params.polish and _pair_is_smooth(base):
         stages.append((0.0, 0.0, base))
     if not stages:
-        raise ValueError("no usable continuation stage: supply eps or lambda schedules")
+        raise ScheduleError("no usable continuation stage: supply eps or lambda schedules")
 
     checks = None
     if run_hypothesis_checks and spec.cert is not None:
@@ -297,7 +300,7 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
 
     for eps, lam, H in stages:
         if not _pair_is_smooth(H):
-            raise ValueError(
+            raise ScheduleError(
                 f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair; "
                 "grid-backed Hamiltonians need both schedules nonempty"
             )

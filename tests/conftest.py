@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hampath.conditions import GrowthCert
-from hampath.convex import Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
+from hampath.convex import GridSampled, Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
+from hampath.legendre import GridFn
 from hampath.action import Cauchy, Connecting, ProblemSpec
 
 
@@ -41,6 +42,14 @@ def coupled_hamiltonian():
 def mixed_hamiltonian():
     fn = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2)])
     return Hamiltonian(fn, 1)
+
+
+def grid_hamiltonian(n=21, half=4.0):
+    """Tabulated (p^2 + q^2) / 2 on [-half, half]^2: a nonsmooth Fenchel pair."""
+    x = np.linspace(-half, half, n)
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    return Hamiltonian(GridSampled(GridFn([-half, -half], [half, half],
+                                          0.5 * (X1**2 + X2**2))), 1)
 
 
 def harmonic_cauchy_spec(T=1.0):

@@ -13,12 +13,14 @@ from hampath.action import (
     semiconvex_action,
     witness_lagrangian,
 )
-from hampath.convex import squared_norm
+from hampath.convex import GridSampled, squared_norm
+from hampath.legendre import GridFn
 from hampath.grid import PathGrid, random_path
 from hampath.regularize import quad_perturb
 
 from conftest import (
     coupled_hamiltonian,
+    grid_hamiltonian,
     harmonic_hamiltonian,
     mixed_hamiltonian,
     quartic_hamiltonian,
@@ -213,6 +215,30 @@ class TestGradient:
             scale = 1.0 + max(np.abs(gp).max(), np.abs(gq).max())
             assert np.max(np.abs(gp - num_p)) <= 1e-5 * scale
             assert np.max(np.abs(gq - num_q)) <= 1e-5 * scale
+
+
+class TestGradientAvailability:
+    def test_grid_pair_has_no_gradient(self):
+        H = grid_hamiltonian()
+        boundary = Cauchy([0.5], [0.0])
+        g = PathGrid.constant(0.5, [0.5], [0.0], 10)
+        br = action_for(ProblemSpec(H, 0.5, boundary), g)
+        assert br.grad_p is None and br.grad_q is None
+        assert br.inclusion is None
+        with pytest.raises(ValueError, match="smooth"):
+            action_gradient(boundary, H, g)
+
+    def test_nonsmooth_boundary_potential_has_no_gradient(self, rng):
+        x = np.linspace(-4, 4, 81)
+        psi = GridSampled(GridFn([-4], [4], np.abs(x - 0.5)))
+        boundary = Connecting(psi, half_square(), 1)
+        H = harmonic_hamiltonian()
+        g = random_path(rng, 1.0, 1, 8, amplitude=0.5)  # inside the conjugate's slope box
+        br = action_for(ProblemSpec(H, 1.0, boundary), g)
+        assert br.grad_p is None and br.grad_q is None
+        assert br.inclusion is not None and np.all(np.isfinite(br.inclusion))
+        with pytest.raises(ValueError, match="smooth"):
+            action_gradient(boundary, H, g)
 
 
 class TestCatalogNonnegativity:

@@ -1,13 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hampath.action import Cauchy, Connecting, ProblemSpec
 from hampath.certify import certify, fitted_order, residual_order, worst_interval
 from hampath.conditions import GrowthCert
-from hampath.convex import squared_norm
+from hampath.convex import GridSampled, squared_norm
 from hampath.grid import PathGrid
+from hampath.legendre import GridFn
 
-from conftest import harmonic_cauchy_spec, harmonic_hamiltonian, scaled_hamiltonian
+from conftest import (
+    harmonic_cauchy_spec,
+    harmonic_hamiltonian,
+    p1_connecting_spec,
+    scaled_hamiltonian,
+)
 
 
 def harmonic_sampler(M):
@@ -61,6 +69,27 @@ class TestCertify:
             cert = certify(spec, g)
             floor = -1e-12 * (1 + np.abs(cert.interior_residuals).max())
             assert np.all(cert.interior_residuals >= floor)
+
+    def test_inclusion_reported_for_smooth_primal(self):
+        # the p1 connecting problem has a smooth H; a kinked start potential
+        # removes the node gradient but not the interior inclusion residuals
+        from hampath.action import action_for
+        from hampath.grid import interval_data
+
+        spec = p1_connecting_spec()
+        t = np.linspace(0.0, spec.T, 41)
+        g = PathGrid(spec.T, 1.0 - 0.3 * t, 0.2 + 0.5 * t)
+        iv = interval_data(g)
+        x = np.concatenate([iv.pbar, iv.qbar], axis=1)
+        y = np.concatenate([-iv.dq, iv.dp], axis=1)
+        expect = np.linalg.norm(y - spec.hamiltonian.grad(x), axis=1)
+        kinked = GridSampled(GridFn([-4], [4], np.abs(np.linspace(-4, 4, 81) - 1.0)))
+        nonsmooth = replace(spec, boundary=replace(spec.boundary, start_potential=kinked))
+        for s in (spec, nonsmooth):
+            cert = certify(s, g)
+            assert cert.inclusion_residuals is not None
+            assert np.allclose(cert.inclusion_residuals, expect, rtol=1e-12, atol=1e-14)
+        assert action_for(nonsmooth, g).grad_p is None
 
     def test_bitwise_reproducible(self):
         spec = harmonic_cauchy_spec()

@@ -117,6 +117,30 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps, lam, message", [
+        ([0.05], [], "nonsmooth Fenchel pair"),
+        ([], [], "no usable continuation stage"),
+    ])
+    def test_unusable_schedule_exit_1(self, tmp_path, capsys, eps, lam, message):
+        x = np.linspace(-4, 4, 21)
+        with open(tmp_path / "H.csv", "w") as fh:
+            fh.write("x," + ",".join(f"{v:.17g}" for v in x) + "\n")
+            for xi in x:
+                fh.write(",".join([f"{xi:.17g}"] +
+                                  [f"{0.5 * (xi * xi + yj * yj):.17g}" for yj in x]) + "\n")
+        cfg = base_config()
+        cfg["hamiltonian"] = {"grid": {"file": "H.csv"}}
+        cfg["problem"]["T"] = 0.5
+        cfg["boundary"]["p0"] = [0.5]
+        cfg["solver"].update(M=10, eps_schedule=eps, lambda_schedule=lam)
+        del cfg["growth"]
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0

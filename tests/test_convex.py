@@ -11,6 +11,7 @@ from hampath.convex import (
     NotCoerciveError,
     PowerNorm,
     Quadratic,
+    ScalarConjugate,
     SeparableSum,
     Sum,
     convexity_violation,
@@ -19,6 +20,7 @@ from hampath.convex import (
 )
 from hampath.legendre import GridFn
 
+from conftest import grid_hamiltonian
 from oracles import bisection
 
 
@@ -314,3 +316,33 @@ class TestCsv:
         f = abs_grid()
         with pytest.raises(ValueError):
             f(np.array([5.0]))
+
+
+class TestValueGrad:
+    """One evaluation returns exactly what separate _value and _grad calls return."""
+
+    def assert_fused(self, f, pts):
+        v, g = f._value_grad(pts)
+        assert np.array_equal(v, f._value(pts))
+        assert np.array_equal(g, f._grad(pts))
+
+    def test_quadratic_default(self, rng):
+        A = np.array([[1.0, 0.3], [0.3, 0.7]])
+        self.assert_fused(Quadratic(A, [0.1, -0.2], 0.5), rng.uniform(-2, 2, (15, 2)))
+
+    def test_scalar_conjugate(self, rng):
+        dual = ScalarConjugate(Sum([Quadratic([[1.0]]), PowerNorm(4.0, 0.1, dim=1)]))
+        self.assert_fused(dual, rng.uniform(-3, 3, (15, 1)))
+
+    def test_separable_sum_of_scalar_conjugates(self, rng):
+        dual = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2)]).conjugate_pair()[1]
+        assert isinstance(dual, SeparableSum)
+        self.assert_fused(dual, rng.uniform(-3, 3, (15, 2)))
+
+    def test_sum(self, rng):
+        f = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2), Affine([0.3, -0.1])])
+        self.assert_fused(f, rng.uniform(-2, 2, (15, 2)))
+
+    def test_moreau_envelope_of_2d_grid(self, rng):
+        env = MoreauEnvelope(grid_hamiltonian().fn, 0.1)
+        self.assert_fused(env, rng.uniform(-3, 3, (4, 2)))

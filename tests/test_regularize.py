@@ -4,7 +4,7 @@ import pytest
 from hampath.convex import Hamiltonian, PowerNorm, Quadratic
 from hampath.regularize import infconv, prox_points, quad_perturb
 
-from conftest import harmonic_hamiltonian, quartic_hamiltonian
+from conftest import grid_hamiltonian, harmonic_hamiltonian, quartic_hamiltonian
 from oracles import grid_argmin
 
 
@@ -146,6 +146,17 @@ class TestInfConv:
     def test_noncoercive_base_rejected(self):
         with pytest.raises(ValueError):
             infconv(zero_hamiltonian(), 0.5, 4.0)
+
+    def test_value_grad_matches_separate_calls(self, rng):
+        # one inner solve serves both value and gradient, on either branch
+        separable = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
+        generic = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
+        assert separable.pieces is not None and generic.pieces is None
+        for fn, pts in ((separable, rng.uniform(-2, 2, (15, 2))),
+                        (generic, rng.uniform(-2, 2, (3, 2)))):
+            v, g = fn._value_grad(pts)
+            assert np.array_equal(v, fn._value(pts))
+            assert np.array_equal(g, fn._grad(pts))
 
 
 class TestProxPoints:

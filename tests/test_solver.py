@@ -18,6 +18,7 @@ from hampath.solver import (
 from conftest import (
     harmonic_cauchy_spec,
     harmonic_hamiltonian,
+    mixed_hamiltonian,
     p1_connecting_spec,
     scaled_hamiltonian,
 )
@@ -169,6 +170,33 @@ class TestGridBackedHamiltonian:
         start = action_for(spec, PathGrid.constant(0.5, [0.5], [0.0], 10),
                            H=stage_H).total
         assert res.stage_history[-1].objective < start
+
+
+class TestPathObjective:
+    def test_one_root_solve_per_conjugate_piece(self, monkeypatch):
+        import hampath.convex
+        from hampath.regularize import EpsPerturbed
+        from hampath.solver import _PathObjective
+
+        spec = ProblemSpec(mixed_hamiltonian(), 1.0, Cauchy([1.0], [0.0]), None)
+        H = EpsPerturbed(spec.hamiltonian, 0.1)
+        dual = H.pair()[1]
+        n_pieces = len(dual.parts)
+        assert n_pieces == 2
+        t = np.linspace(0.0, 1.0, 41)
+        obj = _PathObjective(spec, H, 40)
+        z = obj.pack(PathGrid(1.0, np.cos(t), -np.sin(t)))
+        calls = []
+        orig = hampath.convex.newton_bisect
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(hampath.convex, "newton_bisect", counted)
+        f, grad = obj.fun_grad(z)
+        assert len(calls) == n_pieces
+        assert np.isfinite(f) and np.all(np.isfinite(grad))
 
 
 class TestMixedHamiltonianSolve:
