@@ -13,6 +13,7 @@ the pair, which downstream action assembly relies on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class DomainError(ValueError):
 
 
 class ProxError(RuntimeError):
-    """Inner minimization of a proximal map did not converge."""
+    """Inner minimization of a proximal map or an inf-convolution did not converge."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,8 @@ class ConvexFn:
         return u[0] if lead == () else u.reshape(lead + (self.dim,))
 
     def _prox(self, pts, step):
-        return _prox_numeric(self, pts, step)
+        return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
+                                self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10, maxiter=500)
 
     # -- structure hooks ------------------------------------------------
     def scalar_pieces(self):
@@ -197,23 +199,80 @@ class ConvexFn:
         """Values and gradients at the same points; one inner solve where kinds need one."""
         return self._value(pts), self._grad(pts)
 
+    def _cell_nodes(self):
+        """Per-axis node coordinates of a tabulated kind, whose gradient jumps between cells.
 
-def _prox_numeric(f, pts, step, tol=1e-12, maxiter=500):
+        None for kinds that are not tabulated; a tabulated kind is also +inf
+        outside its box.
+        """
+        return None
+
+
+def penalized_argmin(f, pts, penalty, lo, hi, ftol, gtol, maxiter):
+    """Per-row minimizers of f(u) + penalty(u - x) over the box [lo, hi], x a row of pts.
+
+    ``penalty(w) -> (value, gradient)`` at one displacement.  Each row is its
+    own L-BFGS-B solve on the exact gradient from ``f._value_grad``, so every
+    row stops by its own tolerances.  A tabulated f kinks along its cell
+    edges, where L-BFGS-B can stall short of the minimum, so a row that stops
+    near an edge is solved again on each cell beside it (see ``_edge_cells``)
+    and the lowest objective wins.
+    """
     from scipy.optimize import minimize
 
+    nodes = f._cell_nodes()
+    options = {"ftol": ftol, "gtol": gtol, "maxiter": maxiter}
     out = np.empty_like(pts)
-    bounds = list(zip(f.box.lo, f.box.hi))
     for i, x in enumerate(pts):
         def obj(u, x=x):
-            return f.value(u) + np.sum((u - x) ** 2) / (2 * step)
+            v, g = f._value_grad(u[None, :])
+            pv, pg = penalty(u - x)
+            return v[0] + pv, g[0] + pg
 
-        x0 = np.clip(x, f.box.lo, f.box.hi)
-        res = minimize(obj, x0, method="L-BFGS-B", bounds=bounds,
-                       options={"ftol": tol, "gtol": 1e-10, "maxiter": maxiter})
-        if not res.success and res.fun > obj(x0):
-            raise ProxError(f"prox inner minimization failed: {res.message}")
-        out[i] = res.x
+        x0 = np.clip(x, lo, hi)
+        res = minimize(obj, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options=options)
+        if not res.success and res.fun > obj(x0)[0]:
+            raise ProxError(f"inner minimization failed: {res.message}")
+        out[i], best = res.x, res.fun
+        for clo, chi in _edge_cells(nodes, res.x, lo, hi):
+            again = minimize(obj, np.clip(res.x, clo, chi), jac=True, method="L-BFGS-B",
+                             bounds=list(zip(clo, chi)), options=options)
+            if again.fun < best:
+                out[i], best = again.x, again.fun
     return out
+
+
+def _edge_cells(nodes, u, lo, hi):
+    """Boxes (lo, hi) of the cells beside an edge that u stops near; empty when none.
+
+    On a cell the objective is smooth and the cell's edges are bounds, which
+    L-BFGS-B meets exactly.  An axis whose coordinate lies within a hundredth
+    of a cell width of an interior node contributes the cells on both sides
+    of that node; every other axis keeps the cell that holds u.  (On
+    tabulated quadratic data a thousandth of a cell missed some stalls; a
+    hundredth caught all of them.)
+    """
+    if nodes is None:
+        return []
+    sides, near_any = [], False
+    for e, t in zip(nodes, u):
+        c = int(np.clip(np.searchsorted(e, t) - 1, 0, e.size - 2))
+        n = c if t - e[c] <= e[c + 1] - t else c + 1
+        if 0 < n < e.size - 1 and abs(t - e[n]) <= 1e-2 * (e[c + 1] - e[c]):
+            sides.append([(e[n - 1], e[n]), (e[n], e[n + 1])])
+            near_any = True
+        else:
+            sides.append([(e[c], e[c + 1])])
+    if not near_any:
+        return []
+    boxes = []
+    for cell in itertools.product(*sides):
+        clo = np.maximum(lo, [a for a, _ in cell])
+        chi = np.minimum(hi, [b for _, b in cell])
+        if np.all(clo < chi):
+            boxes.append((clo, chi))
+    return boxes
 
 
 class Quadratic(ConvexFn):
@@ -501,6 +560,12 @@ class Sum(ConvexFn):
         vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
         return sum(vals), sum(grads)
 
+    def _cell_nodes(self):
+        nodes = [n for n in (p._cell_nodes() for p in self.parts) if n is not None]
+        if not nodes:
+            return None
+        return tuple(np.unique(np.concatenate(axis)) for axis in zip(*nodes))
+
     def subgradient(self, x):
         x = np.asarray(x, dtype=float).reshape(self.dim)
         total = np.zeros(self.dim)
@@ -537,7 +602,7 @@ class Sum(ConvexFn):
     def _prox(self, pts, step):
         pieces = self.scalar_pieces()
         if pieces is None:
-            return _prox_numeric(self, pts, step)
+            return super()._prox(pts, step)
         u = np.empty_like(pts)
         for i, piece in enumerate(pieces):
             x = pts[:, i]
@@ -680,26 +745,43 @@ class GridSampled(ConvexFn):
     def _locate(self, pts):
         lo, hi = self.box.lo, self.box.hi
         eps = 1e-9 * (hi - lo)
-        if np.any(pts < lo - eps) or np.any(pts > hi + eps):
-            bad = pts[np.any((pts < lo - eps) | (pts > hi + eps), axis=1)][0]
+        outside = (pts < lo - eps) | (pts > hi + eps)
+        if outside.any():
+            bad = pts[outside.any(axis=1)][0]
             raise DomainError(f"point {bad} outside grid support [{lo}, {hi}]")
-        return np.clip(pts, lo, hi)
+        return np.minimum(np.maximum(pts, lo), hi)
 
     def _value(self, pts):
+        return self._value_grad(pts)[0]
+
+    def _value_grad(self, pts):
+        """Interpolant values with its gradient inside the cell that holds each point.
+
+        The gradient is the segment slope (1-D) or the bilinear cell gradient
+        (2-D); on a cell edge it is the one-sided gradient of the cell above.
+        """
         pts = self._locate(pts)
+        V = self.grid.values
+        x1, h1 = self.grid.axis_nodes(0), self.grid.spacing(0)
+        i = np.minimum(np.maximum(((pts[:, 0] - x1[0]) / h1).astype(int), 0), x1.size - 2)
         if self.dim == 1:
-            x = self.grid.axis_nodes(0)
-            return np.interp(pts[:, 0], x, self.grid.values)
-        x1 = self.grid.axis_nodes(0)
-        x2 = self.grid.axis_nodes(1)
-        h1, h2 = self.grid.spacing(0), self.grid.spacing(1)
-        i = np.clip(((pts[:, 0] - x1[0]) / h1).astype(int), 0, x1.size - 2)
-        j = np.clip(((pts[:, 1] - x2[0]) / h2).astype(int), 0, x2.size - 2)
+            return np.interp(pts[:, 0], x1, V), ((V[i + 1] - V[i]) / h1)[:, None]
+        x2, h2 = self.grid.axis_nodes(1), self.grid.spacing(1)
+        j = np.minimum(np.maximum(((pts[:, 1] - x2[0]) / h2).astype(int), 0), x2.size - 2)
         t = (pts[:, 0] - x1[i]) / h1
         u = (pts[:, 1] - x2[j]) / h2
-        V = self.grid.values
-        return ((1 - t) * (1 - u) * V[i, j] + t * (1 - u) * V[i + 1, j]
-                + (1 - t) * u * V[i, j + 1] + t * u * V[i + 1, j + 1])
+        n2 = x2.size
+        k = i * n2 + j  # corner (i, j) in the row-major values
+        flat = V.ravel()
+        v00, v10, v01, v11 = flat[k], flat[k + n2], flat[k + 1], flat[k + n2 + 1]
+        s, w = 1 - t, 1 - u
+        grad = np.empty_like(pts)
+        grad[:, 0] = (w * (v10 - v00) + u * (v11 - v01)) / h1
+        grad[:, 1] = (s * (v01 - v00) + t * (v11 - v10)) / h2
+        return s * w * v00 + t * w * v10 + s * u * v01 + t * u * v11, grad
+
+    def _cell_nodes(self):
+        return tuple(self.grid.axis_nodes(k) for k in range(self.dim))
 
     def conjugate(self):
         # box-restricted semantics: boundary argmaxes are exact here, so the
@@ -745,7 +827,7 @@ class GridSampled(ConvexFn):
     def _prox(self, pts, step):
         if self.dim == 1:
             return self._prox_1d(pts, step)
-        return _prox_numeric(self, pts, step)
+        return super()._prox(pts, step)
 
     def _prox_1d(self, pts, step):
         x = self.grid.axis_nodes(0)

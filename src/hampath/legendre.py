@@ -38,7 +38,7 @@ class GridFn:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "values", vals)

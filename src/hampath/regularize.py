@@ -21,6 +21,7 @@ from hampath.convex import (
     Quadratic,
     SubgradientResult,
     Sum,
+    penalized_argmin,
     simplify_sum,
 )
 from hampath.rootfind import bracket_root, newton_bisect
@@ -48,12 +49,14 @@ class EpsPerturbed(Hamiltonian):
         if closed is not None:
             return self.fn, closed
         fn_exc = None
-        try:
-            pp, dd = self.fn.conjugate_pair()
-            if pp.smooth and dd.smooth:
-                return pp, dd
-        except (NotCoerciveError, ConjugateUnavailableError) as exc:
-            fn_exc = exc
+        # a nonsmooth fn conjugates to a nonsmooth (sampled) primal, never usable here
+        if self.fn.smooth:
+            try:
+                pp, dd = self.fn.conjugate_pair()
+                if pp.smooth and dd.smooth:
+                    return pp, dd
+            except (NotCoerciveError, ConjugateUnavailableError) as exc:
+                fn_exc = exc
         # smooth the dual side instead: (f + eps/2 |.|^2)* is the Moreau
         # envelope of f*, which is differentiable even for sampled bases
         try:
@@ -122,26 +125,14 @@ class _InfConvFn(ConvexFn):
         return u
 
     def _minimizers_generic(self, pts):
-        from scipy.optimize import minimize
-
-        out = np.empty_like(pts)
-        lo = self.box.lo - 10.0 * self.lam
-        hi = self.box.hi + 10.0 * self.lam
-        bounds = list(zip(lo, hi))
-        use_jac = self.base_primal.smooth
-        for i, x in enumerate(pts):
-            if use_jac:
-                def obj(u, x=x):
-                    w = u - x
-                    val = self.base_primal.value(u) + self.penalty(w)
-                    return val, self.base_primal.grad(u) + self.penalty_d1(w)
-            else:
-                def obj(u, x=x):
-                    return self.base_primal.value(u) + self.penalty(u - x)
-            res = minimize(obj, np.clip(x, lo, hi), jac=use_jac, method="L-BFGS-B",
-                           bounds=bounds, options={"ftol": 1e-14, "gtol": 1e-11, "maxiter": 200})
-            out[i] = res.x
-        return out
+        # a tabulated primal is +inf outside its box, so the infimum is
+        # attained inside it; other kinds get room around their working box
+        lo, hi = self.box.lo, self.box.hi
+        if self.base_primal._cell_nodes() is None:
+            lo, hi = lo - 10.0 * self.lam, hi + 10.0 * self.lam
+        return penalized_argmin(self.base_primal, pts,
+                                lambda w: (self.penalty(w), self.penalty_d1(w)),
+                                lo, hi, ftol=1e-14, gtol=1e-11, maxiter=200)
 
     def _value(self, pts):
         return self._value_grad(pts)[0]

@@ -33,7 +33,7 @@ logger = logging.getLogger("hampath")
 
 
 class ScheduleError(ValueError):
-    """The schedules give no usable stage: none at all, or one whose Fenchel pair is nonsmooth."""
+    """No usable stage: none at all, a nonsmooth stage pair, or nonsmooth boundary potentials."""
 
 
 class SolveStatus(enum.Enum):
@@ -304,6 +304,13 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
                 f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair; "
                 "grid-backed Hamiltonians need both schedules nonempty"
             )
+    if not isinstance(spec.boundary, Cauchy):
+        b = spec.boundary
+        for name, psi in (("psi1", b.start_potential), ("psi2", b.end_potential)):
+            if not psi.smooth:
+                raise ScheduleError(
+                    f"boundary potential {name} is nonsmooth; the continuation smooths only "
+                    "the Hamiltonian, so boundary potentials must be smooth kinds")
 
     path = _initial_path(spec, params.M, init)
     history = []

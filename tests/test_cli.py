@@ -141,6 +141,25 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_grid_boundary_potential_exit_1(self, tmp_path, capsys):
+        # no continuation stage smooths a tabulated psi, so the solve is refused up front
+        x = np.linspace(-4, 4, 81)
+        with open(tmp_path / "psi.csv", "w") as fh:
+            for xi in x:
+                fh.write(f"{xi:.17g},{abs(xi - 0.5):.17g}\n")
+        cfg = base_config()
+        cfg["boundary"] = {"mode": "connecting",
+                          "psi1": {"kind": "grid", "file": "psi.csv"},
+                          "psi2": {"kind": "quadratic", "scale": 0.5},
+                          "coercivity_index": 2}
+        del cfg["growth"]
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "psi1 is nonsmooth" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0

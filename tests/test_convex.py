@@ -346,3 +346,96 @@ class TestValueGrad:
     def test_moreau_envelope_of_2d_grid(self, rng):
         env = MoreauEnvelope(grid_hamiltonian().fn, 0.1)
         self.assert_fused(env, rng.uniform(-3, 3, (4, 2)))
+
+
+class TestGridValueGrad:
+    """Tabulated kinds return their interpolant with the gradient of the holding cell."""
+
+    def grid_1d(self):
+        x = np.linspace(-2.0, 2.0, 41)
+        return GridSampled(GridFn([-2.0], [2.0], np.abs(x - 0.3) + 0.2 * x**2))
+
+    def interior(self, rng, f, m):
+        # random points at least a thousandth of a cell away from every edge
+        pts = f.box.sample(rng, 4 * m)
+        keep = np.ones(len(pts), dtype=bool)
+        for k in range(f.dim):
+            nodes, h = f.grid.axis_nodes(k), f.grid.spacing(k)
+            dist = np.min(np.abs(pts[:, k, None] - nodes[None, :]), axis=1)
+            keep &= dist > 1e-3 * h
+        return pts[keep][:m]
+
+    def central_differences(self, f, pts, step=1e-6):
+        g = np.empty_like(pts)
+        for k in range(f.dim):
+            e = np.zeros(f.dim)
+            e[k] = step
+            g[:, k] = (f._value(pts + e) - f._value(pts - e)) / (2 * step)
+        return g
+
+    def test_values_bitwise_1d(self, rng):
+        f = self.grid_1d()
+        pts = np.concatenate([f.box.sample(rng, 50), f.grid.axis_nodes(0)[:, None]])
+        v, g = f._value_grad(pts)
+        assert np.array_equal(v, f._value(pts))
+        assert np.array_equal(v, np.interp(pts[:, 0], f.grid.axis_nodes(0), f.grid.values))
+        assert g.shape == pts.shape
+
+    def test_values_bitwise_2d(self, rng):
+        f = grid_hamiltonian().fn
+        X1, X2 = np.meshgrid(f.grid.axis_nodes(0), f.grid.axis_nodes(1), indexing="ij")
+        nodes = np.column_stack([X1.ravel(), X2.ravel()])
+        pts = np.concatenate([f.box.sample(rng, 50), nodes])
+        v, g = f._value_grad(pts)
+        assert np.array_equal(v, f._value(pts))
+        assert np.allclose(v[50:], f.grid.values.ravel(), rtol=0.0, atol=1e-12)
+        assert g.shape == pts.shape
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_matches_central_differences(self, rng, dim):
+        f = self.grid_1d() if dim == 1 else grid_hamiltonian().fn
+        pts = self.interior(rng, f, 40)
+        _, g = f._value_grad(pts)
+        assert np.max(np.abs(g - self.central_differences(f, pts))) < 1e-7
+
+    def test_cell_gradient_of_tabulated_quadratic(self, rng):
+        # for the separable (p^2 + q^2)/2 each cell-gradient component is the
+        # cell's midpoint on that axis: (x_{i+1}^2 - x_i^2) / (2h) = x_i + h/2
+        f = grid_hamiltonian().fn
+        pts = self.interior(rng, f, 40)
+        _, g = f._value_grad(pts)
+        for k in range(2):
+            nodes, h = f.grid.axis_nodes(k), f.grid.spacing(k)
+            i = np.clip(((pts[:, k] - nodes[0]) / h).astype(int), 0, nodes.size - 2)
+            assert np.allclose(g[:, k], nodes[i] + 0.5 * h, atol=1e-12)
+
+    def test_passes_through_sum(self, rng):
+        grid = grid_hamiltonian().fn
+        quad = Quadratic(np.array([[0.3, 0.1], [0.1, 0.2]]), [0.1, -0.2])
+        f = Sum([quad, grid])
+        pts = self.interior(rng, grid, 20)
+        v, g = f._value_grad(pts)
+        vg, gg = grid._value_grad(pts)
+        assert np.array_equal(v, f._value(pts))
+        assert np.array_equal(v, quad._value(pts) + vg)
+        assert np.array_equal(g, quad._grad(pts) + gg)
+        assert np.max(np.abs(g - self.central_differences(f, pts))) < 1e-7
+
+    def test_passes_through_separable_sum(self, rng):
+        a, b = self.grid_1d(), abs_grid(n=401)
+        f = SeparableSum([a, b])
+        pts = self.interior(rng, a, 20)
+        pts = np.column_stack([pts[:, 0], rng.uniform(-1.9, 1.9, len(pts))])
+        v, g = f._value_grad(pts)
+        assert np.array_equal(v, f._value(pts))
+        assert np.array_equal(g[:, :1], a._value_grad(pts[:, :1])[1])
+        assert np.array_equal(g[:, 1:], b._value_grad(pts[:, 1:])[1])
+
+    def test_cell_nodes(self):
+        f = grid_hamiltonian().fn
+        nodes = f._cell_nodes()
+        assert len(nodes) == 2
+        assert np.array_equal(nodes[0], f.grid.axis_nodes(0))
+        assert np.array_equal(Sum([Quadratic(np.eye(2)), f])._cell_nodes()[1],
+                              f.grid.axis_nodes(1))
+        assert Quadratic(np.eye(2))._cell_nodes() is None

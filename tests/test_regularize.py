@@ -4,7 +4,12 @@ import pytest
 from hampath.convex import Hamiltonian, PowerNorm, Quadratic
 from hampath.regularize import infconv, prox_points, quad_perturb
 
-from conftest import grid_hamiltonian, harmonic_hamiltonian, quartic_hamiltonian
+from conftest import (
+    coupled_hamiltonian,
+    grid_hamiltonian,
+    harmonic_hamiltonian,
+    quartic_hamiltonian,
+)
 from oracles import grid_argmin
 
 
@@ -228,3 +233,89 @@ class TestProxPoints:
         ip_s, jq_s = ls.attaining_points([1.2], [-0.4])
         assert ip_g[0] == pytest.approx(ip_s[0], abs=1e-6)
         assert jq_g[0] == pytest.approx(jq_s[0], abs=1e-6)
+
+
+def worst_relative_drop(objective, rows, dirs, move=1e-6):
+    """Largest fall of objective(u, x) under +-move steps, relative to 1 + |f|."""
+    worst = -np.inf
+    for u, x in rows:
+        f0 = objective(u, x)
+        for d in dirs:
+            for sign in (1.0, -1.0):
+                worst = max(worst, (f0 - objective(u + sign * move * d, x)) / (1.0 + abs(f0)))
+    return worst
+
+
+STENCIL = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])  # with signs: 8 moves
+
+
+class TestInnerSolveAccuracy:
+    """Every row of a per-row inner solve is a local minimum of its own objective."""
+
+    def test_grid_prox_rows(self, rng):
+        f = grid_hamiltonian().fn
+        step = 0.1
+        x = rng.uniform(-3, 3, (20, 2))
+        u = f._prox(x, step)
+
+        def objective(u, x):
+            return f.value(u) + np.sum((u - x) ** 2) / (2 * step)
+        assert worst_relative_drop(objective, zip(u, x), STENCIL) <= 1e-12
+
+    def test_grid_infconv_rows(self, rng):
+        fn = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
+        assert fn.pieces is None
+        x = rng.uniform(-3, 3, (20, 2))
+        u = fn.minimizers(x)
+
+        def objective(u, x):
+            return fn.base_primal.value(u) + fn.penalty(u - x)
+        assert worst_relative_drop(objective, zip(u, x), STENCIL) <= 1e-12
+
+    def test_coupled_quadratic_infconv_rows(self, rng):
+        fn = infconv(coupled_hamiltonian(), 0.4, 4.0).fn
+        assert fn.pieces is None
+        x = rng.uniform(-2, 2, (200, 4))
+        u = fn.minimizers(x)
+        dirs = rng.normal(size=(8, 4))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+        def objective(u, x):
+            return fn.base_primal.value(u) + fn.penalty(u - x)
+        assert worst_relative_drop(objective, zip(u, x), dirs) <= 1e-12
+
+
+class TestTabulatedInfConv:
+    """A tabulated primal is +inf off its box; H_lam is finite everywhere."""
+
+    @staticmethod
+    def stage(n, half):
+        return infconv(quad_perturb(grid_hamiltonian(n, half), 0.05), 0.3, 4.0)
+
+    def test_finite_at_and_beyond_the_grid_edge(self):
+        Hl = self.stage(41, 4.0)
+        pts = np.array([[4.0, 4.0], [4.5, 0.0], [6.0, 1.0]])
+        u = Hl.fn.minimizers(pts)
+        assert np.all(np.abs(u) <= 4.0)
+        v, g = Hl.fn._value_grad(pts)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+
+    def test_interior_points_do_not_see_the_box(self, rng):
+        # the same tabulated data on a twice wider box give the same stage
+        small, wide = self.stage(41, 4.0), self.stage(81, 8.0)
+        pts = rng.uniform(-2.5, 2.5, (10, 2))
+        assert np.allclose(small.fn.minimizers(pts), wide.fn.minimizers(pts), atol=1e-7)
+        assert np.allclose(small.value(pts), wide.value(pts), rtol=0.0, atol=1e-10)
+
+
+class TestEpsPerturbedPair:
+    def test_nonsmooth_base_builds_one_transform(self, monkeypatch):
+        import hampath.convex
+
+        calls = []
+        real = hampath.convex.discrete_conjugate
+        monkeypatch.setattr(hampath.convex, "discrete_conjugate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        primal, dual = quad_perturb(grid_hamiltonian(), 0.05).pair()
+        assert not primal.smooth and dual.smooth
+        assert len(calls) == 1
