@@ -47,6 +47,11 @@ class SemiConvex:
     delta2: float
 
 
+def feedback_limit(T: float) -> float:
+    """Solvability limit 1/(2T): the feedback strengths must stay strictly below it."""
+    return 1.0 / (2.0 * T)
+
+
 BoundaryMode = Connecting | Cauchy | SemiConvex
 
 

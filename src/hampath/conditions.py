@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex
+from hampath.action import BoundaryMode, Cauchy, Connecting, ProblemSpec, feedback_limit
 from hampath.convex import Box, ConvexFn, Hamiltonian
 
 VERIFIED = "VERIFIED-ON-SAMPLES"
@@ -211,9 +211,7 @@ def semiconvex_thresholds(delta1: float, delta2: float, T: float) -> dict:
         out[f"eps_{i}"] = eps_i
         out[f"A_{i}"] = A_i
     out["beta_limit"] = 0.25 * min(out["eps_1"] / out["A_1"], out["eps_2"] / out["A_2"])
-    out["delta_limit"] = 1.0 / (2.0 * T)
-    out["psi1_threshold"] = T * delta2 * delta2  # divided by beta later
-    out["psi2_threshold"] = T * delta1 * delta1
+    out["delta_limit"] = feedback_limit(T)
     return out
 
 
@@ -256,12 +254,13 @@ def run_checks(spec: ProblemSpec, samples: int = 2000, seed: int = 0) -> CheckRe
     """All hypothesis checks applicable to the problem's boundary mode."""
     H, T, b = spec.hamiltonian, spec.T, spec.boundary
     cert = spec.cert
+    if not isinstance(b, BoundaryMode):
+        raise TypeError(f"unknown boundary mode {type(b).__name__}")
+    if cert is None:
+        return CheckReport((CheckItem("growth_certificate", FAILED,
+                                      "no growth certificate supplied"),))
     items: list[CheckItem] = []
     if isinstance(b, Connecting):
-        if cert is None:
-            items.append(CheckItem("growth_certificate", FAILED,
-                                   "no growth certificate supplied"))
-            return CheckReport(tuple(items))
         items.append(check_subquadratic(H, cert, samples=samples, seed=seed))
         items.append(check_beta_smallness(cert, T))
         idx = b.coercivity_index
@@ -274,21 +273,11 @@ def run_checks(spec: ProblemSpec, samples: int = 2000, seed: int = 0) -> CheckRe
             other, T, samples=samples // 4 + 100, seed=seed + 1, threshold=0.0,
             name=f"potential_{3 - idx}_coercive", margin=0.0))
     elif isinstance(b, Cauchy):
-        if cert is None:
-            items.append(CheckItem("growth_certificate", FAILED,
-                                   "no growth certificate supplied"))
-            return CheckReport(tuple(items))
         items.append(check_power_growth(H, cert, samples=samples, seed=seed))
         items.append(check_coercive_hamiltonian(H, samples=samples // 4 + 100, seed=seed))
-    elif isinstance(b, SemiConvex):
-        if cert is None:
-            items.append(CheckItem("growth_certificate", FAILED,
-                                   "no growth certificate supplied"))
-            return CheckReport(tuple(items))
+    else:  # SemiConvex
         items.append(check_subquadratic(H, cert, samples=samples, seed=seed))
         items.extend(check_semiconvex(b.delta1, b.delta2, cert.beta, T,
                                       b.start_potential, b.end_potential,
                                       samples=samples // 4 + 100, seed=seed).items)
-    else:
-        raise TypeError(f"unknown boundary mode {type(b).__name__}")
     return CheckReport(tuple(items))

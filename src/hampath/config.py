@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex
+from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex, feedback_limit
 from hampath.conditions import GrowthCert
 from hampath.convex import (
     Affine,
@@ -219,7 +219,7 @@ def _build_boundary(cfg, N: int, T: float, comp_box: Box, base_dir: str):
         psi2 = _build_fn(_req(cfg, "psi2", "boundary"), N, comp_box, "boundary.psi2", base_dir)
         d1 = _num(_req(cfg, "delta1", "boundary"), "boundary.delta1")
         d2 = _num(_req(cfg, "delta2", "boundary"), "boundary.delta2")
-        lim = 1.0 / (2.0 * T)
+        lim = feedback_limit(T)
         for key, d in (("delta1", d1), ("delta2", d2)):
             if abs(d) >= lim:
                 raise ConfigError(f"boundary.{key}", f"feedback strength {d:g} reaches the "

@@ -66,10 +66,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(m, self.dim))
 
@@ -175,8 +171,25 @@ class ConvexFn:
         return u[0] if lead == () else u.reshape(lead + (self.dim,))
 
     def _prox(self, pts, step):
-        return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
-                                self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10, maxiter=500)
+        # separable kinds solve u - x + step f'(u) = 0 coordinate by coordinate
+        pieces = self.scalar_pieces()
+        if pieces is None:
+            return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
+                                    self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10,
+                                    maxiter=500)
+        u = np.empty_like(pts)
+        for i, piece in enumerate(pieces):
+            x = pts[:, i]
+
+            def rho(v, piece=piece, x=x):
+                return v - x + step * piece.d1(v)
+
+            def rho_drho(v, piece=piece, x=x):
+                return v - x + step * piece.d1(v), 1.0 + step * piece.d2(v)
+
+            lo, hi = bracket_root(rho, x, init_width=1.0 + np.abs(x).max(initial=0.0))
+            u[:, i] = newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(x))
+        return u
 
     # -- structure hooks ------------------------------------------------
     def scalar_pieces(self):
@@ -376,21 +389,6 @@ class PowerNorm(ConvexFn):
         astar = (a * r) ** (1.0 - s) / s
         return PowerNorm(s, astar, dim=self.dim, box=self.box)
 
-    def _prox(self, pts, step):
-        a, r = self.scale, self.r
-        flat = pts.ravel()
-
-        def rho(u):
-            return u - flat + step * a * r * np.sign(u) * np.abs(u) ** (r - 1.0)
-
-        def rho_drho(u):
-            with np.errstate(divide="ignore"):
-                return rho(u), 1.0 + step * a * r * (r - 1.0) * np.abs(u) ** (r - 2.0)
-
-        lo, hi = bracket_root(rho, np.zeros_like(flat), init_width=1.0 + np.abs(flat).max(initial=0.0))
-        u = newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(flat))
-        return u.reshape(pts.shape)
-
     def scalar_pieces(self):
         if self.dim == 1:
             return [self]
@@ -586,36 +584,17 @@ class Sum(ConvexFn):
         merged = simplify_sum(self.parts, self.box)
         if not isinstance(merged, Sum):
             return merged.conjugate_pair()
+        pieces = merged.scalar_pieces()
+        # catalog pieces are smooth; a coercive one has a strictly increasing
+        # derivative, so its conjugate is exact by inverting it: (f*)' = (f')^-1.
+        # Coercive pieces make the sum coercive even when no single part is.
+        if pieces is not None and all(p.coercive for p in pieces):
+            return merged, SeparableSum([ScalarConjugate(p) for p in pieces])
         if not merged.coercive:
             raise NotCoerciveError(
                 "sum is not coercive; add a quadratic perturbation before conjugating"
             )
-        pieces = merged.scalar_pieces()
-        if pieces is not None:
-            if all(p.smooth and _strictly_increasing_d1(p) for p in pieces):
-                return merged, SeparableSum([ScalarConjugate(p) for p in pieces])
-            pairs = [_sampled_pair_1d(piece) for piece in pieces]
-            return (SeparableSum([p for p, _ in pairs]),
-                    SeparableSum([d for _, d in pairs]))
         return _sampled_pair(merged)
-
-    def _prox(self, pts, step):
-        pieces = self.scalar_pieces()
-        if pieces is None:
-            return super()._prox(pts, step)
-        u = np.empty_like(pts)
-        for i, piece in enumerate(pieces):
-            x = pts[:, i]
-
-            def rho(v, piece=piece, x=x):
-                return v - x + step * piece.d1(v)
-
-            def rho_drho(v, piece=piece, x=x):
-                return v - x + step * piece.d1(v), 1.0 + step * piece.d2(v)
-
-            lo, hi = bracket_root(rho, x, init_width=1.0 + np.abs(x).max(initial=0.0))
-            u[:, i] = newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(x))
-        return u
 
     def scalar_pieces(self):
         per_part = [p.scalar_pieces() for p in self.parts]
@@ -844,7 +823,7 @@ class GridSampled(ConvexFn):
 
 
 class ScalarConjugate(ConvexFn):
-    """Exact conjugate of a smooth 1-D piece with strictly increasing derivative.
+    """Exact conjugate of a smooth coercive 1-D piece, whose derivative strictly increases.
 
     Evaluated by inverting the derivative: at y the supremum is attained at
     u with piece.d1(u) = y, giving value u y - piece(u) and gradient u.  Any
@@ -891,20 +870,6 @@ class ScalarConjugate(ConvexFn):
         # Moreau decomposition through the piece's own proximal map
         inner = self.piece._prox(pts / step, 1.0 / step)
         return pts - step * inner
-
-
-def _strictly_increasing_d1(piece: ConvexFn) -> bool:
-    if isinstance(piece, Quadratic):
-        return piece.dim == 1 and piece.A[0, 0] > 0
-    if isinstance(piece, PowerNorm):
-        return piece.dim == 1
-    if isinstance(piece, Affine):
-        return False
-    if isinstance(piece, Sum):
-        return piece.dim == 1 and all(
-            isinstance(p, (Quadratic, PowerNorm, Affine)) for p in piece.parts
-        ) and any(_strictly_increasing_d1(p) for p in piece.parts)
-    return False
 
 
 class MoreauEnvelope(ConvexFn):
@@ -957,23 +922,18 @@ def _vectorizable(fn):
     return isinstance(fn, ConvexFn) or getattr(fn, "batched", False)
 
 
-def _sampled_pair_1d(piece: ConvexFn):
-    lo, hi = piece.box.lo[0], piece.box.hi[0]
-    x = np.linspace(lo, hi, AUTO_GRID_1D)
-    vals = piece.value(x[:, None])
-    primal = GridSampled(GridFn([lo], [hi], vals))
-    return primal, primal.conjugate()
-
-
 def _sampled_pair(fn: ConvexFn):
-    if fn.dim == 1:
-        return _sampled_pair_1d(fn)
     if fn.dim > 2:
         raise ConjugateUnavailableError(
             f"no closed-form conjugate and grid fallback is limited to 2 dimensions "
             f"(got {fn.dim}); restructure the function as a separable sum"
         )
-    primal = GridSampled.from_samples(fn, fn.box.lo, fn.box.hi, AUTO_GRID_2D)
+    if fn.dim == 1:
+        lo, hi = fn.box.lo[0], fn.box.hi[0]
+        x = np.linspace(lo, hi, AUTO_GRID_1D)
+        primal = GridSampled(GridFn([lo], [hi], fn.value(x[:, None])))
+    else:
+        primal = GridSampled.from_samples(fn, fn.box.lo, fn.box.hi, AUTO_GRID_2D)
     return primal, primal.conjugate()
 
 
@@ -1001,10 +961,6 @@ class Hamiltonian:
     @property
     def dim(self):
         return 2 * self.N
-
-    @staticmethod
-    def join(p, q):
-        return np.concatenate([np.atleast_1d(p), np.atleast_1d(q)], axis=-1)
 
     def split(self, xy):
         xy = np.asarray(xy, dtype=float)

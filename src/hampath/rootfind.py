@@ -5,8 +5,8 @@ scalar equation per element:
 
 * derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
   solves f'(u) = y),
-* coordinatewise proximal maps (``PowerNorm._prox``, ``Sum._prox``
-  solve u - x + step f'(u) = 0),
+* coordinatewise proximal maps (``ConvexFn._prox`` of a separable kind
+  solves u - x + step f'(u) = 0),
 * inf-convolution inner solves (``_InfConvFn._minimizers_separable``
   solves f'(u) + penalty'(u - x) = 0).
 

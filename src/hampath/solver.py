@@ -22,6 +22,7 @@ from hampath.action import (
     SemiConvex,
     action_for,
     action_gradient,
+    feedback_limit,
 )
 from hampath.certify import Certificate, certify
 from hampath.conditions import CheckReport, run_checks
@@ -273,7 +274,7 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
     pair exists, otherwise under the final stage's smoothing.
     """
     if isinstance(spec.boundary, SemiConvex):
-        lim = 1.0 / (2.0 * spec.T)
+        lim = feedback_limit(spec.T)
         b = spec.boundary
         if abs(b.delta1) >= lim or abs(b.delta2) >= lim:
             raise ValueError(
@@ -301,8 +302,10 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
     for eps, lam, H in stages:
         if not _pair_is_smooth(H):
             raise ScheduleError(
-                f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair; "
-                "grid-backed Hamiltonians need both schedules nonempty"
+                f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair: the "
+                "Hamiltonian's conjugate is tabulated (H is grid-backed, or has neither a "
+                "closed-form nor a coordinatewise separable conjugate), and a tabulated "
+                "conjugate needs both schedules nonempty"
             )
     if not isinstance(spec.boundary, Cauchy):
         b = spec.boundary
@@ -413,10 +416,11 @@ def solve_linear_bvp(delta1: float, delta2: float, f_nodes, g_nodes, x, y,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = T / M
-    if abs(delta1) >= 1.0 / (2.0 * T) or abs(delta2) >= 1.0 / (2.0 * T):
+    lim = feedback_limit(T)
+    if abs(delta1) >= lim or abs(delta2) >= lim:
         raise ResonanceError(
             f"feedback strengths ({delta1:g}, {delta2:g}) reach the solvability "
-            f"limit 1/(2T) = {1.0 / (2.0 * T):g}")
+            f"limit 1/(2T) = {lim:g}")
     zeros = np.zeros((M + 1, 1))
     _, s_hom = _rk4_pass(delta1, delta2, zeros, zeros,
                          np.zeros(1), np.ones(1), h, M)

@@ -169,6 +169,13 @@ class TestProx:
         u = f.prox(np.array([3.0]), 0.5)[0]
         root = bisection(lambda t: t + 0.5 * t**3 - 3.0, 0.0, 3.0)
         assert u == pytest.approx(root, abs=1e-8)
+        # several coordinates at once, each its own scalar equation
+        f3 = PowerNorm(4.0, 0.25, dim=3)
+        x = np.array([[3.0, -1.2, 0.0], [-0.4, 2.5, 7.0]])
+        u3 = f3.prox(x, 0.5)
+        for k, xk in enumerate(x.ravel()):
+            root = bisection(lambda t: t + 0.5 * t**3 - xk, -abs(xk) - 1.0, abs(xk) + 1.0)
+            assert u3.ravel()[k] == pytest.approx(root, abs=1e-8)
 
     def test_prox_optimality(self, rng):
         for f in catalog(rng):
@@ -230,6 +237,19 @@ class TestScalarConjugate:
         u = dual.prox(x, step)
         stat = dual.grad(u) + (u - x) / step
         assert np.max(np.abs(stat)) < 1e-8
+
+    def test_nested_sum_pieces(self, rng):
+        # a joint quadratic plus a per-coordinate sum on p: the p piece is a
+        # Sum holding a Sum, still coercive, so its conjugate is exact and smooth
+        p_part = Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1, dim=1)])
+        fn = Sum([Quadratic(np.eye(2)), SeparableSum([p_part, Quadratic([[0.0]])])])
+        prim, dual = fn.conjugate_pair()
+        assert prim.smooth and dual.smooth
+        assert all(isinstance(d, ScalarConjugate) for d in dual.parts)
+        x = rng.uniform(-3, 3, size=(50, 2))
+        g = fn.grad(x)
+        assert np.allclose(fn.value(x) + dual.value(g), np.sum(x * g, axis=1), atol=1e-9)
+        assert np.allclose(dual.grad(g), x, atol=1e-9)
 
 
 class TestInvariants:

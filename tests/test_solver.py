@@ -223,6 +223,73 @@ class TestMixedHamiltonianSolve:
         assert err <= 2e-3
 
 
+def _cauchy_config(terms):
+    """Config for p(0) = 1, q(0) = 0 over T = 1 with the given Hamiltonian terms."""
+    from hampath.config import build_config
+
+    return build_config({
+        "problem": {"N": 1, "T": 1.0},
+        "hamiltonian": {"terms": terms},
+        "boundary": {"mode": "cauchy", "p0": [1.0], "q0": [0.0]},
+        "solver": {"M": 100},
+    })
+
+
+JOINT_HALF_SQUARE = {"kind": "quadratic", "scale": 0.5, "apply": "both"}
+
+
+class TestSeparableConfigSolve:
+    def test_quadratic_and_power_on_p(self):
+        # joint quadratic + p^2/4 + p^4/10: the p piece nests a Sum in a Sum
+        from hampath.convex import ScalarConjugate
+        from hampath.regularize import EpsPerturbed
+
+        cfg = _cauchy_config([JOINT_HALF_SQUARE,
+                              {"kind": "quadratic", "scale": 0.25, "apply": "p"},
+                              {"kind": "power", "r": 4, "scale": 0.1, "apply": "p"}])
+        H = cfg.spec.hamiltonian
+        for pair in (H.pair(), EpsPerturbed(H, 0.1).pair()):
+            assert pair[0].smooth and pair[1].smooth
+            assert all(isinstance(d, ScalarConjugate) for d in pair[1].parts)
+        res = solve(cfg.spec, cfg.params)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certified_hamiltonian == "true"
+
+    def test_coercive_by_coordinates(self):
+        # q^2/2 from a singular joint quadratic, p^4/10 on p: no part is
+        # coercive alone, each coordinate's piece is, so the true pair exists
+        cfg = _cauchy_config([
+            {"kind": "quadratic", "matrix": [[0.0, 0.0], [0.0, 1.0]], "apply": "both"},
+            {"kind": "power", "r": 4, "scale": 0.1, "apply": "p"}])
+        res = solve(cfg.spec, cfg.params)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certified_hamiltonian == "true"
+
+    def test_split_power_term_matches_single(self):
+        split = _cauchy_config([JOINT_HALF_SQUARE,
+                                {"kind": "power", "r": 4, "scale": 0.1, "apply": "p"},
+                                {"kind": "power", "r": 4, "scale": 0.05, "apply": "p"}])
+        single = _cauchy_config([JOINT_HALF_SQUARE,
+                                 {"kind": "power", "r": 4, "scale": 0.15, "apply": "p"}])
+        a = solve(split.spec, split.params)
+        b = solve(single.spec, single.params)
+        assert a.status is b.status is SolveStatus.CONVERGED
+        assert np.abs(a.path.p_nodes - b.path.p_nodes).max() <= 1e-12
+        assert np.abs(a.path.q_nodes - b.path.q_nodes).max() <= 1e-12
+
+    def test_coupled_sum_needs_both_schedules(self):
+        # smooth but not coordinatewise separable: the conjugate is tabulated
+        from hampath.solver import ScheduleError
+
+        cfg = _cauchy_config([
+            {"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 1.0]], "apply": "both"},
+            {"kind": "power", "r": 4, "scale": 0.1, "apply": "both"}])
+        assert cfg.spec.hamiltonian.smooth
+        with pytest.raises(ScheduleError, match="nonsmooth Fenchel pair: the Hamiltonian's "
+                                                "conjugate is tabulated"):
+            solve(cfg.spec, cfg.params)
+
+
 class TestCoupledCauchySolve:
     def test_two_dof_matches_rk4(self):
         from conftest import coupled_hamiltonian
