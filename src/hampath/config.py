@@ -101,6 +101,8 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
 
     box_cfg = raw.get("box", {})
     halfwidth = _num(box_cfg.get("halfwidth", 10.0), "box.halfwidth")
+    if not halfwidth > 0:
+        raise ConfigError("box.halfwidth", "must be positive")
     phase_box = Box.cube(2 * N, halfwidth)
     comp_box = Box.cube(N, halfwidth)
 
@@ -129,11 +131,15 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
     kind = _req(cfg, "kind", path)
     if kind == "quadratic":
         if "matrix" in cfg:
-            A = np.array(cfg["matrix"], dtype=float)
-            if A.shape != (dim, dim):
-                raise ConfigError(f"{path}.matrix", f"must be {dim}x{dim}")
             b = _vector(cfg["shift"], dim, f"{path}.shift") if "shift" in cfg else None
-            return Quadratic(A, b, _num(cfg.get("offset", 0.0), f"{path}.offset"), box=box)
+            offset = _num(cfg.get("offset", 0.0), f"{path}.offset")
+            try:
+                A = np.array(cfg["matrix"], dtype=float)
+                if A.shape != (dim, dim):
+                    raise ValueError(f"must be {dim}x{dim}")
+                return Quadratic(A, b, offset, box=box)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}.matrix", str(exc)) from exc
         scale = _num(cfg.get("scale", 0.5), f"{path}.scale")
         if scale <= 0:
             raise ConfigError(f"{path}.scale", "must be positive")

@@ -5,10 +5,12 @@ anywhere, but numerical conjugation, sampling checks and generic proximal
 maps are confined to the box.  Conjugation of a non-coercive function is
 refused; apply a quadratic perturbation first.
 
-When a conjugate is only available numerically, ``conjugate_pair`` returns a
-consistent primal/dual pair in which the primal is re-read through the same
-piecewise-linear samples.  This keeps the Fenchel-Young inequality exact for
-the pair, which downstream action assembly relies on.
+Each kind conjugates through one hook, ``_pair()``, which returns a
+consistent (primal, dual) pair; ``conjugate_pair()`` caches it.  The primal is
+the function itself wherever the dual is exact.  When the conjugate is only
+available numerically, the primal is re-read through the same piecewise-linear
+samples as the dual.  This keeps the Fenchel-Young inequality exact for the
+pair, which downstream action assembly relies on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hampath.legendre import GridFn, discrete_conjugate
-from hampath.rootfind import bracket_root, newton_bisect
+from hampath.rootfind import newton_bisect, newton_bracket
 
 AUTO_GRID_1D = 4001
 AUTO_GRID_2D = 201
@@ -111,7 +113,6 @@ class ConvexFn:
     def __init__(self, dim: int, box: Box | None = None):
         self.dim = int(dim)
         self.box = box if box is not None else Box.cube(self.dim)
-        self._conj_cache = None
         self._pair_cache = None
 
     # -- evaluation ----------------------------------------------------
@@ -135,26 +136,17 @@ class ConvexFn:
         raise NotImplementedError
 
     # -- conjugation ---------------------------------------------------
-    def closed_conjugate(self):
-        """Closed-form conjugate, or None when only numerics can produce one."""
-        return None
-
     def conjugate(self) -> "ConvexFn":
-        if self._conj_cache is None:
-            c = self.closed_conjugate()
-            if c is None:
-                c = self._numeric_pair()[1]
-            self._conj_cache = c
-        return self._conj_cache
+        return self.conjugate_pair()[1]
 
     def conjugate_pair(self):
         """Consistent (primal, dual) pair whose Fenchel-Young gap is exactly >= 0."""
         if self._pair_cache is None:
-            c = self.closed_conjugate()
-            self._pair_cache = (self, c) if c is not None else self._numeric_pair()
+            self._pair_cache = self._pair()
         return self._pair_cache
 
-    def _numeric_pair(self):
+    def _pair(self):
+        """This kind's (primal, dual); by default both are tabulated on the box."""
         if not self.coercive:
             raise NotCoerciveError(
                 f"{type(self).__name__} is not coercive, so its conjugate is infinite "
@@ -180,15 +172,10 @@ class ConvexFn:
         u = np.empty_like(pts)
         for i, piece in enumerate(pieces):
             x = pts[:, i]
-
-            def rho(v, piece=piece, x=x):
-                return v - x + step * piece.d1(v)
-
-            def rho_drho(v, piece=piece, x=x):
-                return v - x + step * piece.d1(v), 1.0 + step * piece.d2(v)
-
-            lo, hi = bracket_root(rho, x, init_width=1.0 + np.abs(x).max(initial=0.0))
-            u[:, i] = newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(x))
+            u[:, i] = newton_bisect(*newton_bracket(lambda v: v - x + step * piece.d1(v),
+                                                    lambda v: 1.0 + step * piece.d2(v),
+                                                    x, 1.0 + np.abs(x).max(initial=0.0)),
+                                    scale=1.0 + np.abs(x))
         return u
 
     # -- structure hooks ------------------------------------------------
@@ -316,19 +303,16 @@ class Quadratic(ConvexFn):
     def _grad(self, pts):
         return pts @ self.A + self.b
 
-    def closed_conjugate(self):
+    def _pair(self):
         if not self.coercive:
-            return None
+            raise NotCoerciveError(
+                "quadratic with singular curvature is not coercive; "
+                "add a quadratic perturbation before conjugating"
+            )
         Ainv = np.linalg.inv(self.A)
         bstar = -Ainv @ self.b
         cstar = 0.5 * self.b @ Ainv @ self.b - self.c
-        return Quadratic(Ainv, bstar, cstar, box=self.box)
-
-    def _numeric_pair(self):
-        raise NotCoerciveError(
-            "quadratic with singular curvature is not coercive; "
-            "add a quadratic perturbation before conjugating"
-        )
+        return self, Quadratic(Ainv, bstar, cstar, box=self.box)
 
     def _prox(self, pts, step):
         M = np.eye(self.dim) + step * self.A
@@ -383,11 +367,11 @@ class PowerNorm(ConvexFn):
     def _grad(self, pts):
         return self.scale * self.r * np.sign(pts) * np.abs(pts) ** (self.r - 1.0)
 
-    def closed_conjugate(self):
+    def _pair(self):
         r, a = self.r, self.scale
         s = r / (r - 1.0)
         astar = (a * r) ** (1.0 - s) / s
-        return PowerNorm(s, astar, dim=self.dim, box=self.box)
+        return self, PowerNorm(s, astar, dim=self.dim, box=self.box)
 
     def scalar_pieces(self):
         if self.dim == 1:
@@ -426,7 +410,7 @@ class Affine(ConvexFn):
     def _grad(self, pts):
         return np.broadcast_to(self.slope, pts.shape).copy()
 
-    def _numeric_pair(self):
+    def _pair(self):
         raise NotCoerciveError(
             "an affine function conjugates to an indicator; "
             "add a quadratic perturbation before conjugating"
@@ -497,18 +481,10 @@ class SeparableSum(ConvexFn):
             uniq = uniq and res.is_unique
         return SubgradientResult(np.concatenate(vals), uniq)
 
-    def closed_conjugate(self):
-        conjs = [p.closed_conjugate() for p in self.parts]
-        if any(c is None for c in conjs):
-            return None
-        return SeparableSum(conjs)
-
-    def _numeric_pair(self):
-        primals, duals = [], []
-        for p in self.parts:
-            pp, dd = p.conjugate_pair()
-            primals.append(pp)
-            duals.append(dd)
+    def _pair(self):
+        primals, duals = zip(*(p.conjugate_pair() for p in self.parts))
+        if all(pp is p for pp, p in zip(primals, self.parts)):
+            return self, SeparableSum(duals)
         return SeparableSum(primals), SeparableSum(duals)
 
     def _prox(self, pts, step):
@@ -574,16 +550,11 @@ class Sum(ConvexFn):
             uniq = uniq and res.is_unique
         return SubgradientResult(total, uniq)
 
-    def closed_conjugate(self):
-        merged = simplify_sum(self.parts, self.box)
-        if isinstance(merged, Sum):
-            return None
-        return merged.closed_conjugate()
-
-    def _numeric_pair(self):
+    def _pair(self):
         merged = simplify_sum(self.parts, self.box)
         if not isinstance(merged, Sum):
-            return merged.conjugate_pair()
+            primal, dual = merged.conjugate_pair()
+            return (self if primal is merged else primal), dual
         pieces = merged.scalar_pieces()
         # catalog pieces are smooth; a coercive one has a strictly increasing
         # derivative, so its conjugate is exact by inverting it: (f*)' = (f')^-1.
@@ -662,19 +633,13 @@ class GridSampled(ConvexFn):
 
     @classmethod
     def from_samples(cls, fn, lo, hi, counts):
+        """Tabulate ``fn``, called once on all (K, d) nodes, on a uniform 1-D or 2-D grid."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.size == 1:
-            x = np.linspace(lo[0], hi[0], counts if np.isscalar(counts) else counts[0])
-            vals = np.array([fn(np.array([t])) for t in x]) if not _vectorizable(fn) else fn(x[:, None])
-            return cls(GridFn(lo, hi, np.asarray(vals, dtype=float)))
-        n1, n2 = (counts, counts) if np.isscalar(counts) else counts
-        x1 = np.linspace(lo[0], hi[0], n1)
-        x2 = np.linspace(lo[1], hi[1], n2)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        pts = np.column_stack([X1.ravel(), X2.ravel()])
-        vals = fn(pts)
-        return cls(GridFn(lo, hi, np.asarray(vals, dtype=float).reshape(n1, n2)))
+        counts = np.broadcast_to(counts, lo.shape)
+        axes = np.meshgrid(*map(np.linspace, lo, hi, counts), indexing="ij")
+        vals = fn(np.column_stack([a.ravel() for a in axes]))
+        return cls(GridFn(lo, hi, np.asarray(vals, dtype=float).reshape(tuple(counts))))
 
     def to_csv(self, path) -> None:
         """Write a two-column CSV (1-D) or header+matrix CSV (2-D)."""
@@ -762,23 +727,16 @@ class GridSampled(ConvexFn):
     def _cell_nodes(self):
         return tuple(self.grid.axis_nodes(k) for k in range(self.dim))
 
-    def conjugate(self):
+    def _pair(self):
         # box-restricted semantics: boundary argmaxes are exact here, so the
-        # dual-box diagnostic of the raw transform is disabled
-        if self._conj_cache is None:
-            if self._dual_of is not None:
-                src = self._dual_of.grid
-                gf = discrete_conjugate(self.grid, dual_lo=src.lo, dual_hi=src.hi,
-                                        dual_counts=src.counts, boundary_frac=1.0)
-            else:
-                gf = discrete_conjugate(self.grid, boundary_frac=1.0)
-            out = GridSampled(gf)
-            out._dual_of = self
-            self._conj_cache = out
-        return self._conj_cache
-
-    def _numeric_pair(self):
-        return self, self.conjugate()
+        # dual-box diagnostic of the raw transform is disabled; a dual grid
+        # conjugates back onto the grid it came from
+        src = self._dual_of
+        dual_box = {} if src is None else {"dual_lo": src.grid.lo, "dual_hi": src.grid.hi,
+                                           "dual_counts": src.grid.counts}
+        dual = GridSampled(discrete_conjugate(self.grid, boundary_frac=1.0, **dual_box))
+        dual._dual_of = self
+        return self, dual
 
     def subgradient(self, x):
         x = np.asarray(x, dtype=float).reshape(self.dim)
@@ -841,16 +799,9 @@ class ScalarConjugate(ConvexFn):
         self.piece = piece
 
     def _argsup(self, y):
-        piece = self.piece
-
-        def rho(u):
-            return piece.d1(u) - y
-
-        def rho_drho(u):
-            return piece.d1(u) - y, piece.d2(u)
-
-        lo, hi = bracket_root(rho, np.zeros_like(y), init_width=1.0 + np.abs(y).max(initial=0.0))
-        return newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(y))
+        return newton_bisect(*newton_bracket(lambda u: self.piece.d1(u) - y, self.piece.d2,
+                                             np.zeros_like(y), 1.0 + np.abs(y).max(initial=0.0)),
+                             scale=1.0 + np.abs(y))
 
     def _value(self, pts):
         return self._value_grad(pts)[0]
@@ -863,8 +814,8 @@ class ScalarConjugate(ConvexFn):
         u = self._argsup(y)
         return u * y - self.piece.value(u[:, None]), u[:, None]
 
-    def closed_conjugate(self):
-        return self.piece
+    def _pair(self):
+        return self, self.piece
 
     def _prox(self, pts, step):
         # Moreau decomposition through the piece's own proximal map
@@ -902,24 +853,14 @@ class MoreauEnvelope(ConvexFn):
         return (self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step),
                 (pts - p) / self.step)
 
-    def closed_conjugate(self):
-        ic = self.inner.closed_conjugate()
-        if ic is None:
-            return None
-        return simplify_sum([ic, Quadratic(self.step * np.eye(self.dim), box=ic.box)])
-
-    def _numeric_pair(self):
+    def _pair(self):
         ip, idual = self.inner.conjugate_pair()
         dual = simplify_sum([idual, Quadratic(self.step * np.eye(self.dim), box=idual.box)])
-        return MoreauEnvelope(ip, self.step), dual
+        return (self if ip is self.inner else MoreauEnvelope(ip, self.step)), dual
 
     def _prox(self, pts, step):
         inner_p = self.inner._prox(pts, step + self.step)
         return pts + (step / (step + self.step)) * (inner_p - pts)
-
-
-def _vectorizable(fn):
-    return isinstance(fn, ConvexFn) or getattr(fn, "batched", False)
 
 
 def _sampled_pair(fn: ConvexFn):
@@ -928,13 +869,8 @@ def _sampled_pair(fn: ConvexFn):
             f"no closed-form conjugate and grid fallback is limited to 2 dimensions "
             f"(got {fn.dim}); restructure the function as a separable sum"
         )
-    if fn.dim == 1:
-        lo, hi = fn.box.lo[0], fn.box.hi[0]
-        x = np.linspace(lo, hi, AUTO_GRID_1D)
-        primal = GridSampled(GridFn([lo], [hi], fn.value(x[:, None])))
-    else:
-        primal = GridSampled.from_samples(fn, fn.box.lo, fn.box.hi, AUTO_GRID_2D)
-    return primal, primal.conjugate()
+    counts = AUTO_GRID_1D if fn.dim == 1 else AUTO_GRID_2D
+    return GridSampled.from_samples(fn.value, fn.box.lo, fn.box.hi, counts).conjugate_pair()
 
 
 def convexity_violation(fn: ConvexFn, rng: np.random.Generator, samples: int = 200) -> float:
@@ -969,8 +905,11 @@ class Hamiltonian:
     def pair(self):
         """Consistent (primal, dual) Fenchel pair used by action assembly."""
         if self._pair is None:
-            self._pair = self.fn.conjugate_pair()
+            self._pair = self._build_pair()
         return self._pair
+
+    def _build_pair(self):
+        return self.fn.conjugate_pair()
 
     def conjugate(self) -> ConvexFn:
         return self.pair()[1]

@@ -16,7 +16,6 @@ from hampath.convex import (
     ConvexFn,
     Hamiltonian,
     MoreauEnvelope,
-    NotCoerciveError,
     PowerNorm,
     Quadratic,
     SubgradientResult,
@@ -24,7 +23,7 @@ from hampath.convex import (
     penalized_argmin,
     simplify_sum,
 )
-from hampath.rootfind import bracket_root, newton_bisect
+from hampath.rootfind import newton_bisect, newton_bracket
 
 
 class EpsPerturbed(Hamiltonian):
@@ -39,32 +38,23 @@ class EpsPerturbed(Hamiltonian):
         fn = simplify_sum([base.fn, bump])
         super().__init__(fn, base.N)
 
-    def pair(self):
-        if self._pair is None:
-            self._pair = self._build_pair()
-        return self._pair
+    # bound on this class too, so instrumentation can wrap EpsPerturbed.pair by name
+    pair = Hamiltonian.pair
 
     def _build_pair(self):
-        closed = self.fn.closed_conjugate()
-        if closed is not None:
-            return self.fn, closed
-        fn_exc = None
-        # a nonsmooth fn conjugates to a nonsmooth (sampled) primal, never usable here
-        if self.fn.smooth:
+        if not self.base.fn.coercive:
+            return self.fn.conjugate_pair()
+        bp, bd = self.base.pair()
+        if bp.smooth and bd.smooth:
             try:
                 pp, dd = self.fn.conjugate_pair()
                 if pp.smooth and dd.smooth:
                     return pp, dd
-            except (NotCoerciveError, ConjugateUnavailableError) as exc:
-                fn_exc = exc
-        # smooth the dual side instead: (f + eps/2 |.|^2)* is the Moreau
-        # envelope of f*, which is differentiable even for sampled bases
-        try:
-            bp, bd = self.base.pair()
-        except (NotCoerciveError, ConjugateUnavailableError):
-            if fn_exc is not None:
-                raise fn_exc from None
-            raise
+            except ConjugateUnavailableError:
+                pass
+        # (f + eps/2 |.|^2)* is the Moreau envelope of f*, smooth even when the
+        # base pair is tabulated; reading it off the cached base pair avoids
+        # tabulating the perturbed function as well
         bump = Quadratic(self.eps * np.eye(self.dim), box=bp.box)
         return simplify_sum([bp, bump]), MoreauEnvelope(bd, self.eps)
 
@@ -112,16 +102,10 @@ class _InfConvFn(ConvexFn):
         u = np.empty_like(pts)
         for i, piece in enumerate(self.pieces):
             x = pts[:, i]
-
-            def rho(v, piece=piece, x=x):
-                return piece.d1(v) + self.penalty_d1(v - x)
-
-            def rho_drho(v, piece=piece, x=x):
-                return (piece.d1(v) + self.penalty_d1(v - x),
-                        piece.d2(v) + self.penalty_d2(v - x))
-
-            lo, hi = bracket_root(rho, x, init_width=1.0 + np.abs(x).max(initial=0.0))
-            u[:, i] = newton_bisect(rho_drho, lo, hi, scale=1.0 + np.abs(piece.d1(x)))
+            u[:, i] = newton_bisect(*newton_bracket(
+                lambda v: piece.d1(v) + self.penalty_d1(v - x),
+                lambda v: piece.d2(v) + self.penalty_d2(v - x),
+                x, 1.0 + np.abs(x).max(initial=0.0)), scale=1.0 + np.abs(piece.d1(x)))
         return u
 
     def _minimizers_generic(self, pts):
@@ -144,9 +128,9 @@ class _InfConvFn(ConvexFn):
         u = self.minimizers(pts)
         return self.base_primal._value(u) + self.penalty(pts - u), self.penalty_d1(pts - u)
 
-    def closed_conjugate(self):
+    def _pair(self):
         power = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim, box=self.base_dual.box)
-        return Sum([self.base_dual, power])
+        return self, Sum([self.base_dual, power])
 
 
 class InfConvolved(Hamiltonian):

@@ -1,7 +1,8 @@
 """Vectorized safeguarded Newton for increasing scalar residuals.
 
 Three callers reduce a smooth inner problem to one strictly increasing
-scalar equation per element:
+scalar equation per element and solve it as
+``newton_bisect(*newton_bracket(rho, drho, center, width), scale=...)``:
 
 * derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
   solves f'(u) = y),
@@ -79,3 +80,15 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
     if worst > 1e-6 * np.max(scale if np.ndim(scale) else [scale]):
         raise RootFindError(f"inner minimization stalled, first-order residual {worst:.3e}", residual=worst)
     return u
+
+
+def newton_bracket(rho, drho, center, width):
+    """Arguments ``(rho_drho, lo, hi)`` of ``newton_bisect`` for the increasing ``rho``.
+
+    Brackets each element around ``center`` from half-width ``width`` with
+    ``bracket_root`` and pairs ``rho`` with its derivative ``drho``.  The
+    Newton call itself stays with the caller, so call counts per calling
+    module see it.
+    """
+    lo, hi = bracket_root(rho, center, init_width=width)
+    return (lambda u: (rho(u), drho(u))), lo, hi

@@ -26,7 +26,7 @@ from hampath.action import (
 )
 from hampath.certify import Certificate, certify
 from hampath.conditions import CheckReport, run_checks
-from hampath.convex import Hamiltonian, NotCoerciveError
+from hampath.convex import ConjugateUnavailableError, Hamiltonian, NotCoerciveError
 from hampath.grid import PathGrid
 from hampath.regularize import EpsPerturbed, InfConvolved
 
@@ -34,7 +34,8 @@ logger = logging.getLogger("hampath")
 
 
 class ScheduleError(ValueError):
-    """No usable stage: none at all, a nonsmooth stage pair, or nonsmooth boundary potentials."""
+    """No usable stage: none at all, an unavailable or nonsmooth stage pair, or nonsmooth
+    boundary potentials."""
 
 
 class SolveStatus(enum.Enum):
@@ -67,6 +68,8 @@ class SolveParams:
                 raise ValueError(f"{name} must be strictly decreasing")
         if self.tol_zero <= 0:
             raise ValueError("tol_zero must be positive")
+        if not self.r > 2:
+            raise ValueError("inf-convolution exponent must exceed 2")
 
 
 @dataclass(frozen=True)
@@ -265,8 +268,8 @@ def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
     return PathGrid.zeros(spec.T, spec.hamiltonian.N, M)
 
 
-def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = True,
-          proceed_on_check_failure: bool = False, init: PathGrid | None = None) -> SolveResult:
+def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool = False,
+          init: PathGrid | None = None) -> SolveResult:
     """Minimize the discrete action through the continuation schedule.
 
     Returns the best path with a certificate recomputed from scratch; the
@@ -282,14 +285,18 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
                 f"solvability limit 1/(2T) = {lim:g}")
 
     base = spec.hamiltonian
-    stages = _stage_hamiltonians(base, params)
-    if params.polish and _pair_is_smooth(base):
-        stages.append((0.0, 0.0, base))
+    try:
+        stages = _stage_hamiltonians(base, params)
+        if params.polish and _pair_is_smooth(base):
+            stages.append((0.0, 0.0, base))
+        smooth = [_pair_is_smooth(H) for _, _, H in stages]
+    except ConjugateUnavailableError as exc:
+        raise ScheduleError(f"the Hamiltonian's conjugate is unavailable: {exc}") from exc
     if not stages:
         raise ScheduleError("no usable continuation stage: supply eps or lambda schedules")
 
     checks = None
-    if run_hypothesis_checks and spec.cert is not None:
+    if spec.cert is not None:
         checks = run_checks(spec, seed=params.seed)
         if not checks.passed and not proceed_on_check_failure:
             path = _initial_path(spec, params.M, init)
@@ -299,8 +306,8 @@ def solve(spec: ProblemSpec, params: SolveParams, run_hypothesis_checks: bool = 
         if not checks.passed:
             logger.warning("hypothesis checks failed; proceeding on request")
 
-    for eps, lam, H in stages:
-        if not _pair_is_smooth(H):
+    for (eps, lam, _), ok in zip(stages, smooth):
+        if not ok:
             raise ScheduleError(
                 f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair: the "
                 "Hamiltonian's conjugate is tabulated (H is grid-backed, or has neither a "

@@ -160,6 +160,49 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @staticmethod
+    def coupled_two_dof(cfg):
+        # smooth, coupled and not separable with N = 2: no conjugate is available
+        A = np.eye(4)
+        A[0, 1] = A[1, 0] = 0.3
+        cfg["problem"]["N"] = 2
+        cfg["boundary"].update(p0=[1.0, 0.0], q0=[0.0, 0.5])
+        cfg["hamiltonian"]["terms"] = [
+            {"kind": "quadratic", "matrix": A.tolist(), "apply": "both"},
+            {"kind": "power", "r": 4, "apply": "both"}]
+
+    CONFIG_FAULTS = {
+        "asymmetric_matrix": "hamiltonian.terms[0].matrix: A must be square symmetric",
+        "indefinite_matrix": "hamiltonian.terms[0].matrix: A must be positive semidefinite",
+        "string_matrix": "hamiltonian.terms[0].matrix: could not convert",
+        "infconv_exponent_2": "solver: inf-convolution exponent must exceed 2",
+        "zero_halfwidth": "box.halfwidth: must be positive",
+        "coupled_two_dof": "conjugate is unavailable: no closed-form conjugate",
+    }
+
+    @pytest.mark.parametrize("fault", list(CONFIG_FAULTS))
+    def test_config_fault_exit_1(self, tmp_path, capsys, fault):
+        cfg = base_config()
+        term = cfg["hamiltonian"]["terms"][0]
+        if fault == "asymmetric_matrix":
+            term.update(kind="quadratic", matrix=[[1.0, 0.3], [0.1, 1.0]])
+        elif fault == "indefinite_matrix":
+            term.update(kind="quadratic", matrix=[[1.0, 2.0], [2.0, 1.0]])
+        elif fault == "string_matrix":
+            term.update(kind="quadratic", matrix=[["a", 0.0], [0.0, 1.0]])
+        elif fault == "infconv_exponent_2":
+            cfg["solver"].update(r=2, lambda_schedule=[0.1])
+        elif fault == "zero_halfwidth":
+            cfg["box"] = {"halfwidth": 0.0}
+        else:
+            self.coupled_two_dof(cfg)
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and self.CONFIG_FAULTS[fault] in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0

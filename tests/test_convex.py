@@ -252,6 +252,33 @@ class TestScalarConjugate:
         assert np.allclose(dual.grad(g), x, atol=1e-9)
 
 
+class TestPairCache:
+    def test_conjugate_is_the_cached_pair_dual(self, monkeypatch):
+        import hampath.convex
+
+        calls = []
+        real = hampath.convex.discrete_conjugate
+        monkeypatch.setattr(hampath.convex, "discrete_conjugate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        f = Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]), PowerNorm(4.0, 0.1, dim=2)])
+        prim, dual = f.conjugate_pair()
+        assert f.conjugate() is dual
+        assert isinstance(prim, GridSampled) and isinstance(dual, GridSampled)
+        assert len(calls) == 1
+
+    def test_separable_sum_pairs_part_by_part(self, rng):
+        x = np.linspace(-2.0, 2.0, 401)
+        tab = GridSampled(GridFn([-2.0], [2.0], np.abs(x) + 0.5 * x**2))
+        quad = Quadratic([[2.0]], [0.3])
+        f = SeparableSum([tab, quad])
+        prim, dual = f.conjugate_pair()
+        assert prim is f and prim.parts[1] is quad
+        assert dual.parts[0] is tab.conjugate() and dual.parts[1] is quad.conjugate()
+        y = rng.uniform(-2, 2, (20, 2))
+        assert np.array_equal(dual.value(y), tab.conjugate().value(y[:, :1])
+                              + quad.conjugate().value(y[:, 1:]))
+
+
 class TestInvariants:
     def test_fenchel_young_inequality(self, rng):
         for f in catalog(rng) + [abs_grid()]:

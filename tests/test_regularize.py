@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hampath.convex import Hamiltonian, PowerNorm, Quadratic
+from hampath.convex import Hamiltonian, MoreauEnvelope, PowerNorm, Quadratic, Sum
 from hampath.regularize import infconv, prox_points, quad_perturb
 
 from conftest import (
@@ -317,5 +317,21 @@ class TestEpsPerturbedPair:
         monkeypatch.setattr(hampath.convex, "discrete_conjugate",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         primal, dual = quad_perturb(grid_hamiltonian(), 0.05).pair()
+        assert not primal.smooth and dual.smooth
+        assert len(calls) == 1
+
+    def test_tabulated_smooth_base_builds_one_transform(self, monkeypatch):
+        # coupled and not coordinatewise separable: the base pair is tabulated,
+        # and the stage pair is read off it instead of tabulating H + eps/2 |.|^2
+        import hampath.convex
+
+        calls = []
+        real = hampath.convex.discrete_conjugate
+        monkeypatch.setattr(hampath.convex, "discrete_conjugate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        base = Hamiltonian(Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]),
+                                PowerNorm(4.0, 0.1, dim=2)]), 1)
+        primal, dual = quad_perturb(base, 0.1).pair()
+        assert isinstance(dual, MoreauEnvelope) and dual.inner is base.pair()[1]
         assert not primal.smooth and dual.smooth
         assert len(calls) == 1

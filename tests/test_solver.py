@@ -277,6 +277,23 @@ class TestSeparableConfigSolve:
         assert np.abs(a.path.p_nodes - b.path.p_nodes).max() <= 1e-12
         assert np.abs(a.path.q_nodes - b.path.q_nodes).max() <= 1e-12
 
+    def test_two_dof_coupled_p_block(self):
+        # per-component terms with N = 2: the base pair is closed part by part,
+        # the eps-perturbed 4-D sum is not separable, so the eps stages take
+        # the Moreau envelope of the base dual
+        from hampath.config import build_config
+
+        cfg = build_config({
+            "problem": {"N": 2, "T": 1.0},
+            "hamiltonian": {"terms": [
+                {"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 1.0]], "apply": "p"},
+                {"kind": "quadratic", "scale": 0.5, "apply": "q"}]},
+            "boundary": {"mode": "cauchy", "p0": [1.0, 0.0], "q0": [0.0, 0.5]},
+            "solver": {"M": 100},
+        })
+        res = solve(cfg.spec, cfg.params)
+        assert res.status is SolveStatus.CONVERGED
+
     def test_coupled_sum_needs_both_schedules(self):
         # smooth but not coordinatewise separable: the conjugate is tabulated
         from hampath.solver import ScheduleError
