@@ -112,6 +112,23 @@ def _evaluate(fn: ConvexFn, pts):
     return fn._value(pts), None
 
 
+def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y):
+    """Rowwise gaps primal(x) + dual(y) - x.y, with the gradients of both sides (None when
+    a side is nonsmooth).
+
+    A closed-form quadratic pair gives the gap in completed-square form
+    |(y - grad primal(x)) L|^2 / 2 with L L' = A^-1: the same quantity, read from
+    gradients alone, and never negative in floating point.
+    """
+    L = primal.gap_factor(dual)
+    if L is not None:
+        dx, dy = primal._grad(x), dual._grad(y)
+        return 0.5 * np.sum(((y - dx) @ L) ** 2, axis=1), dx, dy
+    fx, dx = _evaluate(primal, x)
+    fy, dy = _evaluate(dual, y)
+    return fx + fy - np.sum(x * y, axis=1), dx, dy
+
+
 def _node_gradient(dHx, dHy, iv, delta1, delta2, M, N):
     """Node gradient of h * sum(gaps), assembled from midpoint/slope partials."""
     d_pbar = dHx[:, :N] - delta2 * dHy[:, :N] + 2.0 * delta2 * iv.pbar + iv.dq
@@ -148,9 +165,7 @@ def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> 
 
     primal, dual = H.pair()
     iv, x, y = pairing(g, d1, d2)
-    Hx, dHx = _evaluate(primal, x)
-    Hy, dHy = _evaluate(dual, y)
-    gaps = Hx + Hy - np.sum(x * y, axis=1)
+    gaps, dHx, dHy = fenchel_young(primal, dual, x, y)
     inclusion = None if dHx is None else np.linalg.norm(y - dHx, axis=1)
     gp = gq = None
     if dHx is not None and dHy is not None:
@@ -158,14 +173,12 @@ def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> 
 
     b0 = bT = 0.0
     if not isinstance(b, Cauchy):
-        sp, sd = b.start_potential.conjugate_pair()
-        ep, ed = b.end_potential.conjugate_pair()
         p0, q0 = g.p_nodes[0], g.q_nodes[0]
         pT, qT = g.p_nodes[-1], g.q_nodes[-1]
-        (sp0, dsp0), (sdq0, dsdq0) = _evaluate(sp, p0[None]), _evaluate(sd, q0[None])
-        (epT, depT), (edT, dedT) = _evaluate(ep, qT[None]), _evaluate(ed, -pT[None])
-        b0 = float(sp0[0] + sdq0[0] - p0 @ q0)
-        bT = float(epT[0] + edT[0] + pT @ qT)
+        # psi1(p0) + psi1*(q0) - p0.q0 and psi2(qT) + psi2*(-pT) + pT.qT
+        b0, dsp0, dsdq0 = fenchel_young(*b.start_potential.conjugate_pair(), p0[None], q0[None])
+        bT, depT, dedT = fenchel_young(*b.end_potential.conjugate_pair(), qT[None], -pT[None])
+        b0, bT = float(b0[0]), float(bT[0])
         if gp is not None and all(d is not None for d in (dsp0, dsdq0, depT, dedT)):
             gp[-1] += -dedT[0] + qT
             gq[-1] += depT[0] + pT

@@ -48,11 +48,12 @@ def _fmt(v) -> str:
 
 
 def _residual_csv(cert) -> str:
-    lines = ["interval,fenchel_gap,inclusion_residual"]
+    gaps = cert.interior_residuals
     incl = cert.inclusion_residuals
-    for k, gap in enumerate(cert.interior_residuals):
-        iv = incl[k] if incl is not None else float("nan")
-        lines.append(f"{k},{_fmt(gap)},{_fmt(iv)}")
+    if incl is None:
+        incl = np.full(gaps.shape, np.nan)
+    rows = zip(range(gaps.size), gaps.tolist(), incl.tolist())
+    lines = ["interval,fenchel_gap,inclusion_residual"] + ["%d,%.17g,%.17g" % r for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from hampath.convex import (
     simplify_sum,
     squared_norm,
 )
-from hampath.solver import SolveParams
+from hampath.solver import ParamError, SolveParams
 
 
 class ConfigError(ValueError):
@@ -276,5 +276,5 @@ def _build_params(cfg, path: str) -> SolveParams:
         kwargs["seed"] = s
     try:
         return SolveParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    except ParamError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc

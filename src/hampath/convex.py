@@ -195,6 +195,16 @@ class ConvexFn:
     def _grad(self, pts):
         raise NotImplementedError
 
+    def _hess(self, pts):
+        """Hessians at the K rows of pts, shape (K, dim, dim), or (1, dim, dim) when the
+        Hessian is constant; kinds without one raise."""
+        raise NotImplementedError(f"{type(self).__name__} has no Hessian")
+
+    def gap_factor(self, dual):
+        """L with f(x) + dual(y) - x.y = |(y - grad f(x)) L|^2 / 2 when ``dual`` is this
+        function's closed-form quadratic conjugate; None for every other pair."""
+        return None
+
     def _value_grad(self, pts):
         """Values and gradients at the same points; one inner solve where kinds need one."""
         return self._value(pts), self._grad(pts)
@@ -292,6 +302,9 @@ class Quadratic(ConvexFn):
         self._eigs = np.linalg.eigvalsh(self.A)
         if self._eigs.min() < -1e-10 * max(1.0, self._eigs.max()):
             raise ValueError("A must be positive semidefinite")
+        # (primal, Cholesky factor of A) when this is primal's closed-form conjugate; kept
+        # on the dual so that a pair built twice by racing threads stays consistent
+        self._conjugate_of = None
 
     @property
     def coercive(self):
@@ -303,6 +316,13 @@ class Quadratic(ConvexFn):
     def _grad(self, pts):
         return pts @ self.A + self.b
 
+    def _hess(self, pts):
+        return self.A[None]
+
+    def gap_factor(self, dual):
+        link = dual._conjugate_of if isinstance(dual, Quadratic) else None
+        return link[1] if link is not None and link[0] is self else None
+
     def _pair(self):
         if not self.coercive:
             raise NotCoerciveError(
@@ -312,7 +332,14 @@ class Quadratic(ConvexFn):
         Ainv = np.linalg.inv(self.A)
         bstar = -Ainv @ self.b
         cstar = 0.5 * self.b @ Ainv @ self.b - self.c
-        return self, Quadratic(Ainv, bstar, cstar, box=self.box)
+        dual = Quadratic(Ainv, bstar, cstar, box=self.box)
+        # the gap (x'Ax/2 + b.x + c) + dual(y) - x.y completes to (r A^-1 r')/2 with
+        # r = y - Ax - b; its factored form is a sum of squares, >= 0 in floating point
+        try:
+            dual._conjugate_of = (self, np.linalg.cholesky(dual.A))
+        except np.linalg.LinAlgError:
+            pass
+        return self, dual
 
     def _prox(self, pts, step):
         M = np.eye(self.dim) + step * self.A

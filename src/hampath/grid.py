@@ -75,8 +75,8 @@ class PathGrid:
         N = self.N
         header = ",".join(["t"] + [f"p_{i+1}" for i in range(N)] + [f"q_{i+1}" for i in range(N)])
         rows = np.column_stack([self.times, self.p_nodes, self.q_nodes])
-        lines = [header] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        return "\n".join([header] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

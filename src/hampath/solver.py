@@ -3,9 +3,14 @@
 The optimal value of every assembled action is known to be zero, so the
 attained value is itself the optimality certificate and no inner maximization
 is needed.  Each continuation stage minimizes the action of a regularized
-Hamiltonian with a limited-memory quasi-Newton method, warm-starting from the
-previous stage; a final polish stage runs on the unregularized problem
-whenever its Fenchel pair is smooth.
+Hamiltonian, warm-starting from the previous stage; a final polish stage runs
+on the unregularized problem whenever its Fenchel pair is smooth.
+
+A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
+closed-form quadratic pairs has an action that is an exactly convex quadratic
+function of the nodes; Newton's method on the block-tridiagonal node system
+(the implicit midpoint rule) minimizes it in one step.  Every other stage
+runs a limited-memory quasi-Newton method.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from hampath.action import (
     action_for,
     action_gradient,
     feedback_limit,
+    pairing,
 )
 from hampath.certify import Certificate, certify
 from hampath.conditions import CheckReport, run_checks
@@ -36,6 +42,14 @@ logger = logging.getLogger("hampath")
 class ScheduleError(ValueError):
     """No usable stage: none at all, an unavailable or nonsmooth stage pair, or nonsmooth
     boundary potentials."""
+
+
+class ParamError(ValueError):
+    """A ``SolveParams`` field is out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class SolveStatus(enum.Enum):
@@ -63,13 +77,13 @@ class SolveParams:
             sched = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, sched)
             if any(v <= 0 for v in sched):
-                raise ValueError(f"{name} entries must be positive")
+                raise ParamError(name, f"{name} entries must be positive")
             if any(b >= a for a, b in zip(sched, sched[1:])) and len(sched) > 1:
-                raise ValueError(f"{name} must be strictly decreasing")
+                raise ParamError(name, f"{name} must be strictly decreasing")
         if self.tol_zero <= 0:
-            raise ValueError("tol_zero must be positive")
+            raise ParamError("tol_zero", "tol_zero must be positive")
         if not self.r > 2:
-            raise ValueError("inf-convolution exponent must exceed 2")
+            raise ParamError("r", "inf-convolution exponent must exceed 2")
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,166 @@ def _two_loop(g, S, Y):
         b = rho * (y @ d)
         d += (a - b) * s
     return d
+
+
+# -- Newton stages on quadratic actions -------------------------------------
+
+
+def _mm(a, b):
+    """Blockwise a @ b; blocks are indexed by the last axis."""
+    return np.einsum("ijb,jkb->ikb", a, b)
+
+
+def _tmm(a, b):
+    """Blockwise a' @ b."""
+    return np.einsum("jib,jkb->ikb", a, b)
+
+
+def _mv(a, v):
+    """Blockwise a @ v for vectors v of shape (n, B)."""
+    return np.einsum("ijb,jb->ib", a, v)
+
+
+def _tmv(a, v):
+    """Blockwise a' @ v."""
+    return np.einsum("jib,jb->ib", a, v)
+
+
+def _invert(D):
+    """Inverts every block D[:, :, b] in place and returns D.
+
+    Unpivoted Gauss-Jordan, which is stable for the symmetric positive
+    definite blocks it is given; each pivot step is one vector operation over
+    all blocks.
+    """
+    for k in range(D.shape[0]):
+        inv = 1.0 / D[k, k]
+        D[k, k] = 1.0
+        D[k] *= inv
+        col = D[:, k].copy()
+        col[k] = 0.0
+        D[:, k] = 0.0
+        D[k, k] = inv
+        D -= col[:, None] * D[k]
+    return D
+
+
+def solve_block_tridiagonal(D, U, r):
+    """Solve a symmetric positive definite block-tridiagonal system by cyclic reduction.
+
+    ``D`` (n, n, K) holds the diagonal blocks, ``U`` (n, n, K-1) the blocks
+    (k, k+1), whose transposes are the blocks below the diagonal, and ``r``
+    (n, K) the right-hand side; the block index is the last axis.  Each level
+    eliminates the odd-indexed blocks through their own diagonal blocks and
+    halves the system (Buzbee-Golub-Nielson).  A level keeps only the inverses
+    of its odd blocks for the back-substitution.
+    """
+    n, K = r.shape
+    if K == 1:
+        return _mv(_invert(D.copy()), r)
+    Dinv = _invert(D[:, :, 1::2].copy())
+    # odd block 2t+1 couples to block 2t through Ue[t]' and to block 2t+2 through Uo[t]
+    Ue, Uo = U[:, :, 0::2], U[:, :, 1::2]
+    mo, me = Dinv.shape[-1], (K + 1) // 2
+    D2 = D[:, :, 0::2].copy()
+    D2[:, :, :mo] -= _mm(Ue, _mm(Dinv, Ue.transpose(1, 0, 2)))
+    XU = _mm(Dinv[:, :, :me - 1], Uo)
+    D2[:, :, 1:] -= _tmm(Uo, XU)
+    U2 = -_mm(Ue[:, :, :me - 1], XU)
+    del XU
+    xr = _mv(Dinv, r[:, 1::2])
+    r2 = r[:, 0::2].copy()
+    r2[:, :mo] -= _mv(Ue, xr)
+    r2[:, 1:] -= _tmv(Uo, xr[:, :me - 1])
+    xe = solve_block_tridiagonal(D2, U2, r2)
+    v = _tmv(Ue, xe[:, :mo])
+    v[:, :me - 1] += _mv(Uo, xe[:, 1:])
+    x = np.empty_like(r)
+    x[:, 0::2], x[:, 1::2] = xe, xr - _mv(Dinv, v)
+    return x
+
+
+def _quadratic_stage(spec: ProblemSpec, H: Hamiltonian) -> bool:
+    """Whether the stage action is exactly quadratic: every Fenchel pair it reads is a
+    closed-form quadratic pair."""
+    pairs = [H.pair()]
+    if not isinstance(spec.boundary, Cauchy):
+        pairs += [spec.boundary.start_potential.conjugate_pair(),
+                  spec.boundary.end_potential.conjugate_pair()]
+    return all(primal.gap_factor(dual) is not None for primal, dual in pairs)
+
+
+def _node_hessian(spec: ProblemSpec, H: Hamiltonian, g: PathGrid):
+    """Diagonal and upper blocks of the stage action's Hessian in the nodes z_k = (p_k, q_k).
+
+    Interval k contributes h J' W J, where J = (P, Q) is the Jacobian of
+    F = y - grad H(x) in (z_k, z_{k+1}) and W the dual Hessian at y; each
+    boundary gap contributes B' W B on its end node.  Cauchy mode drops the
+    fixed node 0.
+    """
+    b = spec.boundary
+    d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
+    primal, dual = H.pair()
+    _, x, y = pairing(g, d1, d2)
+    N, h = g.N, g.h
+    I, O = np.eye(N), np.zeros((N, N))
+    E = np.block([[O, -I], [I, O]]) / h  # slope part of y: (-dq, dp)
+    F = np.block([[-d2 * I, O], [O, -d1 * I]])  # feedback part of y, on the midpoint
+    # per-interval Hessians broadcast along the last axis: constant ones have length 1
+    P = 0.5 * (F[:, :, None] - np.moveaxis(primal._hess(x), 0, -1)) - E[:, :, None]
+    Q = P + 2.0 * E[:, :, None]
+    W = np.moveaxis(dual._hess(y), 0, -1)
+    WQ = _mm(W, Q)
+    D = np.zeros((2 * N, 2 * N, g.M + 1))
+    D[:, :, :-1] = _tmm(P, _mm(W, P))
+    D[:, :, 1:] += _tmm(Q, WQ)
+    D *= h
+    U = np.broadcast_to(h * _tmm(P, WQ), (2 * N, 2 * N, g.M))
+    if isinstance(b, Cauchy):
+        return D[:, :, 1:], U[:, :, 1:]
+    sp, sd = b.start_potential.conjugate_pair()
+    ep, ed = b.end_potential.conjugate_pair()
+    p0, q0, pT, qT = g.p_nodes[0], g.q_nodes[0], g.p_nodes[-1], g.q_nodes[-1]
+    # r0 = q0 - grad psi1(p0), rT = -pT - grad psi2(qT)
+    B0 = np.hstack([-sp._hess(p0[None])[0], I])
+    BT = np.hstack([-I, -ep._hess(qT[None])[0]])
+    D[:, :, 0] += B0.T @ sd._hess(q0[None])[0] @ B0
+    D[:, :, -1] += BT.T @ ed._hess(-pT[None])[0] @ BT
+    return D, U
+
+
+def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: int,
+                 ftarget: float):
+    """Minimize a quadratic stage action by Newton steps on the node system.
+
+    The right-hand side is the exact node gradient from ``action_for`` and a
+    step is kept only when ``action_for`` confirms a decrease.  Returns
+    (path, action, gradient, iterations, reason) with reason ``ftarget``,
+    ``max_iters`` or ``no_decrease``; the gradient covers the free nodes.
+    """
+    free = slice(1, None) if isinstance(spec.boundary, Cauchy) else slice(None)
+
+    def evaluate(g):
+        ev = action_for(spec, g, H=H)
+        gp, gq = ev.gradient()
+        return ev.total, np.hstack([gp, gq])[free]
+
+    f, grad = evaluate(path)
+    it = 0
+    while f > ftarget:
+        if it == max_iters:
+            return path, f, grad, it, "max_iters"
+        step = solve_block_tridiagonal(*_node_hessian(spec, H, path), -grad.T).T
+        z = np.hstack([path.p_nodes, path.q_nodes])
+        z[free] += step
+        if not np.all(np.isfinite(z)):
+            return path, f, grad, it, "no_decrease"
+        trial = PathGrid(path.T, z[:, :path.N], z[:, path.N:])
+        ft, gt = evaluate(trial)
+        if not ft < f:
+            return path, f, grad, it, "no_decrease"
+        path, f, grad, it = trial, ft, gt, it + 1
+    return path, f, grad, it, "ftarget"
 
 
 # -- stage objectives -------------------------------------------------------
@@ -325,14 +499,18 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     path = _initial_path(spec, params.M, init)
     history = []
     for snum, (eps, lam, H) in enumerate(stages):
-        obj = _PathObjective(spec, H, params.M)
-        z0 = obj.pack(path)
         final = snum == len(stages) - 1
         ftarget = params.tol_zero * 1e-3 if final else max(10.0 * params.tol_zero, 1e-8)
-        z, f, g, iters, reason = lbfgs(
-            obj.fun_grad, z0, max_iters=params.max_iters,
-            gtol=params.gtol * path.scale(), ftarget=ftarget)
-        path = obj.unpack(z)
+        iters, reason = 0, None
+        if _quadratic_stage(spec, H):
+            path, f, g, iters, reason = newton_stage(spec, H, path, params.max_iters, ftarget)
+        if reason in (None, "no_decrease"):
+            # every other stage, and a Newton stage that stopped decreasing, runs L-BFGS
+            obj = _PathObjective(spec, H, params.M)
+            z, f, g, more, reason = lbfgs(
+                obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
+                gtol=params.gtol * path.scale(), ftarget=ftarget)
+            path, iters = obj.unpack(z), iters + more
         try:
             a_true = action_for(spec, path).total
         except (NotCoerciveError, ValueError):

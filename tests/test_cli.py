@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from hampath.cli import main
-from hampath.config import ConfigError, load_config
+from hampath.config import ConfigError, build_config, load_config
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -73,7 +73,13 @@ class TestSolveCommand:
         assert "missing.csv" in capsys.readouterr().err
 
     def test_stall_exit_3_still_writes(self, tmp_path, capsys):
+        # a quartic term keeps the stages on L-BFGS (a quadratic H converges in one
+        # exact Newton step, which no iteration cap stalls); its growth is not the
+        # config's quadratic certificate, so the checks are left out
         cfg = base_config()
+        cfg["hamiltonian"]["terms"].append({"kind": "power", "r": 4, "scale": 0.1,
+                                            "apply": "both"})
+        del cfg["growth"]
         cfg["solver"]["max_iters"] = 1
         cfg["solver"]["eps_schedule"] = [0.1]
         cfg["solver"]["tol_zero"] = 1e-12
@@ -175,7 +181,7 @@ class TestSolveCommand:
         "asymmetric_matrix": "hamiltonian.terms[0].matrix: A must be square symmetric",
         "indefinite_matrix": "hamiltonian.terms[0].matrix: A must be positive semidefinite",
         "string_matrix": "hamiltonian.terms[0].matrix: could not convert",
-        "infconv_exponent_2": "solver: inf-convolution exponent must exceed 2",
+        "infconv_exponent_2": "solver.r: inf-convolution exponent must exceed 2",
         "zero_halfwidth": "box.halfwidth: must be positive",
         "coupled_two_dof": "conjugate is unavailable: no closed-form conjugate",
     }
@@ -276,6 +282,15 @@ class TestConfigErrors:
             load_config(write_config(tmp_path, cfg))
         assert "coercivity_index" in str(err.value)
 
+    @pytest.mark.parametrize("key,value", [("tol_zero", 0.0), ("eps_schedule", [0.1, 0.2]),
+                                           ("lambda_schedule", [-0.1]), ("r", 2.0)])
+    def test_solver_fault_names_its_key(self, key, value):
+        cfg = base_config()
+        cfg["solver"][key] = value
+        with pytest.raises(ConfigError) as err:
+            build_config(cfg)
+        assert err.value.path == f"solver.{key}"
+
     def test_dimension_cap(self, tmp_path):
         cfg = base_config()
         cfg["problem"]["N"] = 9
@@ -306,3 +321,42 @@ class TestConfigErrors:
         pc = load_config(write_config(tmp_path, cfg))
         val = pc.spec.hamiltonian.value(np.array([1.0, 0.5]))
         assert val == pytest.approx(0.625, abs=1e-2)
+
+
+# nan, infinities, signed zeros, subnormals and values that need all 17 digits
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-310, 1.0 / 3.0,
+           -2.0 / 3.0, 1e300, 123456789.125]
+
+
+class TestCsvWriters:
+    """The writers format whole rows with one %-string; the bytes are those of the
+    per-value f-string formatting they replace."""
+
+    def test_percent_format_matches_format_spec(self):
+        for v in SPECIAL:
+            assert "%.17g" % v == f"{v:.17g}"
+
+    def test_residual_csv(self):
+        from types import SimpleNamespace
+
+        from hampath.cli import _residual_csv
+
+        gaps, incl = np.array(SPECIAL), np.array(SPECIAL[::-1])
+        head = "interval,fenchel_gap,inclusion_residual"
+        for inclusion in (incl, None):
+            cert = SimpleNamespace(interior_residuals=gaps, inclusion_residuals=inclusion)
+            col = incl if inclusion is not None else np.full(gaps.shape, np.nan)
+            old = [head] + [f"{k},{float(g):.17g},{float(i):.17g}"
+                            for k, (g, i) in enumerate(zip(gaps, col))]
+            assert _residual_csv(cert) == "\n".join(old) + "\n"
+
+    def test_path_csv(self):
+        from hampath.grid import PathGrid
+
+        finite = np.array([v for v in SPECIAL if np.isfinite(v)])
+        path = PathGrid(3.0, np.column_stack([finite, finite[::-1]]),
+                        np.column_stack([-finite, finite]))
+        rows = np.column_stack([path.times, path.p_nodes, path.q_nodes])
+        old = ["t,p_1,p_2,q_1,q_2"] + [",".join(f"{float(v):.17g}" for v in row)
+                                       for row in rows]
+        assert path.csv_text() == "\n".join(old) + "\n"

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex
 from hampath.conditions import GrowthCert
-from hampath.convex import Hamiltonian, Quadratic, squared_norm
+from hampath.convex import Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
 from hampath.grid import PathGrid, interval_data
 from hampath.solver import (
     ResonanceError,
@@ -116,7 +118,10 @@ class TestConnecting:
         assert res.status is SolveStatus.CONVERGED
 
     def test_stall_reported(self):
-        spec = p1_connecting_spec()
+        # quadratic + quartic H: its stages run L-BFGS, which two iterations leave
+        # short; the quadratic growth certificate does not describe it
+        spec = replace(p1_connecting_spec(), cert=None, hamiltonian=Hamiltonian(
+            Sum([Quadratic(0.1 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2)]), 1))
         res = solve(spec, SolveParams(M=400, tol_zero=1e-12, max_iters=2,
                                       eps_schedule=(0.1,)))
         assert res.status is SolveStatus.STALLED
