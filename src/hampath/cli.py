@@ -1,9 +1,10 @@
 """Command-line front end: check, solve, sweep.
 
-Exit codes are a contract: 0 success, 1 config fault, 2 hypothesis failure,
-3 solver stall.  All file writes are whole-file atomic and rendered with 17
-significant digits, so identical config and seed reproduce byte-identical
-outputs.
+Exit codes are a contract: 0 success, 1 config or command-line fault,
+2 hypothesis failure, 3 solver stall; ``main`` is the one place that turns a
+fault into an exit code.  All file writes are whole-file atomic and rendered
+with 17 significant digits, so identical config and seed reproduce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,13 +21,24 @@ import numpy as np
 from hampath.conditions import run_checks
 from hampath.config import ConfigError, ProblemConfig, load_config
 from hampath.grid import interval_data
-from hampath.regularize import InfConvolved, quad_perturb
+from hampath.regularize import InfConvolved
 from hampath.solver import ScheduleError, SolveStatus, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_STALLED = 3
+
+
+class UsageError(ValueError):
+    """Command-line fault: an unparsable invocation or ``--values`` list."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, which this CLI reserves for hypothesis failures
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -93,22 +105,12 @@ def _solve_report(result, cfg: ProblemConfig) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     if cfg.spec.cert is None:
-        print("config error: growth section required for check", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("growth", "section required for check")
     report = run_checks(cfg.spec, seed=cfg.params.seed)
     print(report.to_text())
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
-
-
-def _run_solve(cfg: ProblemConfig, seed=None, proceed=False):
-    params = cfg.params if seed is None else replace(cfg.params, seed=seed)
-    return solve(cfg.spec, params, proceed_on_check_failure=proceed, init=cfg.init_path)
 
 
 def cmd_solve(args) -> int:
@@ -116,17 +118,10 @@ def cmd_solve(args) -> int:
         import logging
 
         logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    proceed = bool(cfg.output.get("proceed_on_check_failure", False))
-    try:
-        result = _run_solve(cfg, seed=args.seed, proceed=proceed)
-    except ScheduleError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    params = cfg.params if args.seed is None else replace(cfg.params, seed=args.seed)
+    result = solve(cfg.spec, params, init=cfg.init_path,
+                   proceed_on_check_failure=bool(cfg.output.get("proceed_on_check_failure", False)))
     outdir = args.out or cfg.output.get("dir", ".")
     _atomic_write(os.path.join(outdir, "trajectory.csv"), result.path.csv_text())
     _atomic_write(os.path.join(outdir, "report.txt"), _solve_report(result, cfg))
@@ -200,12 +195,7 @@ def _refinement_differences(rows):
 
 def _max_displacement(spec, path, lam, r):
     """Largest |(p,q) - (i(p), j(q))| along the path midpoints."""
-    H = spec.hamiltonian
-    try:
-        H.pair()
-        hl = InfConvolved(H, lam, r)
-    except Exception:
-        hl = InfConvolved(quad_perturb(H, 1e-6), lam, r)
+    hl = InfConvolved(spec.hamiltonian, lam, r)
     iv = interval_data(path)
     ip, jq = hl.attaining_points(iv.pbar, iv.qbar)
     disp = np.linalg.norm(iv.pbar - ip, axis=1) + np.linalg.norm(iv.qbar - jq, axis=1)
@@ -213,22 +203,15 @@ def _max_displacement(spec, path, lam, r):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.param not in ("lambda", "eps", "M", "T"):
-        print(f"config error: unknown sweep parameter {args.param!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
-        print("config error: --values must be a comma-separated number list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("--values must be a comma-separated number list") from None
     if not values:
-        print("config error: empty sweep value list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("empty sweep value list")
+    if args.param == "M" and not all(v.is_integer() and v > 0 for v in values):
+        raise UsageError("--values for M must be positive integers")
 
     workers = int(os.environ.get("HAMPATH_WORKERS", "0")) or min(4, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -255,7 +238,7 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hampath",
         description="check, solve and certify convex Hamiltonian boundary value problems",
     )
@@ -277,12 +260,16 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_sweep.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "solve":
-        return cmd_solve(args)
-    return cmd_sweep(args)
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "check":
+            return cmd_check(args)
+        if args.command == "solve":
+            return cmd_solve(args)
+        return cmd_sweep(args)
+    except (ConfigError, ScheduleError, UsageError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

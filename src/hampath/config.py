@@ -119,7 +119,13 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
         full = init_file if os.path.isabs(init_file) else os.path.join(base_dir, init_file)
         if not os.path.exists(full):
             raise ConfigError("solver.init_file", f"referenced file does not exist: {full}")
-        init_path = PathGrid.from_csv(full)
+        try:
+            init_path = PathGrid.from_csv(full)
+        except ValueError as exc:
+            raise ConfigError("solver.init_file", f"not a trajectory file: {exc}") from exc
+        if init_path.T != T or init_path.N != N:
+            raise ConfigError("solver.init_file", f"path has T = {init_path.T:g}, N = "
+                              f"{init_path.N}; the problem has T = {T:g}, N = {N}")
     spec = ProblemSpec(ham, T, boundary, cert)
     return ProblemConfig(spec=spec, params=params, N=N, raw=raw, output=output,
                          init_path=init_path)
@@ -197,7 +203,14 @@ def _build_hamiltonian(cfg, N: int, phase_box: Box, base_dir: str) -> Hamiltonia
     if p_parts or q_parts:
         p_fn = simplify_sum(p_parts) if p_parts else zero()
         q_fn = simplify_sum(q_parts) if q_parts else zero()
-        split = SeparableSum([p_fn, q_fn], box=phase_box)
+        if isinstance(p_fn, Quadratic) and isinstance(q_fn, Quadratic):
+            # one block-diagonal quadratic keeps the closed-form pair (and Newton stages)
+            A = np.zeros((2 * N, 2 * N))
+            A[:N, :N], A[N:, N:] = p_fn.A, q_fn.A
+            split = Quadratic(A, np.concatenate([p_fn.b, q_fn.b]), p_fn.c + q_fn.c,
+                              box=phase_box)
+        else:
+            split = SeparableSum([p_fn, q_fn], box=phase_box)
         joint_parts.append(split)
     fn = simplify_sum(joint_parts, box=phase_box) if len(joint_parts) > 1 else joint_parts[0]
     return Hamiltonian(fn, N)

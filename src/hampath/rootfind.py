@@ -21,6 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 
+# Newton iterations before a call falls back to pure bisection.  Where the
+# residual's slope is unbounded at the root (|u|^(1/3) terms of power
+# conjugates), in-bracket Newton steps can stay arbitrarily short; bisection
+# then collapses any bracket to rounding within the remaining iterations.
+# Well-conditioned calls finish far below this count (61 at most in the
+# benchmark's lambda sweep), so they never reach it.
+NEWTON_ITERS = 100
+
+
 class RootFindError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -51,11 +60,12 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
     """Root of an increasing residual, bracketed in [lo, hi], elementwise.
 
     ``rho_drho(u) -> (rho, drho)``.  Newton steps are taken when they stay
-    inside the bracket, otherwise the bracket is bisected; the bracket is
-    updated from the residual sign each iteration.  An element whose
-    residual meets ``tol * scale``, or whose bracket is below rounding, is
-    frozen at its current iterate; the call returns once every element is.
-    Raises if the residual tolerance is not met at the cap.
+    inside the bracket, otherwise, and after ``NEWTON_ITERS`` iterations, the
+    bracket is bisected; the bracket is updated from the residual sign each
+    iteration.  An element whose residual meets ``tol * scale``, or whose
+    bracket is below rounding, is frozen at its current iterate; the call
+    returns once every element is.  Raises if the residual tolerance is not
+    met at the cap.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -63,7 +73,7 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
     if scale is None:
         scale = 1.0
     r = None
-    for _ in range(max_iters):
+    for it in range(max_iters):
         r, dr = rho_drho(u)
         lo = np.where(r <= 0, u, lo)
         hi = np.where(r > 0, u, hi)
@@ -73,7 +83,7 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where((dr > 0) & np.isfinite(dr), r / dr, np.nan)
             cand = u - step
-        ok = np.isfinite(cand) & (cand > lo) & (cand < hi)
+        ok = np.isfinite(cand) & (cand > lo) & (cand < hi) & (it < NEWTON_ITERS)
         u = np.where(done, u, np.where(ok, cand, 0.5 * (lo + hi)))
     r, _ = rho_drho(u)
     worst = float(np.max(np.abs(r)))

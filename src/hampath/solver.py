@@ -429,17 +429,27 @@ def _pair_is_smooth(H: Hamiltonian) -> bool:
 
 
 def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
-    if init is not None:
-        if init.M == M:
-            return init
+    b = spec.boundary
+    if init is None:
+        if isinstance(b, Cauchy):
+            return PathGrid.constant(spec.T, b.p0, b.q0, M)
+        return PathGrid.zeros(spec.T, spec.hamiltonian.N, M)
+    if init.T != spec.T or init.N != spec.hamiltonian.N:
+        raise ValueError(f"initial path has T = {init.T:g}, N = {init.N}; the problem has "
+                         f"T = {spec.T:g}, N = {spec.hamiltonian.N}")
+    if init.M != M:
         t_new = np.linspace(0.0, spec.T, M + 1)
         t_old = init.times
         p = np.column_stack([np.interp(t_new, t_old, init.p_nodes[:, j]) for j in range(init.N)])
         q = np.column_stack([np.interp(t_new, t_old, init.q_nodes[:, j]) for j in range(init.N)])
-        return PathGrid(spec.T, p, q)
-    if isinstance(spec.boundary, Cauchy):
-        return PathGrid.constant(spec.T, spec.boundary.p0, spec.boundary.q0, M)
-    return PathGrid.zeros(spec.T, spec.hamiltonian.N, M)
+        init = PathGrid(spec.T, p, q)
+    if isinstance(b, Cauchy) and not (np.array_equal(init.p_nodes[0], b.p0)
+                                      and np.array_equal(init.q_nodes[0], b.q0)):
+        # the Cauchy action is defined only on paths that start at (p0, q0)
+        p, q = init.p_nodes.copy(), init.q_nodes.copy()
+        p[0], q[0] = b.p0, b.q0
+        init = PathGrid(spec.T, p, q)
+    return init
 
 
 def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool = False,

@@ -50,6 +50,29 @@ class TestCheckCommand:
         assert main(["check", "no_such_file.yaml"]) == 1
 
 
+class TestUsageFaults:
+    """argparse's own exit code 2 is this CLI's hypothesis failure; usage faults exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"), "--param", "foo", "--values", "1"],
+        ["solve"],
+        [],
+    ], ids=["unknown_param", "missing_config", "missing_command"])
+    def test_exit_1_with_usage_line(self, capsys, argv):
+        assert main(argv) == 1
+        cap = capsys.readouterr()
+        err = cap.err.strip().splitlines()
+        assert err[0].startswith("usage: hampath")
+        assert err[-1].startswith("config error: ")
+        assert "Traceback" not in cap.err and cap.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: hampath" in capsys.readouterr().out
+
+
 class TestSolveCommand:
     def test_harmonic_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -257,6 +280,15 @@ class TestSweepCommand:
         assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"),
                      "--param", "lambda", "--values", "a,b"]) == 1
 
+    @pytest.mark.parametrize("values", ["2.5", "100,2.5", "0", "-50", "inf"])
+    def test_M_values_must_be_positive_integers(self, capsys, values):
+        # int() would truncate 2.5 to 2 and report the row as 2.5
+        assert main(["sweep", str(CONFIG_DIR / "harmonic_cauchy.yaml"),
+                     "--param", "M", "--values", values]) == 1
+        cap = capsys.readouterr()
+        assert cap.err == "config error: --values for M must be positive integers\n"
+        assert cap.out == ""
+
 
 class TestConfigErrors:
     def test_fault_location_reported(self, tmp_path):
@@ -307,6 +339,44 @@ class TestConfigErrors:
         PathGrid(1.0, np.cos(t), -np.sin(t)).to_csv(tmp_path / "warm.csv")
         assert main(["solve", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == 0
+
+    @staticmethod
+    def harmonic_trajectory(tmp_path, T=1.0, M=200):
+        from hampath.grid import PathGrid
+
+        t = np.linspace(0.0, T, M + 1)
+        PathGrid(T, np.cos(t), -np.sin(t)).to_csv(tmp_path / "warm.csv")
+
+    @pytest.mark.parametrize("fault", ["horizon", "dimension", "not_a_path"])
+    def test_init_file_that_does_not_fit_exit_1(self, tmp_path, capsys, fault):
+        cfg = base_config()
+        cfg["solver"]["init_file"] = "warm.csv"
+        self.harmonic_trajectory(tmp_path)
+        if fault == "horizon":
+            # the file's horizon is T = 1
+            cfg["problem"]["T"] = 0.5
+        elif fault == "dimension":
+            TestSolveCommand.coupled_two_dof(cfg)
+            cfg["hamiltonian"]["terms"].pop()
+        else:
+            (tmp_path / "warm.csv").write_text("t,p_1\n0,1\n1,0\n")
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver.init_file: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_cauchy_init_file_starting_elsewhere(self, tmp_path, capsys):
+        # node 0 of the warm start is pinned to (p0, q0); the rest is kept
+        cfg = base_config()
+        cfg["solver"]["init_file"] = "warm.csv"
+        cfg["boundary"]["p0"] = [0.5]
+        self.harmonic_trajectory(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        first = (out / "trajectory.csv").read_text().splitlines()[1]
+        assert [float(v) for v in first.split(",")] == [0.0, 0.5, 0.0]
 
     def test_grid_hamiltonian_roundtrip(self, tmp_path):
         x = np.linspace(-3, 3, 41)

@@ -100,6 +100,23 @@ class TestNewtonStages:
         assert 0.0 <= res.certificate.action_value <= ftarget
         assert np.all(res.certificate.interior_residuals >= 0.0)
 
+    def test_quadratic_terms_on_p_and_q_are_one_quadratic(self, tmp_path):
+        # H = p^2/2 + q^2/2 written term by term is the harmonic config exactly
+        import yaml
+
+        with open(CONFIG_DIR / "harmonic_cauchy.yaml") as fh:
+            raw = yaml.safe_load(fh)
+        raw["hamiltonian"]["terms"] = [{"kind": "quadratic", "scale": 0.5, "apply": "p"},
+                                       {"kind": "quadratic", "scale": 0.5, "apply": "q"}]
+        split = tmp_path / "split.yaml"
+        split.write_text(yaml.safe_dump(raw))
+        cfg = load_config(str(split))
+        res = solve(cfg.spec, cfg.params)
+        assert all(st.iterations <= 1 for st in res.stage_history)
+        whole = load_config(str(CONFIG_DIR / "harmonic_cauchy.yaml"))
+        ref = solve(whole.spec, whole.params)
+        assert res.path.csv_text() == ref.path.csv_text()
+
     @pytest.mark.parametrize("name", ["harmonic_cauchy", "connecting_p1", "semiconvex"])
     def test_exact_step_from_a_random_path(self, rng, name):
         cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))

@@ -53,6 +53,19 @@ class TestNewtonBisect:
         assert u[0] == pytest.approx(0.25, abs=1e-12)
         assert u[1] == pytest.approx(np.pi / 10, abs=1e-14)
 
+    def test_prox_of_power_conjugate_at_every_scale(self):
+        # PowerNorm(4, 1/4)* = PowerNorm(4/3, 3/4): the prox residual
+        # u - x + step f'(u) has unbounded slope at u = 0, where in-bracket
+        # Newton steps stay short; x ~ 1e-2 needs the bisection fallback
+        from hampath.convex import PowerNorm
+
+        f = PowerNorm(4.0, 0.25).conjugate()
+        assert (f.r, f.scale) == pytest.approx((4.0 / 3.0, 0.75))
+        for scale in np.logspace(-8, 1, 19):
+            x = scale * np.array([[1.0], [-3.0], [0.7]])
+            u = f._prox(x, 0.1)
+            assert np.all(np.abs(u - x + 0.1 * f._grad(u)) <= 1e-6 * (1.0 + np.abs(x)))
+
     def test_iteration_cap_raises(self):
         # no usable derivative forces bisection, far too slow for four iterations
         def rho_drho(u):

@@ -73,6 +73,11 @@ class TestHarmonicCauchy:
                 np.abs(a.path.q_nodes - b.path.q_nodes).max())
         assert d <= 10 * 1e-6
 
+    def test_init_path_on_another_horizon_raises(self):
+        init = PathGrid.constant(2.0, [1.0], [0.0], 100)
+        with pytest.raises(ValueError, match="initial path has T = 2"):
+            solve(harmonic_cauchy_spec(), SolveParams(M=100, tol_zero=1e-6), init=init)
+
     def test_stage_history_monotone(self):
         res = solve(harmonic_cauchy_spec(), SolveParams(M=100, tol_zero=1e-6))
         acts = [st.action_true for st in res.stage_history]
@@ -282,22 +287,40 @@ class TestSeparableConfigSolve:
         assert np.abs(a.path.p_nodes - b.path.p_nodes).max() <= 1e-12
         assert np.abs(a.path.q_nodes - b.path.q_nodes).max() <= 1e-12
 
-    def test_two_dof_coupled_p_block(self):
-        # per-component terms with N = 2: the base pair is closed part by part,
-        # the eps-perturbed 4-D sum is not separable, so the eps stages take
-        # the Moreau envelope of the base dual
+    @staticmethod
+    def _two_dof_config(q_term):
         from hampath.config import build_config
 
-        cfg = build_config({
+        return build_config({
             "problem": {"N": 2, "T": 1.0},
             "hamiltonian": {"terms": [
                 {"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 1.0]], "apply": "p"},
-                {"kind": "quadratic", "scale": 0.5, "apply": "q"}]},
+                dict(q_term, apply="q")]},
             "boundary": {"mode": "cauchy", "p0": [1.0, 0.0], "q0": [0.0, 0.5]},
             "solver": {"M": 100},
         })
+
+    def test_two_dof_coupled_p_block(self):
+        # quadratic terms on p and on q fold into one block-diagonal quadratic
+        cfg = self._two_dof_config({"kind": "quadratic", "scale": 0.5})
+        assert isinstance(cfg.spec.hamiltonian.fn, Quadratic)
         res = solve(cfg.spec, cfg.params)
         assert res.status is SolveStatus.CONVERGED
+
+    def test_two_dof_coupled_p_block_power_q(self):
+        # per-component terms with N = 2: the base pair is closed part by part,
+        # the eps-perturbed 4-D sum is not separable, so the eps stages take
+        # the Moreau envelope of the base dual, whose prox of the power
+        # conjugate needs newton_bisect's bisection fallback
+        from hampath.convex import MoreauEnvelope
+        from hampath.regularize import EpsPerturbed
+
+        cfg = self._two_dof_config({"kind": "power", "r": 4, "scale": 0.25})
+        H = cfg.spec.hamiltonian
+        assert isinstance(EpsPerturbed(H, 0.1).pair()[1], MoreauEnvelope)
+        res = solve(cfg.spec, cfg.params)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certified_hamiltonian == "true"
 
     def test_coupled_sum_needs_both_schedules(self):
         # smooth but not coordinatewise separable: the conjugate is tabulated
