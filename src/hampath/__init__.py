@@ -9,6 +9,8 @@ from hampath.convex import (
     Affine,
     Box,
     ConvexFn,
+    GridConjugate,
+    GridEnvelope,
     GridSampled,
     Hamiltonian,
     MoreauEnvelope,
@@ -47,6 +49,8 @@ __all__ = [
     "Connecting",
     "ConvexFn",
     "EpsPerturbed",
+    "GridConjugate",
+    "GridEnvelope",
     "GridFn",
     "GridSampled",
     "GrowthCert",

@@ -234,6 +234,10 @@ def cmd_sweep(args) -> int:
     if args.out:
         _atomic_write(os.path.join(args.out, "sweep.csv"), table)
     print(table, end="")
+    # the table is printed either way; a sweep that solved none of its values was given
+    # no usable value
+    if all(row["status"].startswith("error") for row in rows):
+        raise UsageError(f"no --values entry for {args.param} could be solved")
     return EXIT_OK
 
 

@@ -7,20 +7,26 @@ refused; apply a quadratic perturbation first.
 
 Each kind conjugates through one hook, ``_pair()``, which returns a
 consistent (primal, dual) pair; ``conjugate_pair()`` caches it.  The primal is
-the function itself wherever the dual is exact.  When the conjugate is only
-available numerically, the primal is re-read through the same piecewise-linear
-samples as the dual.  This keeps the Fenchel-Young inequality exact for the
-pair, which downstream action assembly relies on.
+the function itself wherever the dual is exact.  A tabulated function pairs
+the convex envelope of its samples with the maximum over its nodes, which are
+exact conjugates.  This keeps the Fenchel-Young inequality exact for the pair,
+which downstream action assembly relies on.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from hampath.legendre import GridFn, discrete_conjugate
+from hampath.legendre import GridFn, _default_dual_axis
+from hampath.polyhedral import (
+    FacetTable,
+    _affine,
+    _first_min_per_row,
+    _row_chunks,
+    facet_argmin,
+)
 from hampath.rootfind import newton_bisect, newton_bracket
 
 AUTO_GRID_1D = 4001
@@ -165,18 +171,29 @@ class ConvexFn:
     def _prox(self, pts, step):
         # separable kinds solve u - x + step f'(u) = 0 coordinate by coordinate
         pieces = self.scalar_pieces()
-        if pieces is None:
-            return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
-                                    self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10,
-                                    maxiter=500)
-        u = np.empty_like(pts)
-        for i, piece in enumerate(pieces):
-            x = pts[:, i]
-            u[:, i] = newton_bisect(*newton_bracket(lambda v: v - x + step * piece.d1(v),
-                                                    lambda v: 1.0 + step * piece.d2(v),
-                                                    x, 1.0 + np.abs(x).max(initial=0.0)),
-                                    scale=1.0 + np.abs(x))
-        return u
+        if pieces is not None:
+            u = np.empty_like(pts)
+            for i, piece in enumerate(pieces):
+                x = pts[:, i]
+                u[:, i] = newton_bisect(*newton_bracket(lambda v: v - x + step * piece.d1(v),
+                                                        lambda v: 1.0 + step * piece.d2(v),
+                                                        x, 1.0 + np.abs(x)),
+                                        scale=1.0 + np.abs(x))
+            return u
+        form = self.envelope_form()
+        if form is not None:
+            # envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i + |u - x|^2 / (2 step): each
+            # coordinate of the minimizer has |(a_i + 1/step) u_i + b_i - x_i/step| at most
+            # the envelope's gradient bound, clipped to the box
+            env, a, b = form
+            a, b = a + 1.0 / step, b - pts / step
+            G = env.facets.grad_bound * (1.0 + 1e-9)
+            lo = np.clip((-b - G) / a, env.box.lo, env.box.hi)
+            hi = np.clip((-b + G) / a, env.box.lo, env.box.hi)
+            return facet_argmin(env.facets, a, b, lo, hi)
+        return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
+                                self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10,
+                                maxiter=500)
 
     # -- structure hooks ------------------------------------------------
     def scalar_pieces(self):
@@ -217,20 +234,23 @@ class ConvexFn:
         """
         return None
 
+    def envelope_form(self):
+        """``(envelope, a, b)`` when this function is a ``GridEnvelope`` plus
+        sum_i (a_i/2) u_i^2 + b_i u_i + const, whose inner minimizations enumerate the
+        envelope's facets; None for every other kind."""
+        return None
+
 
 def penalized_argmin(f, pts, penalty, lo, hi, ftol, gtol, maxiter):
     """Per-row minimizers of f(u) + penalty(u - x) over the box [lo, hi], x a row of pts.
 
+    For kinds that are neither tabulated nor coordinatewise separable.
     ``penalty(w) -> (value, gradient)`` at one displacement.  Each row is its
     own L-BFGS-B solve on the exact gradient from ``f._value_grad``, so every
-    row stops by its own tolerances.  A tabulated f kinks along its cell
-    edges, where L-BFGS-B can stall short of the minimum, so a row that stops
-    near an edge is solved again on each cell beside it (see ``_edge_cells``)
-    and the lowest objective wins.
+    row stops by its own tolerances.
     """
     from scipy.optimize import minimize
 
-    nodes = f._cell_nodes()
     options = {"ftol": ftol, "gtol": gtol, "maxiter": maxiter}
     out = np.empty_like(pts)
     for i, x in enumerate(pts):
@@ -244,45 +264,8 @@ def penalized_argmin(f, pts, penalty, lo, hi, ftol, gtol, maxiter):
                        options=options)
         if not res.success and res.fun > obj(x0)[0]:
             raise ProxError(f"inner minimization failed: {res.message}")
-        out[i], best = res.x, res.fun
-        for clo, chi in _edge_cells(nodes, res.x, lo, hi):
-            again = minimize(obj, np.clip(res.x, clo, chi), jac=True, method="L-BFGS-B",
-                             bounds=list(zip(clo, chi)), options=options)
-            if again.fun < best:
-                out[i], best = again.x, again.fun
+        out[i] = res.x
     return out
-
-
-def _edge_cells(nodes, u, lo, hi):
-    """Boxes (lo, hi) of the cells beside an edge that u stops near; empty when none.
-
-    On a cell the objective is smooth and the cell's edges are bounds, which
-    L-BFGS-B meets exactly.  An axis whose coordinate lies within a hundredth
-    of a cell width of an interior node contributes the cells on both sides
-    of that node; every other axis keeps the cell that holds u.  (On
-    tabulated quadratic data a thousandth of a cell missed some stalls; a
-    hundredth caught all of them.)
-    """
-    if nodes is None:
-        return []
-    sides, near_any = [], False
-    for e, t in zip(nodes, u):
-        c = int(np.clip(np.searchsorted(e, t) - 1, 0, e.size - 2))
-        n = c if t - e[c] <= e[c + 1] - t else c + 1
-        if 0 < n < e.size - 1 and abs(t - e[n]) <= 1e-2 * (e[c + 1] - e[c]):
-            sides.append([(e[n - 1], e[n]), (e[n], e[n + 1])])
-            near_any = True
-        else:
-            sides.append([(e[c], e[c + 1])])
-    if not near_any:
-        return []
-    boxes = []
-    for cell in itertools.product(*sides):
-        clo = np.maximum(lo, [a for a, _ in cell])
-        chi = np.minimum(hi, [b for _, b in cell])
-        if np.all(clo < chi):
-            boxes.append((clo, chi))
-    return boxes
 
 
 class Quadratic(ConvexFn):
@@ -567,6 +550,25 @@ class Sum(ConvexFn):
             return None
         return tuple(np.unique(np.concatenate(axis)) for axis in zip(*nodes))
 
+    def envelope_form(self):
+        # one envelope plus quadratics with diagonal curvature (and affine parts)
+        forms = [p.envelope_form() for p in self.parts]
+        if sum(f is not None for f in forms) != 1:
+            return None
+        env, a, b = next(f for f in forms if f is not None)
+        a, b = a.copy(), b.copy()
+        for p, f in zip(self.parts, forms):
+            if f is not None:
+                continue
+            if isinstance(p, Affine):
+                b += p.slope
+            elif isinstance(p, Quadratic) and np.allclose(p.A, np.diag(np.diag(p.A)), atol=0.0):
+                a += np.diag(p.A)
+                b += p.b
+            else:
+                return None
+        return env, a, b
+
     def subgradient(self, x):
         x = np.asarray(x, dtype=float).reshape(self.dim)
         total = np.zeros(self.dim)
@@ -646,8 +648,8 @@ def simplify_sum(parts, box=None):
 class GridSampled(ConvexFn):
     """Function tabulated on a uniform grid, read by multilinear interpolation.
 
-    Conjugation is always available and is exact for the piecewise-linear
-    interpolant restricted to the grid box.
+    Conjugation is always available: the pair is the convex envelope of the
+    samples (``GridEnvelope``) with its exact conjugate (``GridConjugate``).
     """
 
     smooth = False
@@ -656,7 +658,6 @@ class GridSampled(ConvexFn):
     def __init__(self, grid: GridFn):
         super().__init__(grid.d, Box(grid.lo, grid.hi))
         self.grid = grid
-        self._dual_of = None
 
     @classmethod
     def from_samples(cls, fn, lo, hi, counts):
@@ -713,15 +714,6 @@ class GridSampled(ConvexFn):
                 raise ValueError(f"{path}: grid nodes are not uniform")
         return cls(GridFn([x[0], y[0]], [x[-1], y[-1]], vals))
 
-    def _locate(self, pts):
-        lo, hi = self.box.lo, self.box.hi
-        eps = 1e-9 * (hi - lo)
-        outside = (pts < lo - eps) | (pts > hi + eps)
-        if outside.any():
-            bad = pts[outside.any(axis=1)][0]
-            raise DomainError(f"point {bad} outside grid support [{lo}, {hi}]")
-        return np.minimum(np.maximum(pts, lo), hi)
-
     def _value(self, pts):
         return self._value_grad(pts)[0]
 
@@ -731,7 +723,7 @@ class GridSampled(ConvexFn):
         The gradient is the segment slope (1-D) or the bilinear cell gradient
         (2-D); on a cell edge it is the one-sided gradient of the cell above.
         """
-        pts = self._locate(pts)
+        pts = _locate(self.box, pts)
         V = self.grid.values
         x1, h1 = self.grid.axis_nodes(0), self.grid.spacing(0)
         i = np.minimum(np.maximum(((pts[:, 0] - x1[0]) / h1).astype(int), 0), x1.size - 2)
@@ -755,56 +747,244 @@ class GridSampled(ConvexFn):
         return tuple(self.grid.axis_nodes(k) for k in range(self.dim))
 
     def _pair(self):
-        # box-restricted semantics: boundary argmaxes are exact here, so the
-        # dual-box diagnostic of the raw transform is disabled; a dual grid
-        # conjugates back onto the grid it came from
-        src = self._dual_of
-        dual_box = {} if src is None else {"dual_lo": src.grid.lo, "dual_hi": src.grid.hi,
-                                           "dual_counts": src.grid.counts}
-        dual = GridSampled(discrete_conjugate(self.grid, boundary_frac=1.0, **dual_box))
-        dual._dual_of = self
-        return self, dual
+        # the interpolant has no closed-form conjugate; the convex envelope of the
+        # samples has one, and in 1-D it is the interpolant of convex samples
+        return GridEnvelope(self.grid).conjugate_pair()
 
     def subgradient(self, x):
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        conj = self.conjugate()
-        if self.dim == 1:
-            y = conj.grid.axis_nodes(0)
-            scores = x[0] * y - conj.grid.values
-            m = scores.max()
-            ties = y[scores >= m - 1e-9 * (1.0 + abs(m))]
-            g = ties[np.argmin(np.abs(ties))]
-            spread = ties.max() - ties.min()
-            return SubgradientResult(np.array([g]), bool(spread <= 2.5 * conj.grid.spacing(0)))
-        y1 = conj.grid.axis_nodes(0)
-        y2 = conj.grid.axis_nodes(1)
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        scores = x[0] * Y1 + x[1] * Y2 - conj.grid.values
-        m = scores.max()
-        mask = scores >= m - 1e-9 * (1.0 + abs(m))
-        cand = np.column_stack([Y1[mask], Y2[mask]])
-        g = cand[np.argmin(np.sum(cand**2, axis=1))]
-        spread = np.max(cand.max(axis=0) - cand.min(axis=0))
-        h = max(conj.grid.spacing(0), conj.grid.spacing(1))
-        return SubgradientResult(g, bool(spread <= 2.5 * h))
+        return self.conjugate_pair()[0].subgradient(x)
 
     def _prox(self, pts, step):
         if self.dim == 1:
             return self._prox_1d(pts, step)
-        return super()._prox(pts, step)
+        return self._prox_2d(pts, step)
 
     def _prox_1d(self, pts, step):
         x = self.grid.axis_nodes(0)
         v = self.grid.values
         slopes = np.diff(v) / np.diff(x)
         out = np.empty_like(pts)
-        for k, p in enumerate(pts[:, 0]):
+        for sl in _row_chunks(pts.shape[0], slopes.size):
+            p = pts[sl, :1]
             # on each linear segment the minimizer is p - step*slope clipped in
             cand = np.clip(p - step * slopes, x[:-1], x[1:])
             vals = np.interp(cand, x, v) + (cand - p) ** 2 / (2 * step)
-            best = np.argmin(vals)
-            out[k, 0] = cand[best]
+            out[sl, 0] = cand[np.arange(cand.shape[0]), np.argmin(vals, axis=1)]
         return out
+
+    def _prox_2d(self, pts, step):
+        """Exact minimizer of interpolant(u) + |u - x|^2 / (2 step) by cell enumeration.
+
+        On a cell the objective is quadratic, so its minimum there is the
+        interior stationary point (when the cell Hessian is positive definite
+        and the point lies in the cell) or the clipped minimum of the 1-D
+        quadratic on one of the four edges.  A minimizer has |u_i - x_i| at
+        most step times the largest node slope along axis i, clipped to the box,
+        so only the cells meeting that box are enumerated; ties go to the
+        lowest cell index.
+        """
+        x1, x2 = self._cell_nodes()
+        h1, h2 = self.grid.spacing(0), self.grid.spacing(1)
+        V = self.grid.values
+        G = np.array([np.abs(np.diff(V, axis=0)).max() / h1,
+                      np.abs(np.diff(V, axis=1)).max() / h2]) * (1.0 + 1e-9)
+        lo = np.clip(pts - step * G, self.box.lo, self.box.hi)
+        hi = np.clip(pts + step * G, self.box.lo, self.box.hi)
+        n1, n2 = x1.size - 1, x2.size - 1
+        i0 = np.clip(np.floor((lo[:, 0] - x1[0]) / h1).astype(int), 0, n1 - 1)
+        i1 = np.clip(np.floor((hi[:, 0] - x1[0]) / h1).astype(int), 0, n1 - 1)
+        j0 = np.clip(np.floor((lo[:, 1] - x2[0]) / h2).astype(int), 0, n2 - 1)
+        j1 = np.clip(np.floor((hi[:, 1] - x2[0]) / h2).astype(int), 0, n2 - 1)
+        # (row, cell) pairs, cells in row-major order within each row
+        nj = j1 - j0 + 1
+        count = (i1 - i0 + 1) * nj
+        rows = np.repeat(np.arange(pts.shape[0]), count)
+        k = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+        i = i0[rows] + k // nj[rows]
+        j = j0[rows] + k % nj[rows]
+        # cell-local coordinates z = u - (x1_i, x2_j), in which the interpolant is
+        # v00 + al z1 + be z2 + ka z1 z2; one column per candidate
+        v00, v10, v01, v11 = V[i, j], V[i + 1, j], V[i, j + 1], V[i + 1, j + 1]
+        al, be = ((v10 - v00) / h1)[:, None], ((v01 - v00) / h2)[:, None]
+        ka = ((v11 - v10 - v01 + v00) / (h1 * h2))[:, None]
+        p1, p2 = (pts[rows, 0] - x1[i])[:, None], (pts[rows, 1] - x2[j])[:, None]
+        # on the edges z1 = 0, h1 and z2 = 0, h2 the objective is a 1-D quadratic
+        e1 = np.broadcast_to([0.0, h1], (rows.size, 2))
+        e2 = np.broadcast_to([0.0, h2], (rows.size, 2))
+        Z1 = np.hstack([e1, np.clip(p1 - step * (al + ka * e2), 0.0, h1)])
+        Z2 = np.hstack([np.clip(p2 - step * (be + ka * e1), 0.0, h2), e2])
+        # the stationary point counts where the cell Hessian [[1/step, ka], [ka, 1/step]]
+        # is positive definite and the point lies in the cell
+        sig = 1.0 / step
+        det = sig * sig - ka * ka
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1, r2 = sig * p1 - al, sig * p2 - be
+            z1, z2 = (sig * r1 - ka * r2) / det, (sig * r2 - ka * r1) / det
+        inner = (det > 0) & (z1 >= 0) & (z1 <= h1) & (z2 >= 0) & (z2 <= h2)
+        Z1 = np.hstack([Z1, np.where(inner, z1, 0.0)])
+        Z2 = np.hstack([Z2, np.where(inner, z2, 0.0)])
+        vals = (v00[:, None] + al * Z1 + be * Z2 + ka * Z1 * Z2
+                + ((Z1 - p1) ** 2 + (Z2 - p2) ** 2) / (2 * step))
+        vals[:, -1:] = np.where(inner, vals[:, -1:], np.inf)
+        pick = np.argmin(vals, axis=1)
+        at = np.arange(rows.size)
+        z1, z2 = Z1[at, pick], Z2[at, pick]
+        win = _first_min_per_row(rows, vals[at, pick], pts.shape[0])
+        return np.column_stack([x1[i[win]] + z1[win], x2[j[win]] + z2[win]])
+
+
+class GridEnvelope(ConvexFn):
+    """Convex envelope of tabulated samples: on the grid box, the max of the affine
+    pieces over the samples' lower-hull facets; +inf outside the box.
+
+    Its conjugate is ``GridConjugate``, the max over the grid nodes, and the
+    two are exact conjugates: their Fenchel-Young gap is nonnegative and
+    vanishes on the graph of the subdifferential.  The gradient is the facet
+    gradient.  The facet table is built on first use, so that building the
+    pair imports no scipy.
+    """
+
+    smooth = False
+    coercive = True
+
+    def __init__(self, grid: GridFn):
+        super().__init__(grid.d, Box(grid.lo, grid.hi))
+        self.grid = grid
+        self._facets = None
+
+    @property
+    def facets(self) -> FacetTable:
+        if self._facets is None:
+            self._facets = FacetTable.of_grid(self.grid)
+        return self._facets
+
+    def _value(self, pts):
+        return self._value_grad(pts)[0]
+
+    def _value_grad(self, pts):
+        vals, idx = self.facets.envelope(_locate(self.box, pts))
+        return vals, self.facets.grad[idx]
+
+    def envelope_form(self):
+        return self, np.zeros(self.dim), np.zeros(self.dim)
+
+    def _pair(self):
+        dual = GridConjugate(self)
+        dual._pair_cache = (dual, self)
+        return self, dual
+
+    def subgradient(self, x):
+        """Least-norm element of the hull of the facet gradients active at x; unique only
+        when every active facet has the same gradient (off the kinks)."""
+        x = _locate(self.box, np.asarray(x, dtype=float).reshape(1, self.dim))
+        fac = self.facets
+        planes = _affine(x, fac.grad, fac.offset)[0]
+        top = planes.max()
+        active = fac.grad[planes >= top - 1e-12 * (1.0 + abs(top))]
+        spread = float(np.max(active.max(axis=0) - active.min(axis=0)))
+        unique = spread <= 1e-9 * (1.0 + float(np.abs(active).max()))
+        return SubgradientResult(_least_norm_in_hull(active), unique)
+
+
+def _least_norm_in_hull(P):
+    """Point of least norm in the convex hull of the rows of P (1-D or 2-D points)."""
+    i, j = np.triu_indices(P.shape[0], 1)
+    A, E = P[i], P[j] - P[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.sum(A * E, axis=1) / np.sum(E * E, axis=1), 0.0, 1.0)
+    cand = np.concatenate([P, A + np.nan_to_num(t)[:, None] * E])
+    best = cand[np.argmin(np.sum(cand * cand, axis=1))]
+    if P.shape[1] == 2 and np.any(best):
+        # the origin is inside the hull when no angular gap between the points reaches pi
+        ang = np.sort(np.arctan2(P[:, 1], P[:, 0]))
+        gaps = np.diff(np.concatenate([ang, ang[:1] + 2 * np.pi]))
+        if gaps.max() < np.pi:
+            return np.zeros(2)
+    return best
+
+
+class GridConjugate(ConvexFn):
+    """max_j (x_j . y - f_j) over the nodes x_j of tabulated samples f_j.
+
+    The exact conjugate of the samples' convex envelope, finite everywhere;
+    its gradient is the first maximizing node.  The working box is the range
+    of the samples' node slopes.
+    """
+
+    smooth = False
+    coercive = True  # conjugates exactly back to the envelope
+
+    def __init__(self, envelope: GridEnvelope):
+        grid = envelope.grid
+        axes = [_default_dual_axis(grid, k) for k in range(grid.d)]
+        super().__init__(grid.d, Box([ax[0] for ax in axes], [ax[1] for ax in axes]))
+        self.envelope = envelope
+        X = np.meshgrid(*(grid.axis_nodes(k) for k in range(grid.d)), indexing="ij")
+        self.nodes = np.column_stack([c.ravel() for c in X])
+        self.node_values = grid.values.ravel()
+
+    def _scores(self, pts):
+        return _affine(pts, self.nodes, -self.node_values)
+
+    def _value(self, pts):
+        return self._value_grad(pts)[0]
+
+    def _value_grad(self, pts):
+        K = pts.shape[0]
+        vals, grad = np.empty(K), np.empty_like(pts)
+        for sl in _row_chunks(K, self.node_values.size):
+            scores = self._scores(pts[sl])
+            j = np.argmax(scores, axis=1)
+            vals[sl] = scores[np.arange(j.size), j]
+            grad[sl] = self.nodes[j]
+        return vals, grad
+
+    def _pair(self):
+        return self, self.envelope
+
+    def _prox(self, pts, step):
+        """Moreau identity: the prox is y - step u, where u minimizes
+        envelope(u) + (step/2)|u|^2 - u . y over the envelope's facets."""
+        lo, hi = self._argmin_box(pts, step)
+        u = facet_argmin(self.envelope.facets, np.full(self.dim, step), -pts, lo, hi)
+        return pts - step * u
+
+    def _argmin_box(self, pts, step):
+        """Per row, the bounding box of the nodes that can be active at the prox point.
+
+        The minimizer u lies in the hull of the nodes active at p = y - step u.
+        Since |p_i - y_i| <= step U_i with U_i = max |box_i|, a node j active
+        at p satisfies D(y) - score_j(y) <= step sum_i |x_ji - x_*i| U_i, where
+        x_* is the node attaining D(y); only such nodes bound the box.
+        """
+        box = self.envelope.box
+        U = np.maximum(np.abs(box.lo), np.abs(box.hi))
+        lo, hi = np.empty_like(pts), np.empty_like(pts)
+        for sl in _row_chunks(pts.shape[0], self.node_values.size):
+            scores = self._scores(pts[sl])
+            j = np.argmax(scores, axis=1)
+            top = scores[np.arange(j.size), j]
+            reach = np.zeros_like(scores)
+            for i in range(self.dim):
+                reach += np.abs(self.nodes[None, :, i] - self.nodes[j, i][:, None]) * U[i]
+            slack = 1e-9 * (1.0 + np.abs(top) + np.abs(pts[sl]) @ U
+                            + np.abs(self.node_values).max())
+            near = (top[:, None] - scores) <= step * reach * (1.0 + 1e-9) + slack[:, None]
+            for i in range(self.dim):
+                lo[sl, i] = np.min(np.where(near, self.nodes[:, i], np.inf), axis=1)
+                hi[sl, i] = np.max(np.where(near, self.nodes[:, i], -np.inf), axis=1)
+        return lo, hi
+
+
+def _locate(box: Box, pts):
+    """Points clipped onto a tabulated kind's box; DomainError beyond rounding of it."""
+    lo, hi = box.lo, box.hi
+    eps = 1e-9 * (hi - lo)
+    outside = (pts < lo - eps) | (pts > hi + eps)
+    if outside.any():
+        bad = pts[outside.any(axis=1)][0]
+        raise DomainError(f"point {bad} outside grid support [{lo}, {hi}]")
+    return np.minimum(np.maximum(pts, lo), hi)
 
 
 class ScalarConjugate(ConvexFn):
@@ -827,7 +1007,7 @@ class ScalarConjugate(ConvexFn):
 
     def _argsup(self, y):
         return newton_bisect(*newton_bracket(lambda u: self.piece.d1(u) - y, self.piece.d2,
-                                             np.zeros_like(y), 1.0 + np.abs(y).max(initial=0.0)),
+                                             np.zeros_like(y), 1.0 + np.abs(y)),
                              scale=1.0 + np.abs(y))
 
     def _value(self, pts):

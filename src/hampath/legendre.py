@@ -3,7 +3,10 @@
 The transform of sampled data equals the exact conjugate of the lower convex
 envelope of the samples, computed in linear time by a convex-hull sweep.
 A quadratic-cost brute-force evaluation is kept behind ``method="brute"``
-as an independent oracle for tests.
+as an independent oracle for tests.  The solver does not call the transform:
+tabulated functions pair their envelope with the max over their nodes
+(``hampath.polyhedral``), whose facets come from the lower hulls here
+(``_lower_hull`` in 1-D, ``lower_facets`` in 2-D).
 """
 
 from __future__ import annotations
@@ -252,30 +255,54 @@ def _convexity_proxy_2d(f: GridFn) -> float:
     return max(-float(worst), 0.0)
 
 
-def _convexity_defect_2d(f: GridFn) -> float:
+def lower_facets(f: GridFn):
+    """Lower convex-hull facets of 2-D samples, as node triangles with their planes.
+
+    Returns ``(tri, grad, offset)``: ``tri`` (F, 3) indexes the row-major grid
+    nodes, and on triangle t the convex envelope of the samples is
+    ``grad[t] . x + offset[t]``, the plane through the triangle's three
+    samples.  The triangles tile the grid box.  Coplanar samples give the two
+    triangles of the box corners.
+    """
     from scipy.spatial import ConvexHull, QhullError
 
     x1 = f.axis_nodes(0)
     x2 = f.axis_nodes(1)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.column_stack([X1.ravel(), X2.ravel(), f.values.ravel()])
+    nodes = np.column_stack([X1.ravel(), X2.ravel()])
+    vals = f.values.ravel()
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(np.column_stack([nodes, vals]))
+        tri = hull.simplices[hull.equations[:, 2] < 0]
     except QhullError:
-        # coplanar data: envelope is the plane itself
-        A = np.column_stack([pts[:, 0], pts[:, 1], np.ones(len(pts))])
-        coef, *_ = np.linalg.lstsq(A, pts[:, 2], rcond=None)
-        env = A @ coef
-        return float(np.max(pts[:, 2] - env))
-    eq = hull.equations
-    lower = eq[eq[:, 2] < -1e-12]
-    # facet plane: z >= -(off + n1 x1 + n2 x2) / n3 for n3 < 0; evaluate in
-    # blocks to bound memory at large grids
+        n1, n2 = f.counts
+        c00, c01, c10, c11 = 0, n2 - 1, (n1 - 1) * n2, n1 * n2 - 1
+        tri = np.array([[c00, c10, c11], [c00, c11, c01]])
+    p, v = nodes[tri], vals[tri]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    # a triangle of grid nodes spans |det| >= h1 h2 unless it is flat: that drops the
+    # vertical side walls and any zero-area piece of a triangulated merged facet
+    keep = np.abs(det) > 0.5 * f.spacing(0) * f.spacing(1)
+    tri, p, v, e1, e2, d1, d2, det = (a[keep] for a in (tri, p, v, e1, e2, d1, d2, det))
+    grad = np.column_stack([(e2[:, 1] * d1 - e1[:, 1] * d2) / det,
+                            (e1[:, 0] * d2 - e2[:, 0] * d1) / det])
+    offset = v[:, 0] - grad[:, 0] * p[:, 0, 0] - grad[:, 1] * p[:, 0, 1]
+    return tri, grad, offset
+
+
+def _convexity_defect_2d(f: GridFn) -> float:
+    _, grad, offset = lower_facets(f)
+    x1 = f.axis_nodes(0)
+    x2 = f.axis_nodes(1)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    pts = np.column_stack([X1.ravel(), X2.ravel(), f.values.ravel()])
+    # the envelope at a node is the highest facet plane there; blocks bound memory
     worst = -np.inf
     for start in range(0, len(pts), 1024):
         blk = pts[start : start + 1024]
-        planes = -(lower[:, 3][:, None] + lower[:, 0][:, None] * blk[:, 0][None, :]
-                   + lower[:, 1][:, None] * blk[:, 1][None, :]) / lower[:, 2][:, None]
-        env = planes.max(axis=0)
-        worst = max(worst, float(np.max(blk[:, 2] - env)))
+        planes = (grad[:, 0][:, None] * blk[:, 0][None, :]
+                  + grad[:, 1][:, None] * blk[:, 1][None, :] + offset[:, None])
+        worst = max(worst, float(np.max(blk[:, 2] - planes.max(axis=0))))
     return worst

@@ -23,7 +23,13 @@ from hampath.convex import (
     penalized_argmin,
     simplify_sum,
 )
+from hampath.polyhedral import PowerPenalty, facet_argmin
 from hampath.rootfind import newton_bisect, newton_bracket
+
+# rounds of narrowing the facet-enumeration box of an inf-convolution inner solve; on
+# the 41 x 41 grid_cauchy data the first round leaves about 80 facets per row, the
+# second about 2, and later rounds change little
+NARROWING_ROUNDS = 3
 
 
 class EpsPerturbed(Hamiltonian):
@@ -68,7 +74,13 @@ def quad_perturb(H: Hamiltonian, eps: float) -> EpsPerturbed:
 
 
 class _InfConvFn(ConvexFn):
-    """Primal side of the inf-convolution; evaluated by inner minimization."""
+    """Primal side of the inf-convolution; evaluated by inner minimization.
+
+    The inner solve is a scalar root per coordinate for separable primals and
+    an enumeration of facets for a tabulated envelope plus a separable
+    quadratic (the eps stage of a grid-backed H); other kinds run one
+    L-BFGS-B solve per row.
+    """
 
     smooth = True
     coercive = True
@@ -81,21 +93,18 @@ class _InfConvFn(ConvexFn):
         self.r = float(r)
         self.s = r / (r - 1.0)
         self.pieces = base_primal.scalar_pieces()
+        self.power = PowerPenalty(lam, self.s)
 
     def penalty(self, w):
-        return np.sum(np.abs(w) ** self.s, axis=-1) / (self.s * self.lam**self.s)
-
-    def penalty_d1(self, w):
-        return np.sign(w) * np.abs(w) ** (self.s - 1.0) / self.lam**self.s
-
-    def penalty_d2(self, w):
-        with np.errstate(divide="ignore"):
-            return (self.s - 1.0) * np.abs(w) ** (self.s - 2.0) / self.lam**self.s
+        return np.sum(self.power.terms(w), axis=-1)
 
     def minimizers(self, pts):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
         if self.pieces is not None:
             return self._minimizers_separable(pts)
+        form = self.base_primal.envelope_form()
+        if form is not None:
+            return self._minimizers_facets(pts, *form)
         return self._minimizers_generic(pts)
 
     def _minimizers_separable(self, pts):
@@ -103,30 +112,49 @@ class _InfConvFn(ConvexFn):
         for i, piece in enumerate(self.pieces):
             x = pts[:, i]
             u[:, i] = newton_bisect(*newton_bracket(
-                lambda v: piece.d1(v) + self.penalty_d1(v - x),
-                lambda v: piece.d2(v) + self.penalty_d2(v - x),
-                x, 1.0 + np.abs(x).max(initial=0.0)), scale=1.0 + np.abs(piece.d1(x)))
+                lambda v: piece.d1(v) + self.power.d1(v - x),
+                lambda v: piece.d2(v) + self.power.d2(v - x),
+                x, 1.0 + np.abs(x)), scale=1.0 + np.abs(piece.d1(x)))
         return u
 
+    def _minimizers_facets(self, pts, env, a, b):
+        """Facet enumeration for envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i.
+
+        At the minimizer, |penalty'(u_i - x_i)| = |g_i + a_i u_i + b_i| for a g in
+        the envelope's subdifferential, so |u_i - x_i| <= lam^r G_i^(r-1) with G_i
+        bounding that sum; clipped to the box, the interval also holds the
+        minimizers that the box stops.  Each round bounds G_i again over the
+        facets and points of the current box, which narrows it.
+        """
+        lo = np.broadcast_to(env.box.lo, pts.shape)
+        hi = np.broadcast_to(env.box.hi, pts.shape)
+        G = np.broadcast_to(env.facets.grad_bound, pts.shape)
+        for k in range(NARROWING_ROUNDS):
+            if k:
+                G = env.facets.grad_bound_in(lo, hi)
+            bound = G + np.abs(b) + a * np.maximum(np.abs(lo), np.abs(hi))
+            w = self.power.radius(bound * (1.0 + 1e-9)) + 1e-12 * (env.box.hi - env.box.lo)
+            lo = np.maximum(lo, np.clip(pts - w, env.box.lo, env.box.hi))
+            hi = np.minimum(hi, np.clip(pts + w, env.box.lo, env.box.hi))
+        return facet_argmin(env.facets, a, np.broadcast_to(b, pts.shape), lo, hi,
+                            self.power, pts)
+
     def _minimizers_generic(self, pts):
-        # a tabulated primal is +inf outside its box, so the infimum is
-        # attained inside it; other kinds get room around their working box
-        lo, hi = self.box.lo, self.box.hi
-        if self.base_primal._cell_nodes() is None:
-            lo, hi = lo - 10.0 * self.lam, hi + 10.0 * self.lam
+        # room around the working box: the infimum of a finite primal can lie outside it
         return penalized_argmin(self.base_primal, pts,
-                                lambda w: (self.penalty(w), self.penalty_d1(w)),
-                                lo, hi, ftol=1e-14, gtol=1e-11, maxiter=200)
+                                lambda w: (self.penalty(w), self.power.d1(w)),
+                                self.box.lo - 10.0 * self.lam, self.box.hi + 10.0 * self.lam,
+                                ftol=1e-14, gtol=1e-11, maxiter=200)
 
     def _value(self, pts):
         return self._value_grad(pts)[0]
 
     def _grad(self, pts):
-        return self.penalty_d1(pts - self.minimizers(pts))
+        return self.power.d1(pts - self.minimizers(pts))
 
     def _value_grad(self, pts):
         u = self.minimizers(pts)
-        return self.base_primal._value(u) + self.penalty(pts - u), self.penalty_d1(pts - u)
+        return self.base_primal._value(u) + self.penalty(pts - u), self.power.d1(pts - u)
 
     def _pair(self):
         power = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim, box=self.base_dual.box)

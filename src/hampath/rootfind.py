@@ -11,6 +11,11 @@ scalar equation per element and solve it as
 * inf-convolution inner solves (``_InfConvFn._minimizers_separable``
   solves f'(u) + penalty'(u - x) = 0).
 
+Each brackets an element from a half-width of its own, 1 + |center| or
+1 + |y|, so that an element's result does not depend on the rest of its
+batch.  Facet enumeration (``polyhedral``) calls ``newton_bisect`` directly
+on brackets it knows in closed form.
+
 Elements stop independently: an element is done once its residual meets
 ``tol * scale`` or its bracket has shrunk to rounding, and from then on its
 iterate is left unchanged while the others keep iterating.
@@ -40,9 +45,11 @@ def bracket_root(rho, center, init_width=1.0, max_doublings=80):
     """Expand symmetric brackets around ``center`` until rho changes sign.
 
     ``rho`` maps arrays to arrays elementwise and is nondecreasing per element.
+    ``init_width`` is one half-width or one per element; with per-element
+    widths, each element's bracket depends on that element alone.
     """
     center = np.asarray(center, dtype=float)
-    w = np.full(center.shape, float(init_width))
+    w = np.broadcast_to(np.asarray(init_width, dtype=float), center.shape).copy()
     lo = center - w
     hi = center + w
     for _ in range(max_doublings):
@@ -95,10 +102,10 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
 def newton_bracket(rho, drho, center, width):
     """Arguments ``(rho_drho, lo, hi)`` of ``newton_bisect`` for the increasing ``rho``.
 
-    Brackets each element around ``center`` from half-width ``width`` with
-    ``bracket_root`` and pairs ``rho`` with its derivative ``drho``.  The
-    Newton call itself stays with the caller, so call counts per calling
-    module see it.
+    Brackets each element around ``center`` from half-width ``width`` (one
+    per element, or one for all) with ``bracket_root`` and pairs ``rho`` with
+    its derivative ``drho``.  The Newton call itself stays with the caller, so
+    call counts per calling module see it.
     """
     lo, hi = bracket_root(rho, center, init_width=width)
     return (lambda u: (rho(u), drho(u))), lo, hi

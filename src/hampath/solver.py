@@ -88,12 +88,16 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One continuation stage; ``reason`` is why it stopped (``ftarget``, ``gtol``,
+    ``max_iters``, ``line_search``)."""
+
     eps: float
     lam: float
     iterations: int
     objective: float
     grad_norm: float
     action_true: float
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -525,7 +529,8 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
             a_true = action_for(spec, path).total
         except (NotCoerciveError, ValueError):
             a_true = float("nan")
-        history.append(StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true))
+        history.append(StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true,
+                                   reason))
         logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",
                     eps, lam, f, iters, reason)
 

@@ -280,6 +280,28 @@ class TestSweepCommand:
         assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"),
                      "--param", "lambda", "--values", "a,b"]) == 1
 
+    @pytest.mark.parametrize("param,value,message", [
+        ("T", "0", "horizon must be positive"),
+        ("eps", "-0.1", "eps_schedule entries must be positive"),
+        ("lambda", "-0.2", "lambda_schedule entries must be positive"),
+    ])
+    def test_no_value_solved_exit_1(self, tmp_path, capsys, param, value, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"), "--param", param,
+                     "--values", value, "--out", str(out)]) == 1
+        cap = capsys.readouterr()
+        rows = cap.out.splitlines()
+        assert rows[0].startswith("value,status,action") and len(rows) == 2
+        assert rows[1].split(",")[1] == f"error: {message}"
+        assert (out / "sweep.csv").read_text() == cap.out
+        assert cap.err == f"config error: no --values entry for {param} could be solved\n"
+
+    def test_one_value_solved_exit_0(self, capsys):
+        assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"), "--param", "T",
+                     "--values", "0,1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[1].startswith("error") and "Converged" in rows[2]
+
     @pytest.mark.parametrize("values", ["2.5", "100,2.5", "0", "-50", "inf"])
     def test_M_values_must_be_positive_integers(self, capsys, values):
         # int() would truncate 2.5 to 2 and report the row as 2.5

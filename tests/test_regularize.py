@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hampath.convex import Hamiltonian, MoreauEnvelope, PowerNorm, Quadratic, Sum
+from hampath.convex import GridSampled, Hamiltonian, MoreauEnvelope, PowerNorm, Quadratic, Sum
 from hampath.regularize import infconv, prox_points, quad_perturb
 
 from conftest import (
@@ -309,29 +309,44 @@ class TestTabulatedInfConv:
 
 
 class TestEpsPerturbedPair:
-    def test_nonsmooth_base_builds_one_transform(self, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Counts tabulations and facet-table builds."""
         import hampath.convex
 
-        calls = []
-        real = hampath.convex.discrete_conjugate
-        monkeypatch.setattr(hampath.convex, "discrete_conjugate",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = {"tabulate": 0, "facets": 0}
+        tab = GridSampled.from_samples.__func__
+        facets = hampath.convex.FacetTable.of_grid.__func__
+
+        def counted(name, real):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return real(*a, **k)
+            return classmethod(wrapper)
+        monkeypatch.setattr(GridSampled, "from_samples", counted("tabulate", tab))
+        monkeypatch.setattr(hampath.convex.FacetTable, "of_grid", counted("facets", facets))
+        return calls
+
+    @staticmethod
+    def evaluate(primal, dual, rng):
+        x = rng.uniform(-1.0, 1.0, (5, primal.dim))
+        primal.value(x), dual.value(x)
+
+    def test_nonsmooth_base_builds_one_transform(self, monkeypatch, rng):
+        calls = self.count_builds(monkeypatch)
         primal, dual = quad_perturb(grid_hamiltonian(), 0.05).pair()
         assert not primal.smooth and dual.smooth
-        assert len(calls) == 1
+        self.evaluate(primal, dual, rng)
+        assert calls == {"tabulate": 0, "facets": 1}
 
-    def test_tabulated_smooth_base_builds_one_transform(self, monkeypatch):
+    def test_tabulated_smooth_base_builds_one_transform(self, monkeypatch, rng):
         # coupled and not coordinatewise separable: the base pair is tabulated,
         # and the stage pair is read off it instead of tabulating H + eps/2 |.|^2
-        import hampath.convex
-
-        calls = []
-        real = hampath.convex.discrete_conjugate
-        monkeypatch.setattr(hampath.convex, "discrete_conjugate",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = self.count_builds(monkeypatch)
         base = Hamiltonian(Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]),
                                 PowerNorm(4.0, 0.1, dim=2)]), 1)
         primal, dual = quad_perturb(base, 0.1).pair()
         assert isinstance(dual, MoreauEnvelope) and dual.inner is base.pair()[1]
         assert not primal.smooth and dual.smooth
-        assert len(calls) == 1
+        self.evaluate(primal, dual, rng)
+        assert calls == {"tabulate": 1, "facets": 1}

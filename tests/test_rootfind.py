@@ -79,3 +79,41 @@ class TestBracketRoot:
     def test_doubling_cap_raises(self):
         with pytest.raises(RootFindError):
             bracket_root(lambda u: u - 1e30, np.zeros(3), max_doublings=5)
+
+    def test_per_element_widths(self):
+        lo, hi = bracket_root(lambda u: u - np.array([0.5, 40.0]), np.zeros(2),
+                              init_width=np.array([1.0, 5.0]))
+        np.testing.assert_array_equal(lo, [-1.0, -5.0])
+        np.testing.assert_array_equal(hi, [1.0, 40.0])
+
+
+class TestBatchIndependence:
+    """Every element of a mixed-scale batch is bitwise its own single-element call."""
+
+    BATCH = np.array([0.01, 0.3, -2.0, 50.0, -1e-5])
+
+    def assert_elementwise(self, solve):
+        batch = solve(self.BATCH)
+        for k, v in enumerate(self.BATCH):
+            assert batch[k].tobytes() == solve(np.array([v]))[0].tobytes()
+
+    def test_scalar_conjugate_argsup(self):
+        from hampath.convex import PowerNorm, ScalarConjugate
+
+        self.assert_elementwise(ScalarConjugate(PowerNorm(4.0, 0.1, dim=1))._argsup)
+
+    def test_separable_prox(self):
+        from hampath.convex import PowerNorm
+
+        f = PowerNorm(4.0 / 3.0, 0.75)
+        self.assert_elementwise(lambda x: f._prox(x[:, None], 0.1)[:, 0])
+
+    def test_separable_inf_convolution(self):
+        from hampath.regularize import infconv
+
+        from conftest import quartic_hamiltonian
+
+        fn = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
+        assert fn.pieces is not None
+        self.assert_elementwise(
+            lambda x: fn.minimizers(np.column_stack([x, -0.5 * x]))[:, 0])

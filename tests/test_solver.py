@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from conftest import (
     scaled_hamiltonian,
 )
 from oracles import resample, rk4, shooting_connecting
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 class TestLbfgs:
@@ -180,6 +183,34 @@ class TestGridBackedHamiltonian:
         start = action_for(spec, PathGrid.constant(0.5, [0.5], [0.0], 10),
                            H=stage_H).total
         assert res.stage_history[-1].objective < start
+
+
+    def test_inner_solves_use_no_scipy_optimizer(self, monkeypatch):
+        # the tabulated pair's inner solves enumerate facets
+        import scipy.optimize
+
+        from hampath.config import load_config
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called")
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+        res = solve(cfg.spec, replace(cfg.params, max_iters=3))
+        assert res.stage_history[-1].iterations == 3
+
+
+class TestStageReasons:
+    def test_quadratic_newton_stage_meets_its_target(self):
+        res = solve(harmonic_cauchy_spec(), SolveParams(M=50))
+        assert [st.reason for st in res.stage_history] == ["ftarget"] * 5
+
+    def test_one_iteration_grid_stage_stops_at_the_cap(self):
+        from hampath.config import load_config
+
+        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+        assert cfg.params.max_iters == 1
+        res = solve(cfg.spec, cfg.params)
+        assert [st.reason for st in res.stage_history] == ["max_iters"]
 
 
 class TestPathObjective:
