@@ -169,17 +169,9 @@ class ConvexFn:
         return u[0] if lead == () else u.reshape(lead + (self.dim,))
 
     def _prox(self, pts, step):
-        # separable kinds solve u - x + step f'(u) = 0 coordinate by coordinate
         pieces = self.scalar_pieces()
         if pieces is not None:
-            u = np.empty_like(pts)
-            for i, piece in enumerate(pieces):
-                x = pts[:, i]
-                u[:, i] = newton_bisect(*newton_bracket(lambda v: v - x + step * piece.d1(v),
-                                                        lambda v: 1.0 + step * piece.d2(v),
-                                                        x, 1.0 + np.abs(x)),
-                                        scale=1.0 + np.abs(x))
-            return u
+            return _separable_prox(pieces, pts, step)
         form = self.envelope_form()
         if form is not None:
             # envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i + |u - x|^2 / (2 step): each
@@ -239,6 +231,20 @@ class ConvexFn:
         sum_i (a_i/2) u_i^2 + b_i u_i + const, whose inner minimizations enumerate the
         envelope's facets; None for every other kind."""
         return None
+
+
+def by_column(fns, t):
+    """The (K, d) array whose column i is the 1-D function ``fns[i]`` at column i of ``t``."""
+    return np.stack([f(t[:, i]) for i, f in enumerate(fns)], axis=1)
+
+
+def _separable_prox(pieces, pts, step):
+    # u_i - x_i + step f_i'(u_i) = 0 for every coordinate, in one root call
+    d1, d2 = [p.d1 for p in pieces], [p.d2 for p in pieces]
+    return newton_bisect(*newton_bracket(lambda v: v - pts + step * by_column(d1, v),
+                                         lambda v: 1.0 + step * by_column(d2, v),
+                                         pts, 1.0 + np.abs(pts)),
+                         scale=1.0 + np.abs(pts))
 
 
 def penalized_argmin(f, pts, penalty, lo, hi, ftol, gtol, maxiter):
@@ -589,7 +595,7 @@ class Sum(ConvexFn):
         # derivative, so its conjugate is exact by inverting it: (f*)' = (f')^-1.
         # Coercive pieces make the sum coercive even when no single part is.
         if pieces is not None and all(p.coercive for p in pieces):
-            return merged, SeparableSum([ScalarConjugate(p) for p in pieces])
+            return merged, ScalarConjugate(pieces)
         if not merged.coercive:
             raise NotCoerciveError(
                 "sum is not coercive; add a quadratic perturbation before conjugating"
@@ -988,25 +994,34 @@ def _locate(box: Box, pts):
 
 
 class ScalarConjugate(ConvexFn):
-    """Exact conjugate of a smooth coercive 1-D piece, whose derivative strictly increases.
+    """Exact conjugate of smooth coercive 1-D pieces, one per coordinate.
 
-    Evaluated by inverting the derivative: at y the supremum is attained at
-    u with piece.d1(u) = y, giving value u y - piece(u) and gradient u.  Any
-    approximate u underestimates the sup, so paired Fenchel gaps stay
-    nonnegative up to the root-finder tolerance.
+    Each piece's derivative strictly increases, so the conjugate is evaluated
+    by inverting it: at y the supremum is attained at u with
+    pieces[i].d1(u_i) = y_i, giving value sum_i u_i y_i - pieces[i](u_i) and
+    gradient u.  All coordinates share one root call, in which each column
+    is its own element.  Any approximate u underestimates the sup, so paired
+    Fenchel gaps stay nonnegative up to the root-finder tolerance.
     """
 
     smooth = True
     coercive = True
 
-    def __init__(self, piece: ConvexFn):
-        if piece.dim != 1:
+    def __init__(self, pieces):
+        pieces = [pieces] if isinstance(pieces, ConvexFn) else list(pieces)
+        if any(p.dim != 1 for p in pieces):
             raise ValueError("scalar conjugates take 1-D pieces")
-        super().__init__(1, piece.box)
-        self.piece = piece
+        box = Box(np.concatenate([p.box.lo for p in pieces]),
+                  np.concatenate([p.box.hi for p in pieces]))
+        super().__init__(len(pieces), box)
+        self.pieces = pieces
+        self._d1 = [p.d1 for p in pieces]
+        self._d2 = [p.d2 for p in pieces]
 
     def _argsup(self, y):
-        return newton_bisect(*newton_bracket(lambda u: self.piece.d1(u) - y, self.piece.d2,
+        """Attaining points u, shape (K, d), of the supremum at the (K, d) rows y."""
+        return newton_bisect(*newton_bracket(lambda u: by_column(self._d1, u) - y,
+                                             lambda u: by_column(self._d2, u),
                                              np.zeros_like(y), 1.0 + np.abs(y)),
                              scale=1.0 + np.abs(y))
 
@@ -1014,19 +1029,20 @@ class ScalarConjugate(ConvexFn):
         return self._value_grad(pts)[0]
 
     def _grad(self, pts):
-        return self._argsup(pts[:, 0])[:, None]
+        return self._argsup(pts)
 
     def _value_grad(self, pts):
-        y = pts[:, 0]
-        u = self._argsup(y)
-        return u * y - self.piece.value(u[:, None]), u[:, None]
+        u = self._argsup(pts)
+        value = sum(u[:, i] * pts[:, i] - p.value(u[:, i, None])
+                    for i, p in enumerate(self.pieces))
+        return value, u
 
     def _pair(self):
-        return self, self.piece
+        return self, (self.pieces[0] if self.dim == 1 else SeparableSum(self.pieces))
 
     def _prox(self, pts, step):
-        # Moreau decomposition through the piece's own proximal map
-        inner = self.piece._prox(pts / step, 1.0 / step)
+        # Moreau decomposition through the pieces' own proximal maps
+        inner = _separable_prox(self.pieces, pts / step, 1.0 / step)
         return pts - step * inner
 
 

@@ -20,11 +20,12 @@ from hampath.convex import (
     Quadratic,
     SubgradientResult,
     Sum,
+    by_column,
     penalized_argmin,
     simplify_sum,
 )
 from hampath.polyhedral import PowerPenalty, facet_argmin
-from hampath.rootfind import newton_bisect, newton_bracket
+from hampath.rootfind import newton_bisect
 
 # rounds of narrowing the facet-enumeration box of an inf-convolution inner solve; on
 # the 41 x 41 grid_cauchy data the first round leaves about 80 facets per row, the
@@ -76,8 +77,8 @@ def quad_perturb(H: Hamiltonian, eps: float) -> EpsPerturbed:
 class _InfConvFn(ConvexFn):
     """Primal side of the inf-convolution; evaluated by inner minimization.
 
-    The inner solve is a scalar root per coordinate for separable primals and
-    an enumeration of facets for a tabulated envelope plus a separable
+    The inner solve is one root call over all coordinates for separable
+    primals and an enumeration of facets for a tabulated envelope plus a separable
     quadratic (the eps stage of a grid-backed H); other kinds run one
     L-BFGS-B solve per row.
     """
@@ -93,6 +94,9 @@ class _InfConvFn(ConvexFn):
         self.r = float(r)
         self.s = r / (r - 1.0)
         self.pieces = base_primal.scalar_pieces()
+        if self.pieces is not None:
+            self._d1 = [p.d1 for p in self.pieces]
+            self._d2 = [p.d2 for p in self.pieces]
         self.power = PowerPenalty(lam, self.s)
 
     def penalty(self, w):
@@ -100,22 +104,45 @@ class _InfConvFn(ConvexFn):
 
     def minimizers(self, pts):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
+        return self._attain(pts)[0]
+
+    def _attain(self, pts):
+        """Attaining points u*(x) and the gradients of H_lam, both shaped like pts."""
         if self.pieces is not None:
-            return self._minimizers_separable(pts)
+            return self._attain_separable(pts)
         form = self.base_primal.envelope_form()
         if form is not None:
-            return self._minimizers_facets(pts, *form)
-        return self._minimizers_generic(pts)
+            u = self._minimizers_facets(pts, *form)
+        else:
+            u = self._minimizers_generic(pts)
+        return u, self.power.d1(pts - u)
 
-    def _minimizers_separable(self, pts):
-        u = np.empty_like(pts)
-        for i, piece in enumerate(self.pieces):
-            x = pts[:, i]
-            u[:, i] = newton_bisect(*newton_bracket(
-                lambda v: piece.d1(v) + self.power.d1(v - x),
-                lambda v: piece.d2(v) + self.power.d2(v - x),
-                x, 1.0 + np.abs(x)), scale=1.0 + np.abs(piece.d1(x)))
-        return u
+    def _attain_separable(self, pts):
+        """Minimizers and gradients of H_lam at pts, all coordinates in one root call.
+
+        The stationarity equation f_i'(u_i) + penalty'(u_i - x_i) = 0 is solved in
+        the penalty slope v = sign(w)|w|^(s-1) of w = u - x, in which
+        w = sign(v)|v|^(r-1) and penalty'(w) = v / lam^s.  Its residual
+        rho(v) = f'(x + w) + v / lam^s increases with slope at least 1/lam^s,
+        also at v = 0, where the slope in w is unbounded; the root lies between
+        0 and -lam^s f'(x), and grad H_lam = -v / lam^s.
+        """
+        r, c = self.r, self.lam**self.s
+        g = by_column(self._d1, pts)
+
+        def rho_drho(v):
+            a = np.abs(v)
+            u = pts + np.sign(v) * a ** (r - 1.0)
+            # inf * 0 where f'' is unbounded at u = x (|u|^p pieces with p < 2 at 0);
+            # newton_bisect bisects on the non-finite slope
+            with np.errstate(invalid="ignore"):
+                dw = by_column(self._d2, u) * ((r - 1.0) * a ** (r - 2.0))
+            return by_column(self._d1, u) + v / c, dw + 1.0 / c
+
+        end = -c * g
+        v = newton_bisect(rho_drho, np.minimum(end, 0.0), np.maximum(end, 0.0),
+                          scale=1.0 + np.abs(g))
+        return pts + np.sign(v) * np.abs(v) ** (r - 1.0), -v / c
 
     def _minimizers_facets(self, pts, env, a, b):
         """Facet enumeration for envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i.
@@ -150,11 +177,11 @@ class _InfConvFn(ConvexFn):
         return self._value_grad(pts)[0]
 
     def _grad(self, pts):
-        return self.power.d1(pts - self.minimizers(pts))
+        return self._attain(pts)[1]
 
     def _value_grad(self, pts):
-        u = self.minimizers(pts)
-        return self.base_primal._value(u) + self.penalty(pts - u), self.power.d1(pts - u)
+        u, g = self._attain(pts)
+        return self.base_primal._value(u) + self.penalty(pts - u), g
 
     def _pair(self):
         power = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim, box=self.base_dual.box)

@@ -1,24 +1,27 @@
 """Vectorized safeguarded Newton for increasing scalar residuals.
 
-Three callers reduce a smooth inner problem to one strictly increasing
-scalar equation per element and solve it as
-``newton_bisect(*newton_bracket(rho, drho, center, width), scale=...)``:
+Three callers reduce a smooth inner problem over d separable coordinates
+to one strictly increasing scalar equation per element of a (K, d) array,
+each column with the 1-D piece of its coordinate, and solve all of them in
+one ``newton_bisect`` call:
 
 * derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
-  solves f'(u) = y),
+  solves f_i'(u_i) = y_i),
 * coordinatewise proximal maps (``ConvexFn._prox`` of a separable kind
-  solves u - x + step f'(u) = 0),
-* inf-convolution inner solves (``_InfConvFn._minimizers_separable``
-  solves f'(u) + penalty'(u - x) = 0).
+  solves u_i - x_i + step f_i'(u_i) = 0),
+* inf-convolution inner solves (``_InfConvFn._attain_separable`` solves
+  f_i'(u_i) + penalty'(u_i - x_i) = 0 in the penalty slope v_i, with
+  u_i = x_i + sign(v_i)|v_i|^(r-1): rho(v) = f'(x + sign(v)|v|^(r-1)) + v / lam^s).
 
-Each brackets an element from a half-width of its own, 1 + |center| or
-1 + |y|, so that an element's result does not depend on the rest of its
-batch.  Facet enumeration (``polyhedral``) calls ``newton_bisect`` directly
-on brackets it knows in closed form.
+The first two bracket an element with ``newton_bracket`` from a half-width
+of its own, 1 + |center| or 1 + |y|, so that an element's result does not
+depend on the rest of its batch; the inf-convolution residual and facet
+enumeration (``polyhedral``) know their brackets in closed form.
 
 Elements stop independently: an element is done once its residual meets
 ``tol * scale`` or its bracket has shrunk to rounding, and from then on its
-iterate is left unchanged while the others keep iterating.
+iterate is left unchanged while the others keep iterating.  A batch of
+coordinates therefore returns bitwise what one call per coordinate would.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 # residual's slope is unbounded at the root (|u|^(1/3) terms of power
 # conjugates), in-bracket Newton steps can stay arbitrarily short; bisection
 # then collapses any bracket to rounding within the remaining iterations.
-# Well-conditioned calls finish far below this count (61 at most in the
-# benchmark's lambda sweep), so they never reach it.
+# Well-conditioned calls finish far below this count (7 residual evaluations
+# at most in the benchmark's lambda sweep), so they never reach it.
 NEWTON_ITERS = 100
 
 
@@ -71,8 +74,8 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
     bracket is bisected; the bracket is updated from the residual sign each
     iteration.  An element whose residual meets ``tol * scale``, or whose
     bracket is below rounding, is frozen at its current iterate; the call
-    returns once every element is.  Raises if the residual tolerance is not
-    met at the cap.
+    returns once every element is.  Raises if at the cap any element's
+    residual exceeds 1e-6 times its own scale.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -93,8 +96,11 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
         ok = np.isfinite(cand) & (cand > lo) & (cand < hi) & (it < NEWTON_ITERS)
         u = np.where(done, u, np.where(ok, cand, 0.5 * (lo + hi)))
     r, _ = rho_drho(u)
-    worst = float(np.max(np.abs(r)))
-    if worst > 1e-6 * np.max(scale if np.ndim(scale) else [scale]):
+    # each element against its own scale, so that a stall does not hide behind
+    # a larger-scale element of the same batch
+    stalled = np.abs(r) > 1e-6 * np.asarray(scale)
+    if np.any(stalled):
+        worst = float(np.max(np.abs(r)[stalled]))
         raise RootFindError(f"inner minimization stalled, first-order residual {worst:.3e}", residual=worst)
     return u
 

@@ -247,7 +247,7 @@ class TestScalarConjugate:
         fn = Sum([Quadratic(np.eye(2)), SeparableSum([p_part, Quadratic([[0.0]])])])
         prim, dual = fn.conjugate_pair()
         assert prim.smooth and dual.smooth
-        assert all(isinstance(d, ScalarConjugate) for d in dual.parts)
+        assert isinstance(dual, ScalarConjugate) and dual.dim == 2
         x = rng.uniform(-3, 3, size=(50, 2))
         g = fn.grad(x)
         assert np.allclose(fn.value(x) + dual.value(g), np.sum(x * g, axis=1), atol=1e-9)
@@ -384,7 +384,7 @@ class TestValueGrad:
 
     def test_separable_sum_of_scalar_conjugates(self, rng):
         dual = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2)]).conjugate_pair()[1]
-        assert isinstance(dual, SeparableSum)
+        assert isinstance(dual, ScalarConjugate) and dual.dim == 2
         self.assert_fused(dual, rng.uniform(-3, 3, (15, 2)))
 
     def test_sum(self, rng):

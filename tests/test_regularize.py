@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hampath.convex import GridSampled, Hamiltonian, MoreauEnvelope, PowerNorm, Quadratic, Sum
+from hampath.convex import (
+    GridSampled,
+    Hamiltonian,
+    MoreauEnvelope,
+    PowerNorm,
+    Quadratic,
+    SeparableSum,
+    Sum,
+)
 from hampath.regularize import infconv, prox_points, quad_perturb
 
 from conftest import (
@@ -283,6 +291,96 @@ class TestInnerSolveAccuracy:
         def objective(u, x):
             return fn.base_primal.value(u) + fn.penalty(u - x)
         assert worst_relative_drop(objective, zip(u, x), dirs) <= 1e-12
+
+
+# 1-D pieces of a separable primal, each with the point where its derivative vanishes
+SEPARABLE_PIECES = {
+    "quadratic": (lambda: Quadratic([[1.3]], [0.4]), -0.4 / 1.3),
+    "quartic": (lambda: PowerNorm(4.0, 0.1), 0.0),
+    # d2 = +inf at 0: the penalty-slope residual's derivative is inf * 0 at v = 0
+    "power_1.5": (lambda: PowerNorm(1.5, 0.1), 0.0),
+    "quadratic+quartic": (lambda: Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1)]), 0.0),
+}
+
+
+class TestSeparableInnerSolveAccuracy:
+    """Separable inf-convolution minimizers against an independent scalar minimization.
+
+    Each coordinate of u*(x) minimizes f(u) + penalty(u - x), whose minimizer
+    lies between x and the zero m of f'; a bounded scalar search over that
+    interval is the reference.
+    """
+
+    OFFSETS = np.array([0.0, 1e-3, -0.3, 0.7, -7.0, 40.0, -1e3, 1e3])
+
+    @pytest.mark.parametrize("r", [4.0, 6.0])
+    @pytest.mark.parametrize("lam", [0.4, 0.1, 0.01])
+    @pytest.mark.parametrize("name", sorted(SEPARABLE_PIECES))
+    def test_minimizers_and_first_order_residual(self, name, lam, r):
+        from scipy.optimize import minimize_scalar
+
+        make, m = SEPARABLE_PIECES[name]
+        piece = make()
+        fn = infconv(Hamiltonian(SeparableSum([make(), make()]), 1), lam, r).fn
+        assert fn.pieces is not None
+        # offset 0 puts x at m, where f'(x) = 0 and the closed-form bracket is [0, 0]
+        x = np.column_stack([m + self.OFFSETS, m - self.OFFSETS[::-1] / 3.0])
+        u, g = fn.minimizers(x), fn.grad(x)
+        s = r / (r - 1.0)
+        for xk, uk, gk in zip(x.ravel(), u.ravel(), g.ravel()):
+            def objective(t):
+                return float(piece.value(np.array([t]))) + abs(t - xk) ** s / (s * lam**s)
+            ref = xk
+            if xk != m:
+                ref = minimize_scalar(objective, bounds=(min(xk, m), max(xk, m)),
+                                      method="bounded", options={"xatol": 1e-14}).x
+            obj = objective(uk)
+            assert obj <= objective(ref) + 1e-12 * (1.0 + abs(obj))
+            # penalty'(u - x) = -grad H_lam(x), so the residual is f'(u) - grad H_lam(x)
+            slope = float(piece.d1(np.array(xk)))
+            assert abs(float(piece.d1(np.array(uk))) - gk) <= 1e-12 * (1.0 + abs(slope))
+
+
+class TestInnerSolveConditioning:
+    """The penalty-slope residual needs few evaluations and no bracket search."""
+
+    def test_lambda_sweep_stage(self, monkeypatch):
+        import sys
+        from dataclasses import replace
+        from pathlib import Path
+
+        import hampath.regularize
+        import hampath.rootfind
+        from hampath.config import load_config
+        from hampath.solver import solve
+
+        evals, from_regularize = [], []
+        newton_bisect = hampath.regularize.newton_bisect
+        bracket_root = hampath.rootfind.bracket_root
+
+        def counted_newton(rho_drho, *args, **kwargs):
+            evals.append(0)
+
+            def rho(v):
+                evals[-1] += 1
+                return rho_drho(v)
+            return newton_bisect(rho, *args, **kwargs)
+
+        def traced_bracket(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "hampath.regularize":
+                    from_regularize.append(1)
+                frame = frame.f_back
+            return bracket_root(*args, **kwargs)
+
+        monkeypatch.setattr(hampath.regularize, "newton_bisect", counted_newton)
+        monkeypatch.setattr(hampath.rootfind, "bracket_root", traced_bracket)
+        cfg = load_config(str(Path(__file__).parent.parent / "configs" / "lambda_sweep.yaml"))
+        params = replace(cfg.params, lambda_schedule=(0.1,), eps_schedule=(), polish=False)
+        solve(cfg.spec, params)
+        assert evals and max(evals) <= 8
+        assert not from_regularize
 
 
 class TestTabulatedInfConv:

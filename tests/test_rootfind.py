@@ -74,6 +74,17 @@ class TestNewtonBisect:
             newton_bisect(rho_drho, [-10.0], [10.0], max_iters=4)
         assert info.value.residual > 1e-6
 
+    def test_small_scale_stall_beside_large_scale_raises(self):
+        # at the cap both residuals are the same; that passes for the element
+        # of scale 1e8 on its own, but not for its neighbour of scale 1
+        def rho_drho(u):
+            return u - 0.3, np.full_like(u, np.nan)
+        newton_bisect(rho_drho, [-10.0], [10.0], max_iters=4, scale=np.array([1e8]))
+        with pytest.raises(RootFindError) as info:
+            newton_bisect(rho_drho, [-10.0, -10.0], [10.0, 10.0], max_iters=4,
+                          scale=np.array([1e8, 1.0]))
+        assert info.value.residual > 1e-6
+
 
 class TestBracketRoot:
     def test_doubling_cap_raises(self):
@@ -100,7 +111,8 @@ class TestBatchIndependence:
     def test_scalar_conjugate_argsup(self):
         from hampath.convex import PowerNorm, ScalarConjugate
 
-        self.assert_elementwise(ScalarConjugate(PowerNorm(4.0, 0.1, dim=1))._argsup)
+        argsup = ScalarConjugate(PowerNorm(4.0, 0.1, dim=1))._argsup
+        self.assert_elementwise(lambda y: argsup(y[:, None])[:, 0])
 
     def test_separable_prox(self):
         from hampath.convex import PowerNorm
@@ -117,3 +129,50 @@ class TestBatchIndependence:
         assert fn.pieces is not None
         self.assert_elementwise(
             lambda x: fn.minimizers(np.column_stack([x, -0.5 * x]))[:, 0])
+
+
+class TestColumnIndependence:
+    """Each column of a separable root call is bitwise its piece's own 1-D call."""
+
+    Y = np.column_stack([TestBatchIndependence.BATCH, -2.0 * TestBatchIndependence.BATCH[::-1],
+                         0.5 * TestBatchIndependence.BATCH])
+
+    @staticmethod
+    def pieces():
+        from hampath.convex import PowerNorm, Quadratic, Sum
+
+        return [Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1, dim=1)]),
+                PowerNorm(4.0, 0.3, dim=1), Quadratic([[2.0]], [0.1])]
+
+    def test_batched_conjugate(self):
+        from hampath.convex import ScalarConjugate
+
+        value, grad = ScalarConjugate(self.pieces())._value_grad(self.Y)
+        total = 0
+        for i, piece in enumerate(self.pieces()):
+            v, g = ScalarConjugate(piece)._value_grad(self.Y[:, i:i + 1])
+            assert grad[:, i].tobytes() == g[:, 0].tobytes()
+            total = total + v
+        assert value.tobytes() == total.tobytes()
+
+    def test_separable_prox(self):
+        from hampath.convex import PowerNorm
+
+        u = PowerNorm(4.0 / 3.0, 0.75, dim=3)._prox(self.Y, 0.1)
+        for i in range(3):
+            col = PowerNorm(4.0 / 3.0, 0.75)._prox(self.Y[:, i:i + 1], 0.1)
+            assert u[:, i].tobytes() == col[:, 0].tobytes()
+
+    def test_separable_inf_convolution(self):
+        from hampath.convex import Hamiltonian, SeparableSum
+        from hampath.regularize import infconv
+
+        pieces = self.pieces()[:2]
+        fn = infconv(Hamiltonian(SeparableSum(pieces), 1), 0.3, 4.0).fn
+        u, g = fn.minimizers(self.Y[:, :2]), fn.grad(self.Y[:, :2])
+        for i, piece in enumerate(pieces):
+            # the same piece on both coordinates, fed column i twice
+            col = infconv(Hamiltonian(SeparableSum([piece, piece]), 1), 0.3, 4.0).fn
+            x = np.column_stack([self.Y[:, i], self.Y[:, i]])
+            assert u[:, i].tobytes() == col.minimizers(x)[:, 0].tobytes()
+            assert g[:, i].tobytes() == col.grad(x)[:, 0].tobytes()

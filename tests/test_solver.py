@@ -214,16 +214,16 @@ class TestStageReasons:
 
 
 class TestPathObjective:
-    def test_one_root_solve_per_conjugate_piece(self, monkeypatch):
+    def test_one_root_solve_per_evaluation(self, monkeypatch):
         import hampath.convex
+        from hampath.convex import ScalarConjugate
         from hampath.regularize import EpsPerturbed
         from hampath.solver import _PathObjective
 
         spec = ProblemSpec(mixed_hamiltonian(), 1.0, Cauchy([1.0], [0.0]), None)
         H = EpsPerturbed(spec.hamiltonian, 0.1)
         dual = H.pair()[1]
-        n_pieces = len(dual.parts)
-        assert n_pieces == 2
+        assert isinstance(dual, ScalarConjugate) and len(dual.pieces) == 2
         t = np.linspace(0.0, 1.0, 41)
         obj = _PathObjective(spec, H, 40)
         z = obj.pack(PathGrid(1.0, np.cos(t), -np.sin(t)))
@@ -236,7 +236,7 @@ class TestPathObjective:
 
         monkeypatch.setattr(hampath.convex, "newton_bisect", counted)
         f, grad = obj.fun_grad(z)
-        assert len(calls) == n_pieces
+        assert len(calls) == 1
         assert np.isfinite(f) and np.all(np.isfinite(grad))
 
 
@@ -291,7 +291,7 @@ class TestSeparableConfigSolve:
         H = cfg.spec.hamiltonian
         for pair in (H.pair(), EpsPerturbed(H, 0.1).pair()):
             assert pair[0].smooth and pair[1].smooth
-            assert all(isinstance(d, ScalarConjugate) for d in pair[1].parts)
+            assert isinstance(pair[1], ScalarConjugate) and pair[1].dim == 2
         res = solve(cfg.spec, cfg.params)
         assert res.status is SolveStatus.CONVERGED
         assert res.certified_hamiltonian == "true"
