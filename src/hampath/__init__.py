@@ -10,7 +10,6 @@ from hampath.convex import (
     Box,
     ConvexFn,
     GridConjugate,
-    GridEnvelope,
     GridSampled,
     Hamiltonian,
     MoreauEnvelope,
@@ -50,7 +49,6 @@ __all__ = [
     "ConvexFn",
     "EpsPerturbed",
     "GridConjugate",
-    "GridEnvelope",
     "GridFn",
     "GridSampled",
     "GrowthCert",

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -213,9 +212,7 @@ def cmd_sweep(args) -> int:
     if args.param == "M" and not all(v.is_integer() and v > 0 for v in values):
         raise UsageError("--values for M must be positive integers")
 
-    workers = int(os.environ.get("HAMPATH_WORKERS", "0")) or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_value(cfg, args.param, v), values))
+    rows = [_sweep_value(cfg, args.param, v) for v in values]
     _refinement_differences(rows)
 
     keys = ["value", "status", "action", "max_fenchel_gap", "max_slope_norm"]

@@ -7,10 +7,10 @@ refused; apply a quadratic perturbation first.
 
 Each kind conjugates through one hook, ``_pair()``, which returns a
 consistent (primal, dual) pair; ``conjugate_pair()`` caches it.  The primal is
-the function itself wherever the dual is exact.  A tabulated function pairs
-the convex envelope of its samples with the maximum over its nodes, which are
-exact conjugates.  This keeps the Fenchel-Young inequality exact for the pair,
-which downstream action assembly relies on.
+the function itself wherever the dual is exact.  A tabulated function is the
+convex envelope of its samples and pairs with the maximum over its nodes;
+the two are exact conjugates.  This keeps the Fenchel-Young inequality exact
+for the pair, which downstream action assembly relies on.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from hampath.legendre import GridFn, _default_dual_axis
 from hampath.polyhedral import (
     FacetTable,
     _affine,
-    _first_min_per_row,
     _row_chunks,
     facet_argmin,
 )
@@ -218,16 +217,8 @@ class ConvexFn:
         """Values and gradients at the same points; one inner solve where kinds need one."""
         return self._value(pts), self._grad(pts)
 
-    def _cell_nodes(self):
-        """Per-axis node coordinates of a tabulated kind, whose gradient jumps between cells.
-
-        None for kinds that are not tabulated; a tabulated kind is also +inf
-        outside its box.
-        """
-        return None
-
     def envelope_form(self):
-        """``(envelope, a, b)`` when this function is a ``GridEnvelope`` plus
+        """``(envelope, a, b)`` when this function is a tabulated ``GridSampled`` plus
         sum_i (a_i/2) u_i^2 + b_i u_i + const, whose inner minimizations enumerate the
         envelope's facets; None for every other kind."""
         return None
@@ -292,7 +283,7 @@ class Quadratic(ConvexFn):
         if self._eigs.min() < -1e-10 * max(1.0, self._eigs.max()):
             raise ValueError("A must be positive semidefinite")
         # (primal, Cholesky factor of A) when this is primal's closed-form conjugate; kept
-        # on the dual so that a pair built twice by racing threads stays consistent
+        # on the dual, where ``gap_factor`` reads it
         self._conjugate_of = None
 
     @property
@@ -550,12 +541,6 @@ class Sum(ConvexFn):
         vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
         return sum(vals), sum(grads)
 
-    def _cell_nodes(self):
-        nodes = [n for n in (p._cell_nodes() for p in self.parts) if n is not None]
-        if not nodes:
-            return None
-        return tuple(np.unique(np.concatenate(axis)) for axis in zip(*nodes))
-
     def envelope_form(self):
         # one envelope plus quadratics with diagonal curvature (and affine parts)
         forms = [p.envelope_form() for p in self.parts]
@@ -652,10 +637,15 @@ def simplify_sum(parts, box=None):
 
 
 class GridSampled(ConvexFn):
-    """Function tabulated on a uniform grid, read by multilinear interpolation.
+    """Convex envelope of samples tabulated on a uniform 1-D or 2-D grid: on the grid
+    box, the max of the affine pieces over the samples' lower-hull facets; +inf
+    outside the box.
 
-    Conjugation is always available: the pair is the convex envelope of the
-    samples (``GridEnvelope``) with its exact conjugate (``GridConjugate``).
+    Its conjugate is ``GridConjugate``, the max over the grid nodes, and the
+    two are exact conjugates: their Fenchel-Young gap is nonnegative and
+    vanishes on the graph of the subdifferential.  The gradient is the facet
+    gradient.  The facet table is built on first use, so that building the
+    pair imports no scipy.
     """
 
     smooth = False
@@ -664,6 +654,7 @@ class GridSampled(ConvexFn):
     def __init__(self, grid: GridFn):
         super().__init__(grid.d, Box(grid.lo, grid.hi))
         self.grid = grid
+        self._facets = None
 
     @classmethod
     def from_samples(cls, fn, lo, hi, counts):
@@ -720,144 +711,6 @@ class GridSampled(ConvexFn):
                 raise ValueError(f"{path}: grid nodes are not uniform")
         return cls(GridFn([x[0], y[0]], [x[-1], y[-1]], vals))
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _value_grad(self, pts):
-        """Interpolant values with its gradient inside the cell that holds each point.
-
-        The gradient is the segment slope (1-D) or the bilinear cell gradient
-        (2-D); on a cell edge it is the one-sided gradient of the cell above.
-        """
-        pts = _locate(self.box, pts)
-        V = self.grid.values
-        x1, h1 = self.grid.axis_nodes(0), self.grid.spacing(0)
-        i = np.minimum(np.maximum(((pts[:, 0] - x1[0]) / h1).astype(int), 0), x1.size - 2)
-        if self.dim == 1:
-            return np.interp(pts[:, 0], x1, V), ((V[i + 1] - V[i]) / h1)[:, None]
-        x2, h2 = self.grid.axis_nodes(1), self.grid.spacing(1)
-        j = np.minimum(np.maximum(((pts[:, 1] - x2[0]) / h2).astype(int), 0), x2.size - 2)
-        t = (pts[:, 0] - x1[i]) / h1
-        u = (pts[:, 1] - x2[j]) / h2
-        n2 = x2.size
-        k = i * n2 + j  # corner (i, j) in the row-major values
-        flat = V.ravel()
-        v00, v10, v01, v11 = flat[k], flat[k + n2], flat[k + 1], flat[k + n2 + 1]
-        s, w = 1 - t, 1 - u
-        grad = np.empty_like(pts)
-        grad[:, 0] = (w * (v10 - v00) + u * (v11 - v01)) / h1
-        grad[:, 1] = (s * (v01 - v00) + t * (v11 - v10)) / h2
-        return s * w * v00 + t * w * v10 + s * u * v01 + t * u * v11, grad
-
-    def _cell_nodes(self):
-        return tuple(self.grid.axis_nodes(k) for k in range(self.dim))
-
-    def _pair(self):
-        # the interpolant has no closed-form conjugate; the convex envelope of the
-        # samples has one, and in 1-D it is the interpolant of convex samples
-        return GridEnvelope(self.grid).conjugate_pair()
-
-    def subgradient(self, x):
-        return self.conjugate_pair()[0].subgradient(x)
-
-    def _prox(self, pts, step):
-        if self.dim == 1:
-            return self._prox_1d(pts, step)
-        return self._prox_2d(pts, step)
-
-    def _prox_1d(self, pts, step):
-        x = self.grid.axis_nodes(0)
-        v = self.grid.values
-        slopes = np.diff(v) / np.diff(x)
-        out = np.empty_like(pts)
-        for sl in _row_chunks(pts.shape[0], slopes.size):
-            p = pts[sl, :1]
-            # on each linear segment the minimizer is p - step*slope clipped in
-            cand = np.clip(p - step * slopes, x[:-1], x[1:])
-            vals = np.interp(cand, x, v) + (cand - p) ** 2 / (2 * step)
-            out[sl, 0] = cand[np.arange(cand.shape[0]), np.argmin(vals, axis=1)]
-        return out
-
-    def _prox_2d(self, pts, step):
-        """Exact minimizer of interpolant(u) + |u - x|^2 / (2 step) by cell enumeration.
-
-        On a cell the objective is quadratic, so its minimum there is the
-        interior stationary point (when the cell Hessian is positive definite
-        and the point lies in the cell) or the clipped minimum of the 1-D
-        quadratic on one of the four edges.  A minimizer has |u_i - x_i| at
-        most step times the largest node slope along axis i, clipped to the box,
-        so only the cells meeting that box are enumerated; ties go to the
-        lowest cell index.
-        """
-        x1, x2 = self._cell_nodes()
-        h1, h2 = self.grid.spacing(0), self.grid.spacing(1)
-        V = self.grid.values
-        G = np.array([np.abs(np.diff(V, axis=0)).max() / h1,
-                      np.abs(np.diff(V, axis=1)).max() / h2]) * (1.0 + 1e-9)
-        lo = np.clip(pts - step * G, self.box.lo, self.box.hi)
-        hi = np.clip(pts + step * G, self.box.lo, self.box.hi)
-        n1, n2 = x1.size - 1, x2.size - 1
-        i0 = np.clip(np.floor((lo[:, 0] - x1[0]) / h1).astype(int), 0, n1 - 1)
-        i1 = np.clip(np.floor((hi[:, 0] - x1[0]) / h1).astype(int), 0, n1 - 1)
-        j0 = np.clip(np.floor((lo[:, 1] - x2[0]) / h2).astype(int), 0, n2 - 1)
-        j1 = np.clip(np.floor((hi[:, 1] - x2[0]) / h2).astype(int), 0, n2 - 1)
-        # (row, cell) pairs, cells in row-major order within each row
-        nj = j1 - j0 + 1
-        count = (i1 - i0 + 1) * nj
-        rows = np.repeat(np.arange(pts.shape[0]), count)
-        k = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-        i = i0[rows] + k // nj[rows]
-        j = j0[rows] + k % nj[rows]
-        # cell-local coordinates z = u - (x1_i, x2_j), in which the interpolant is
-        # v00 + al z1 + be z2 + ka z1 z2; one column per candidate
-        v00, v10, v01, v11 = V[i, j], V[i + 1, j], V[i, j + 1], V[i + 1, j + 1]
-        al, be = ((v10 - v00) / h1)[:, None], ((v01 - v00) / h2)[:, None]
-        ka = ((v11 - v10 - v01 + v00) / (h1 * h2))[:, None]
-        p1, p2 = (pts[rows, 0] - x1[i])[:, None], (pts[rows, 1] - x2[j])[:, None]
-        # on the edges z1 = 0, h1 and z2 = 0, h2 the objective is a 1-D quadratic
-        e1 = np.broadcast_to([0.0, h1], (rows.size, 2))
-        e2 = np.broadcast_to([0.0, h2], (rows.size, 2))
-        Z1 = np.hstack([e1, np.clip(p1 - step * (al + ka * e2), 0.0, h1)])
-        Z2 = np.hstack([np.clip(p2 - step * (be + ka * e1), 0.0, h2), e2])
-        # the stationary point counts where the cell Hessian [[1/step, ka], [ka, 1/step]]
-        # is positive definite and the point lies in the cell
-        sig = 1.0 / step
-        det = sig * sig - ka * ka
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1, r2 = sig * p1 - al, sig * p2 - be
-            z1, z2 = (sig * r1 - ka * r2) / det, (sig * r2 - ka * r1) / det
-        inner = (det > 0) & (z1 >= 0) & (z1 <= h1) & (z2 >= 0) & (z2 <= h2)
-        Z1 = np.hstack([Z1, np.where(inner, z1, 0.0)])
-        Z2 = np.hstack([Z2, np.where(inner, z2, 0.0)])
-        vals = (v00[:, None] + al * Z1 + be * Z2 + ka * Z1 * Z2
-                + ((Z1 - p1) ** 2 + (Z2 - p2) ** 2) / (2 * step))
-        vals[:, -1:] = np.where(inner, vals[:, -1:], np.inf)
-        pick = np.argmin(vals, axis=1)
-        at = np.arange(rows.size)
-        z1, z2 = Z1[at, pick], Z2[at, pick]
-        win = _first_min_per_row(rows, vals[at, pick], pts.shape[0])
-        return np.column_stack([x1[i[win]] + z1[win], x2[j[win]] + z2[win]])
-
-
-class GridEnvelope(ConvexFn):
-    """Convex envelope of tabulated samples: on the grid box, the max of the affine
-    pieces over the samples' lower-hull facets; +inf outside the box.
-
-    Its conjugate is ``GridConjugate``, the max over the grid nodes, and the
-    two are exact conjugates: their Fenchel-Young gap is nonnegative and
-    vanishes on the graph of the subdifferential.  The gradient is the facet
-    gradient.  The facet table is built on first use, so that building the
-    pair imports no scipy.
-    """
-
-    smooth = False
-    coercive = True
-
-    def __init__(self, grid: GridFn):
-        super().__init__(grid.d, Box(grid.lo, grid.hi))
-        self.grid = grid
-        self._facets = None
-
     @property
     def facets(self) -> FacetTable:
         if self._facets is None:
@@ -912,15 +765,15 @@ def _least_norm_in_hull(P):
 class GridConjugate(ConvexFn):
     """max_j (x_j . y - f_j) over the nodes x_j of tabulated samples f_j.
 
-    The exact conjugate of the samples' convex envelope, finite everywhere;
-    its gradient is the first maximizing node.  The working box is the range
-    of the samples' node slopes.
+    The exact conjugate of ``envelope``, the ``GridSampled`` convex envelope
+    of the samples; finite everywhere, its gradient is the first maximizing
+    node.  The working box is the range of the samples' node slopes.
     """
 
     smooth = False
     coercive = True  # conjugates exactly back to the envelope
 
-    def __init__(self, envelope: GridEnvelope):
+    def __init__(self, envelope: GridSampled):
         grid = envelope.grid
         axes = [_default_dual_axis(grid, k) for k in range(grid.d)]
         super().__init__(grid.d, Box([ax[0] for ax in axes], [ax[1] for ax in axes]))

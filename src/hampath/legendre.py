@@ -58,11 +58,6 @@ class GridFn:
             raise ValueError("hi must exceed lo on every axis")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
-        # interpolation reads the nodes on every evaluation; build them once
-        nodes = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, vals.shape))
-        for x in nodes:
-            x.flags.writeable = False
-        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def d(self) -> int:
@@ -73,8 +68,8 @@ class GridFn:
         return self.values.shape
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        """Read-only node coordinates along one axis."""
-        return self._nodes[axis]
+        """Node coordinates along one axis."""
+        return np.linspace(self.lo[axis], self.hi[axis], self.values.shape[axis])
 
     def spacing(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / (self.values.shape[axis] - 1)

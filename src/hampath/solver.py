@@ -415,13 +415,18 @@ def _stage_hamiltonians(base: Hamiltonian, params: SolveParams):
     for k in range(n):
         eps = eps_s[k] if k < len(eps_s) else (eps_s[-1] if eps_s else 0.0)
         lam = lam_s[k] if k < len(lam_s) else (lam_s[-1] if lam_s else 0.0)
-        H = base
-        if eps > 0:
-            H = EpsPerturbed(H, eps)
-        if lam > 0:
-            H = InfConvolved(H, lam, params.r)
-        stages.append((eps, lam, H))
+        stages.append((eps, lam, _stage_hamiltonian(base, eps, lam, params.r)))
     return stages
+
+
+def _stage_hamiltonian(H: Hamiltonian, eps: float, lam: float, r: float) -> Hamiltonian:
+    """H perturbed by eps (when eps > 0), then inf-convolved at lam with exponent r
+    (when lam > 0): the Hamiltonian of one continuation stage."""
+    if eps > 0:
+        H = EpsPerturbed(H, eps)
+    if lam > 0:
+        H = InfConvolved(H, lam, r)
+    return H
 
 
 def _pair_is_smooth(H: Hamiltonian) -> bool:
@@ -556,12 +561,7 @@ def _certificates(spec: ProblemSpec, path: PathGrid, params: SolveParams,
 def gradient_action(spec: ProblemSpec, g: PathGrid, eps: float = 0.0, lam: float = 0.0,
                     r: float = 4.0) -> PathGrid:
     """Exact gradient of the stage action, returned in path-node layout."""
-    H = spec.hamiltonian
-    if eps > 0:
-        H = EpsPerturbed(H, eps)
-    if lam > 0:
-        H = InfConvolved(H, lam, r)
-    gp, gq = action_gradient(spec.boundary, H, g)
+    gp, gq = action_gradient(spec.boundary, _stage_hamiltonian(spec.hamiltonian, eps, lam, r), g)
     return PathGrid(g.T, gp, gq)
 
 

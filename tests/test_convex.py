@@ -7,8 +7,8 @@ from hampath.convex import (
     Affine,
     Box,
     GridConjugate,
-    GridEnvelope,
     GridSampled,
+    Hamiltonian,
     MoreauEnvelope,
     NotCoerciveError,
     PowerNorm,
@@ -29,6 +29,13 @@ from oracles import bisection
 def abs_grid(lo=-2.0, hi=2.0, n=4001):
     x = np.linspace(lo, hi, n)
     return GridSampled(GridFn([lo], [hi], np.abs(x)))
+
+
+def coupled_grid():
+    """Tabulated (p + q)^2 / 2 on a 9 x 9 grid: coupled, so a reading of the samples cell
+    by cell is not convex."""
+    x = np.linspace(-2.0, 2.0, 9)
+    return GridSampled(GridFn([-2.0, -2.0], [2.0, 2.0], 0.5 * (x[:, None] + x[None, :]) ** 2))
 
 
 def catalog(rng):
@@ -263,7 +270,7 @@ class TestPairCache:
         f = Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]), PowerNorm(4.0, 0.1, dim=2)])
         prim, dual = f.conjugate_pair()
         assert f.conjugate() is dual
-        assert isinstance(prim, GridEnvelope) and isinstance(dual, GridConjugate)
+        assert isinstance(prim, GridSampled) and isinstance(dual, GridConjugate)
         assert dual.conjugate() is prim
         assert len(calls) == 1
 
@@ -273,11 +280,21 @@ class TestPairCache:
         quad = Quadratic([[2.0]], [0.3])
         f = SeparableSum([tab, quad])
         prim, dual = f.conjugate_pair()
-        assert prim.parts[0] is tab.conjugate_pair()[0] and prim.parts[1] is quad
+        assert prim is f and tab.conjugate_pair()[0] is tab
         assert dual.parts[0] is tab.conjugate() and dual.parts[1] is quad.conjugate()
         y = rng.uniform(-2, 2, (20, 2))
         assert np.array_equal(dual.value(y), tab.conjugate().value(y[:, :1])
                               + quad.conjugate().value(y[:, 1:]))
+
+
+    def test_grid_hamiltonian_reads_the_primal_of_its_pair(self, rng):
+        # the hypothesis checks and energy_drift read H.value, the action certifies
+        # H.pair(); off the nodes both must read the same function
+        H = Hamiltonian(coupled_grid(), 1)
+        x = H.fn.box.sample(rng, 200)
+        assert np.array_equal(H.value(x), H.pair()[0].value(x))
+        # between the nodes (0, 0) and (0.5, -0.5) the envelope is the true value 0
+        assert H.value(np.array([0.25, -0.25])) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInvariants:
@@ -292,7 +309,7 @@ class TestInvariants:
             assert np.all(gaps >= floor)
 
     def test_convexity_on_samples(self, rng):
-        for f in catalog(rng) + [abs_grid()]:
+        for f in catalog(rng) + [abs_grid(), coupled_grid()]:
             assert convexity_violation(f, rng) <= 1e-10
 
     def test_moreau_envelope_below_function(self, rng):
@@ -397,7 +414,8 @@ class TestValueGrad:
 
 
 class TestGridValueGrad:
-    """Tabulated kinds return their interpolant with the gradient of the holding cell."""
+    """Tabulated kinds return the convex envelope of their samples with the gradient of
+    the facet that attains it."""
 
     def grid_1d(self):
         x = np.linspace(-2.0, 2.0, 41)
@@ -426,7 +444,7 @@ class TestGridValueGrad:
         pts = np.concatenate([f.box.sample(rng, 50), f.grid.axis_nodes(0)[:, None]])
         v, g = f._value_grad(pts)
         assert np.array_equal(v, f._value(pts))
-        assert np.array_equal(v, np.interp(pts[:, 0], f.grid.axis_nodes(0), f.grid.values))
+        assert np.allclose(v[50:], f.grid.values, rtol=0.0, atol=1e-12)
         assert g.shape == pts.shape
 
     def test_values_bitwise_2d(self, rng):
@@ -478,12 +496,3 @@ class TestGridValueGrad:
         assert np.array_equal(v, f._value(pts))
         assert np.array_equal(g[:, :1], a._value_grad(pts[:, :1])[1])
         assert np.array_equal(g[:, 1:], b._value_grad(pts[:, 1:])[1])
-
-    def test_cell_nodes(self):
-        f = grid_hamiltonian().fn
-        nodes = f._cell_nodes()
-        assert len(nodes) == 2
-        assert np.array_equal(nodes[0], f.grid.axis_nodes(0))
-        assert np.array_equal(Sum([Quadratic(np.eye(2)), f])._cell_nodes()[1],
-                              f.grid.axis_nodes(1))
-        assert Quadratic(np.eye(2))._cell_nodes() is None

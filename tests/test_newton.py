@@ -82,7 +82,7 @@ class TestCompletedSquare:
         _, dual = f.conjugate_pair()
         assert f.gap_factor(other) is None
         assert PowerNorm(4.0, dim=2).gap_factor(dual) is None
-        # threads that race to build the cached pair each get a dual that knows its primal
+        # every pair built, cached or not, gets a dual that knows its primal
         _, again = f._pair()
         assert f.gap_factor(again) is not None and f.gap_factor(dual) is not None
 

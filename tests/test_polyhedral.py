@@ -11,7 +11,6 @@ import pytest
 
 from hampath.convex import (
     GridConjugate,
-    GridEnvelope,
     GridSampled,
     MoreauEnvelope,
     Quadratic,
@@ -57,7 +56,7 @@ def pair(request):
 class TestExactPair:
     def test_kinds(self, pair):
         P, D = pair
-        assert isinstance(P, GridEnvelope) and isinstance(D, GridConjugate)
+        assert isinstance(P, GridSampled) and isinstance(D, GridConjugate)
         assert D.conjugate() is P and P.conjugate() is D
 
     def test_gap_nonnegative(self, pair, rng):
@@ -99,14 +98,20 @@ class TestExactPair:
         assert np.array_equal(D.value(y), np.array(want))
 
     def test_envelope_is_below_the_samples_and_exact_on_convex_ones(self, rng):
-        f = grid_hamiltonian(41).fn
-        P = f.conjugate_pair()[0]
+        P = grid_hamiltonian(41).fn.conjugate_pair()[0]
         x = P.box.sample(rng, 200)
         # (p^2 + q^2)/2 is separable, so its cells are planar and the envelope is the
-        # bilinear interpolant
-        assert np.allclose(P.value(x), f.value(x), rtol=0, atol=1e-12)
-        g = samples_2d()
-        assert np.all(g.conjugate_pair()[0].value(x * 0.7) <= g.value(x * 0.7) + 1e-12)
+        # sum of the piecewise linear interpolants of p^2/2 and q^2/2
+        nodes = P.grid.axis_nodes(0)
+        want = sum(np.interp(x[:, k], nodes, 0.5 * nodes**2) for k in range(2))
+        assert np.allclose(P.value(x), want, rtol=0, atol=1e-12)
+        for g in (samples_1d(), samples_2d()):
+            X = np.meshgrid(*(g.grid.axis_nodes(k) for k in range(g.dim)), indexing="ij")
+            at_nodes = g.conjugate_pair()[0].value(np.column_stack([c.ravel() for c in X]))
+            assert np.all(at_nodes <= g.grid.values.ravel() + 1e-12)
+        # the bump of the 1-D samples leaves some of them above the envelope
+        g = samples_1d()
+        assert np.any(g.value(g.grid.axis_nodes(0)[:, None]) < g.grid.values - 1e-6)
 
 
 def rows(dim, inside, edge, beyond):
@@ -184,27 +189,19 @@ class TestLocalOptimality:
 
 
 class TestGridSampledProx:
-    def test_1d_matches_the_per_row_loop(self, rng):
-        f = samples_1d()
-        x, v = f.grid.axis_nodes(0), f.grid.values
-        slopes = np.diff(v) / np.diff(x)
-        pts = rng.uniform(-3, 3, (30, 1))
-        want = np.empty_like(pts)
-        for k, p in enumerate(pts[:, 0]):
-            cand = np.clip(p - 0.2 * slopes, x[:-1], x[1:])
-            vals = np.interp(cand, x, v) + (cand - p) ** 2 / (2 * 0.2)
-            want[k, 0] = cand[np.argmin(vals)]
-        assert np.array_equal(f._prox(pts, 0.2), want)
-
-    def test_2d_beats_a_fine_local_grid(self, rng):
-        f = samples_2d()
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_beats_a_fine_local_grid(self, rng, case):
+        f = CASES[case]()
         step = 0.3
-        x = np.concatenate([rng.uniform(-3.5, 3.5, (6, 2)), [[3.0, 3.0], [5.0, -1.0]]])
+        # rows inside, on and beyond the box [-edge, edge]^dim
+        edge = f.box.hi[0]
+        x = (edge / 3.0) * np.concatenate([rng.uniform(-3.5, 3.5, (6, f.dim)),
+                                           np.array([[3.0, 3.0], [5.0, -1.0]])[:, :f.dim]])
         u = f._prox(x, step)
         d = np.linspace(-0.05, 0.05, 101)
-        D1, D2 = np.meshgrid(d, d, indexing="ij")
+        offsets = np.column_stack([a.ravel() for a in np.meshgrid(*[d] * f.dim, indexing="ij")])
         for uk, xk in zip(u, x):
-            cand = np.clip(uk + np.column_stack([D1.ravel(), D2.ravel()]), -3.0, 3.0)
+            cand = np.clip(uk + offsets, f.box.lo, f.box.hi)
             best = f.value(uk) + np.sum((uk - xk) ** 2) / (2 * step)
             vals = f.value(cand) + np.sum((cand - xk) ** 2, axis=1) / (2 * step)
             assert best <= vals.min() + 1e-12 * (1.0 + abs(best))
@@ -242,4 +239,4 @@ def test_building_the_pair_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "GridEnvelope []"
+    assert proc.stdout.strip() == "GridSampled []"
