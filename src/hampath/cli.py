@@ -90,6 +90,7 @@ def _solve_report(result, cfg: ProblemConfig) -> str:
     for i, st in enumerate(result.stage_history):
         lines.append(
             f"  stage {i + 1}: eps={st.eps:g} lambda={st.lam:g} iters={st.iterations} "
+            f"reason={st.reason} "
             f"objective={_fmt(st.objective)} grad_norm={_fmt(st.grad_norm)} "
             f"action_true={_fmt(st.action_true)}"
         )
@@ -122,10 +123,11 @@ def cmd_solve(args) -> int:
     result = solve(cfg.spec, params, init=cfg.init_path,
                    proceed_on_check_failure=bool(cfg.output.get("proceed_on_check_failure", False)))
     outdir = args.out or cfg.output.get("dir", ".")
+    report = _solve_report(result, cfg)
     _atomic_write(os.path.join(outdir, "trajectory.csv"), result.path.csv_text())
-    _atomic_write(os.path.join(outdir, "report.txt"), _solve_report(result, cfg))
+    _atomic_write(os.path.join(outdir, "report.txt"), report)
     _atomic_write(os.path.join(outdir, "residuals.csv"), _residual_csv(result.certificate))
-    print(_solve_report(result, cfg))
+    print(report)
     if result.status is SolveStatus.HYPOTHESIS_FAILED:
         return EXIT_HYPOTHESIS
     if result.status is SolveStatus.STALLED:

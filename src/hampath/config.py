@@ -31,6 +31,10 @@ from hampath.convex import (
 from hampath.solver import ParamError, SolveParams
 
 
+# libyaml's safe loader when PyYAML was built with it: same documents, same dicts
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     """Schema fault; the message starts with the config path of the fault."""
 
@@ -80,9 +84,10 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(path, "config file does not exist")
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
-            raise ConfigError(path, f"not valid YAML: {exc}") from exc
+            # the parser's message spans lines; a config fault is reported on one
+            raise ConfigError(path, "not valid YAML: " + " ".join(str(exc).split())) from exc
     if not isinstance(raw, dict):
         raise ConfigError(path, "top level must be a mapping")
     return build_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))

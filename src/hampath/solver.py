@@ -7,10 +7,13 @@ Hamiltonian, warm-starting from the previous stage; a final polish stage runs
 on the unregularized problem whenever its Fenchel pair is smooth.
 
 A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
-closed-form quadratic pairs has an action that is an exactly convex quadratic
-function of the nodes; Newton's method on the block-tridiagonal node system
-(the implicit midpoint rule) minimizes it in one step.  Every other stage
-runs a limited-memory quasi-Newton method.
+closed-form quadratic pairs is exact: its action is an exactly convex
+quadratic function of the nodes, and Newton's method on the block-tridiagonal
+node system (the implicit midpoint rule) minimizes it in one step from any
+start.  The node Hessian is factored once, and the step is refined once by a
+back-substitution on the same factorization.  When the final stage is exact
+it runs alone, so the schedules matter only for non-quadratic H.  Every other
+stage runs a limited-memory quasi-Newton method.
 """
 
 from __future__ import annotations
@@ -233,39 +236,54 @@ def _invert(D):
     return D
 
 
-def solve_block_tridiagonal(D, U, r):
-    """Solve a symmetric positive definite block-tridiagonal system by cyclic reduction.
+class BlockTridiagonalFactor:
+    """Cyclic-reduction factorization of a symmetric positive definite block-tridiagonal
+    matrix; ``solve`` is the back-substitution for one right-hand side.
 
-    ``D`` (n, n, K) holds the diagonal blocks, ``U`` (n, n, K-1) the blocks
-    (k, k+1), whose transposes are the blocks below the diagonal, and ``r``
-    (n, K) the right-hand side; the block index is the last axis.  Each level
-    eliminates the odd-indexed blocks through their own diagonal blocks and
-    halves the system (Buzbee-Golub-Nielson).  A level keeps only the inverses
-    of its odd blocks for the back-substitution.
+    ``D`` (n, n, K) holds the diagonal blocks and ``U`` (n, n, K-1) the blocks
+    (k, k+1), whose transposes are the blocks below the diagonal; the block
+    index is the last axis.  Each level eliminates the odd-indexed blocks
+    through their own diagonal blocks and halves the system
+    (Buzbee-Golub-Nielson).  A level keeps the inverses of its odd blocks and
+    their couplings, so every further right-hand side costs only block
+    products.  The inputs are not modified.
     """
-    n, K = r.shape
-    if K == 1:
-        return _mv(_invert(D.copy()), r)
-    Dinv = _invert(D[:, :, 1::2].copy())
-    # odd block 2t+1 couples to block 2t through Ue[t]' and to block 2t+2 through Uo[t]
-    Ue, Uo = U[:, :, 0::2], U[:, :, 1::2]
-    mo, me = Dinv.shape[-1], (K + 1) // 2
-    D2 = D[:, :, 0::2].copy()
-    D2[:, :, :mo] -= _mm(Ue, _mm(Dinv, Ue.transpose(1, 0, 2)))
-    XU = _mm(Dinv[:, :, :me - 1], Uo)
-    D2[:, :, 1:] -= _tmm(Uo, XU)
-    U2 = -_mm(Ue[:, :, :me - 1], XU)
-    del XU
-    xr = _mv(Dinv, r[:, 1::2])
-    r2 = r[:, 0::2].copy()
-    r2[:, :mo] -= _mv(Ue, xr)
-    r2[:, 1:] -= _tmv(Uo, xr[:, :me - 1])
-    xe = solve_block_tridiagonal(D2, U2, r2)
-    v = _tmv(Ue, xe[:, :mo])
-    v[:, :me - 1] += _mv(Uo, xe[:, 1:])
-    x = np.empty_like(r)
-    x[:, 0::2], x[:, 1::2] = xe, xr - _mv(Dinv, v)
-    return x
+
+    def __init__(self, D, U):
+        self.levels = []
+        while D.shape[-1] > 1:
+            Dinv = _invert(D[:, :, 1::2].copy())
+            # odd block 2t+1 couples to block 2t through Ue[t]' and to block 2t+2 through Uo[t]
+            Ue, Uo = U[:, :, 0::2], U[:, :, 1::2]
+            mo, me = Dinv.shape[-1], (D.shape[-1] + 1) // 2
+            D2 = D[:, :, 0::2].copy()
+            D2[:, :, :mo] -= _mm(Ue, _mm(Dinv, Ue.transpose(1, 0, 2)))
+            XU = _mm(Dinv[:, :, :me - 1], Uo)
+            D2[:, :, 1:] -= _tmm(Uo, XU)
+            U = -_mm(Ue[:, :, :me - 1], XU)
+            self.levels.append((Dinv, Ue, Uo))
+            D = D2
+        self.base = _invert(D.copy())
+
+    def solve(self, r):
+        """The solution x (n, K) of the factored system for the right-hand side ``r`` (n, K)."""
+        odd = []
+        for Dinv, Ue, Uo in self.levels:
+            mo, me = Dinv.shape[-1], (r.shape[1] + 1) // 2
+            xr = _mv(Dinv, r[:, 1::2])
+            r2 = r[:, 0::2].copy()
+            r2[:, :mo] -= _mv(Ue, xr)
+            r2[:, 1:] -= _tmv(Uo, xr[:, :me - 1])
+            odd.append(xr)
+            r = r2
+        x = _mv(self.base, r)
+        for (Dinv, Ue, Uo), xr in zip(reversed(self.levels), reversed(odd)):
+            mo, me = Dinv.shape[-1], x.shape[1]
+            v = _tmv(Ue, x[:, :mo])
+            v[:, :me - 1] += _mv(Uo, x[:, 1:])
+            xe, x = x, np.empty((x.shape[0], mo + me))
+            x[:, 0::2], x[:, 1::2] = xe, xr - _mv(Dinv, v)
+        return x
 
 
 def _quadratic_stage(spec: ProblemSpec, H: Hamiltonian) -> bool:
@@ -321,10 +339,17 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
                  ftarget: float):
     """Minimize a quadratic stage action by Newton steps on the node system.
 
-    The right-hand side is the exact node gradient from ``action_for`` and a
-    step is kept only when ``action_for`` confirms a decrease.  Returns
-    (path, action, gradient, iterations, reason) with reason ``ftarget``,
-    ``max_iters`` or ``no_decrease``; the gradient covers the free nodes.
+    The node Hessian of a quadratic action does not depend on the path, so it
+    is assembled and factored once, at the first step.  The right-hand side is
+    the exact node gradient from ``action_for`` and a step is kept only when
+    ``action_for`` confirms a decrease.  The step that meets ``ftarget`` is
+    followed by one refinement back-substitution on the same factorization:
+    on a quadratic action the new gradient is exactly the linear residual the
+    step left in rounding (iterative refinement), and the refined path is kept
+    when it lowers the action again.  The refinement counts as part of the step
+    it refines.  Returns (path, action, gradient, iterations, reason) with
+    reason ``ftarget``, ``max_iters`` or ``no_decrease``; the gradient covers
+    the free nodes.
     """
     free = slice(1, None) if isinstance(spec.boundary, Cauchy) else slice(None)
 
@@ -333,21 +358,36 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
         gp, gq = ev.gradient()
         return ev.total, np.hstack([gp, gq])[free]
 
+    def newton_step(g, grad):
+        step = factor.solve(-grad.T).T
+        z = np.hstack([g.p_nodes, g.q_nodes])
+        z[free] += step
+        if not np.all(np.isfinite(z)):
+            return None
+        return PathGrid(g.T, z[:, :g.N], z[:, g.N:])
+
     f, grad = evaluate(path)
+    factor = None
     it = 0
     while f > ftarget:
         if it == max_iters:
             return path, f, grad, it, "max_iters"
-        step = solve_block_tridiagonal(*_node_hessian(spec, H, path), -grad.T).T
-        z = np.hstack([path.p_nodes, path.q_nodes])
-        z[free] += step
-        if not np.all(np.isfinite(z)):
+        if factor is None:
+            factor = BlockTridiagonalFactor(*_node_hessian(spec, H, path))
+        trial = newton_step(path, grad)
+        if trial is None:
             return path, f, grad, it, "no_decrease"
-        trial = PathGrid(path.T, z[:, :path.N], z[:, path.N:])
         ft, gt = evaluate(trial)
         if not ft < f:
             return path, f, grad, it, "no_decrease"
         path, f, grad, it = trial, ft, gt, it + 1
+    if factor is not None:
+        # the last step met the target: refine it once
+        refined = newton_step(path, grad)
+        if refined is not None:
+            fr, gr = evaluate(refined)
+            if fr < f:
+                path, f, grad = refined, fr, gr
     return path, f, grad, it, "ftarget"
 
 
@@ -465,9 +505,13 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
           init: PathGrid | None = None) -> SolveResult:
     """Minimize the discrete action through the continuation schedule.
 
-    Returns the best path with a certificate recomputed from scratch; the
-    certificate is evaluated under the true Hamiltonian whenever its Fenchel
-    pair exists, otherwise under the final stage's smoothing.
+    The whole schedule is built and validated first.  When the final stage is
+    exact (closed-form quadratic pairs throughout), it runs alone from the
+    initial path, as one refined Newton step, and the earlier stages are not
+    run or recorded; the schedules matter only for non-quadratic H.  Returns
+    the best path with a certificate recomputed from scratch; the certificate
+    is evaluated under the true Hamiltonian whenever its Fenchel pair exists,
+    otherwise under the final stage's smoothing.
     """
     if isinstance(spec.boundary, SemiConvex):
         lim = feedback_limit(spec.T)
@@ -515,6 +559,11 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                     f"boundary potential {name} is nonsmooth; the continuation smooths only "
                     "the Hamiltonian, so boundary potentials must be smooth kinds")
 
+    if len(stages) > 1 and _quadratic_stage(spec, stages[-1][2]):
+        # Newton reaches an exact stage's zero from any start: the ladder is wasted work
+        logger.info("final stage is exactly quadratic: skipping %d smoothing stage(s)",
+                    len(stages) - 1)
+        stages = stages[-1:]
     path = _initial_path(spec, params.M, init)
     history = []
     for snum, (eps, lam, H) in enumerate(stages):
@@ -530,10 +579,13 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                 obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
                 gtol=params.gtol * path.scale(), ftarget=ftarget)
             path, iters = obj.unpack(z), iters + more
-        try:
-            a_true = action_for(spec, path).total
-        except (NotCoerciveError, ValueError):
-            a_true = float("nan")
+        if H is base:
+            a_true = f  # the stage objective is the true action
+        else:
+            try:
+                a_true = action_for(spec, path).total
+            except (NotCoerciveError, ValueError):
+                a_true = float("nan")
         history.append(StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true,
                                    reason))
         logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",

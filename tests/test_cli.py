@@ -112,6 +112,25 @@ class TestSolveCommand:
         assert (out / "trajectory.csv").exists()
         assert "StalledAboveTol" in open(out / "report.txt").read()
 
+    def test_report_stage_lines_give_the_stop_reason(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", str(CONFIG_DIR / "harmonic_cauchy.yaml"), "--out", str(out)]) == 0
+        stages = [ln for ln in open(out / "report.txt").read().splitlines()
+                  if ln.startswith("  stage ")]
+        assert len(stages) == 1
+        assert stages[0].startswith("  stage 1: eps=0 lambda=0 iters=1 reason=ftarget ")
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_malformed_yaml_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "broken.yaml"
+        path.write_text("problem: {N: 1, T: [1.0\n")
+        assert main([command, str(path), *(["--out", str(tmp_path / "o")]
+                                            if command == "solve" else [])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not valid YAML")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = base_config()
         cfg["solver"]["M"] = 50

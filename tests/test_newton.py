@@ -4,6 +4,7 @@ completed-square gaps, and the gate that leaves every other stage on L-BFGS."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,19 @@ import pytest
 import hampath.action
 import hampath.solver
 from hampath.action import Cauchy, ProblemSpec, _evaluate, action_for, fenchel_young
+from hampath.certify import certify
 from hampath.cli import main
 from hampath.config import load_config
 from hampath.convex import Hamiltonian, PowerNorm, Quadratic
 from hampath.grid import PathGrid, random_path
 from hampath.regularize import EpsPerturbed
-from hampath.solver import SolveParams, newton_stage, solve, solve_block_tridiagonal
+from hampath.solver import (
+    BlockTridiagonalFactor,
+    SolveParams,
+    _node_hessian,
+    newton_stage,
+    solve,
+)
 
 from conftest import mixed_hamiltonian
 
@@ -47,7 +55,7 @@ class TestBlockTridiagonal:
         n = 2 * N
         D, U, dense = _random_system(rng, n, K)
         r = rng.normal(size=(n, K))
-        x = solve_block_tridiagonal(D, U, r)
+        x = BlockTridiagonalFactor(D, U).solve(r)
         want = np.linalg.solve(dense, r.T.ravel()).reshape(K, n).T
         assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -55,7 +63,7 @@ class TestBlockTridiagonal:
         D, U, _ = _random_system(rng, 4, 9)
         r = rng.normal(size=(4, 9))
         copies = D.copy(), U.copy(), r.copy()
-        solve_block_tridiagonal(D, U, r)
+        BlockTridiagonalFactor(D, U).solve(r)
         for a, b in zip((D, U, r), copies):
             assert np.array_equal(a, b)
 
@@ -142,8 +150,8 @@ class TestNewtonStages:
             runs.append(1)
             return lbfgs(*args, **kwargs)
         # a zero step leaves the action where it was
-        monkeypatch.setattr(hampath.solver, "solve_block_tridiagonal",
-                            lambda D, U, r: np.zeros_like(r))
+        monkeypatch.setattr(hampath.solver.BlockTridiagonalFactor, "solve",
+                            lambda self, r: np.zeros_like(r))
         monkeypatch.setattr(hampath.solver, "lbfgs", counted)
         res = solve(cfg.spec, cfg.params)
         assert res.status.value == "Converged"
@@ -174,6 +182,72 @@ class TestNewtonStages:
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+QUADRATIC_CONFIGS = ["harmonic_cauchy", "connecting_p1", "semiconvex", "lambda_sweep"]
+
+
+class TestExactFinalStage:
+    @pytest.mark.parametrize("name", QUADRATIC_CONFIGS)
+    def test_default_schedule_records_one_stage(self, name):
+        cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+        assert len(cfg.params.eps_schedule) == 4
+        res = solve(cfg.spec, cfg.params)
+        assert res.status.value == "Converged"
+        [st] = res.stage_history
+        assert (st.eps, st.lam, st.iterations, st.reason) == (0.0, 0.0, 1, "ftarget")
+        assert st.action_true == st.objective == res.certificate.action_value
+
+    def test_lambda_schedule_runs_no_lbfgs(self, monkeypatch):
+        cfg = load_config(str(CONFIG_DIR / "harmonic_cauchy.yaml"))
+        monkeypatch.setattr(hampath.solver, "lbfgs", _refuse)
+        params = replace(cfg.params, lambda_schedule=(0.3, 0.1))
+        res = solve(cfg.spec, params)
+        assert res.status.value == "Converged"
+        assert [(st.eps, st.lam) for st in res.stage_history] == [(0.0, 0.0)]
+        assert res.certified_hamiltonian == "true"
+
+    def test_node_hessian_is_factored_once(self, monkeypatch, rng):
+        factored, solved = [], []
+
+        class Counted(hampath.solver.BlockTridiagonalFactor):
+            def __init__(self, D, U):
+                factored.append(1)
+                super().__init__(D, U)
+
+            def solve(self, r):
+                solved.append(1)
+                return super().solve(r)
+        monkeypatch.setattr(hampath.solver, "BlockTridiagonalFactor", Counted)
+        cfg = load_config(str(CONFIG_DIR / "connecting_p1.yaml"))
+        res = solve(cfg.spec, cfg.params)
+        assert res.status.value == "Converged"
+        # one step and its refinement, both on one factorization
+        assert (len(factored), len(solved)) == (1, 2)
+        # further Newton steps of one stage reuse the factorization too
+        factored.clear()
+        solved.clear()
+        spec = cfg.spec
+        g = random_path(rng, spec.T, 1, 60, smooth=True)
+        H = EpsPerturbed(spec.hamiltonian, 0.01)
+        newton_stage(spec, H, g, 5, 0.0)
+        assert len(factored) == 1 and len(solved) >= 2
+
+    def test_refinement_strengthens_the_certificate(self):
+        # one unrefined step from the zero path leaves the action near rounding level
+        cfg = load_config(str(CONFIG_DIR / "connecting_p1.yaml"))
+        spec, H = cfg.spec, cfg.spec.hamiltonian
+        assert cfg.params.M == 400
+        g = PathGrid.zeros(spec.T, 1, cfg.params.M)
+        gp, gq = action_for(spec, g).gradient()
+        factor = BlockTridiagonalFactor(*_node_hessian(spec, H, g))
+        z = np.hstack([g.p_nodes, g.q_nodes]) + factor.solve(-np.hstack([gp, gq]).T).T
+        unrefined = certify(spec, PathGrid(g.T, z[:, :1], z[:, 1:]), tol=cfg.params.tol_zero)
+        refined = solve(spec, cfg.params).certificate
+        bound = 1e-24
+        assert unrefined.action_value > bound
+        assert 0.0 <= refined.action_value <= bound
+        assert refined.inclusion_residuals.max() < unrefined.inclusion_residuals.max()
 
 
 def _two_sided(primal, dual, x, y):

@@ -31,12 +31,13 @@ def samples_1d():
 
 
 def samples_2d():
-    # coupled and not separable, with a ridge and a bump: the envelope has
-    # facets that are no cell halves
+    # coupled and not separable, with a ridge and non-convex bumps along X1 (the cos
+    # term's curvature outweighs the quadratic's): the envelope has facets that are no
+    # cell halves, and about a quarter of the samples lie above it
     x = np.linspace(-3.0, 3.0, 25)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     vals = (X1**2 + 0.5 * X2**2 + 0.3 * X1 * X2 + 0.4 * np.abs(X1 - X2)
-            + 0.1 * np.cos(2 * X1))
+            + 0.8 * np.cos(2 * X1))
     return GridSampled(GridFn([-3.0, -3.0], [3.0, 3.0], vals))
 
 
@@ -109,9 +110,13 @@ class TestExactPair:
             X = np.meshgrid(*(g.grid.axis_nodes(k) for k in range(g.dim)), indexing="ij")
             at_nodes = g.conjugate_pair()[0].value(np.column_stack([c.ravel() for c in X]))
             assert np.all(at_nodes <= g.grid.values.ravel() + 1e-12)
-        # the bump of the 1-D samples leaves some of them above the envelope
+        # the bumps of the 1-D and 2-D samples leave some of them above the envelope
         g = samples_1d()
         assert np.any(g.value(g.grid.axis_nodes(0)[:, None]) < g.grid.values - 1e-6)
+        g = samples_2d()
+        X = np.meshgrid(*(g.grid.axis_nodes(k) for k in range(2)), indexing="ij")
+        above = g.grid.values.ravel() - g.value(np.column_stack([c.ravel() for c in X]))
+        assert np.mean(above > 1e-6) > 0.1
 
 
 def rows(dim, inside, edge, beyond):

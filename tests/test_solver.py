@@ -202,7 +202,7 @@ class TestGridBackedHamiltonian:
 class TestStageReasons:
     def test_quadratic_newton_stage_meets_its_target(self):
         res = solve(harmonic_cauchy_spec(), SolveParams(M=50))
-        assert [st.reason for st in res.stage_history] == ["ftarget"] * 5
+        assert [st.reason for st in res.stage_history] == ["ftarget"]
 
     def test_one_iteration_grid_stage_stops_at_the_cap(self):
         from hampath.config import load_config
