@@ -114,6 +114,8 @@ class ConvexFn:
 
     smooth = False
     coercive = False
+    # coordinatewise separable: f(x) = sum_i f_i(x_i), with _curvature giving f_i''(x_i)
+    separable = False
 
     def __init__(self, dim: int, box: Box | None = None):
         self.dim = int(dim)
@@ -168,9 +170,8 @@ class ConvexFn:
         return u[0] if lead == () else u.reshape(lead + (self.dim,))
 
     def _prox(self, pts, step):
-        pieces = self.scalar_pieces()
-        if pieces is not None:
-            return _separable_prox(pieces, pts, step)
+        if self.separable:
+            return _separable_prox(self, pts, step)
         form = self.envelope_form()
         if form is not None:
             # envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i + |u - x|^2 / (2 step): each
@@ -187,15 +188,10 @@ class ConvexFn:
                                 maxiter=500)
 
     # -- structure hooks ------------------------------------------------
-    def scalar_pieces(self):
-        """Per-coordinate 1-D functions when the kind is coordinatewise separable."""
-        return None
-
-    def d1(self, t):
-        raise NotImplementedError
-
-    def d2(self, t):
-        raise NotImplementedError
+    @property
+    def coercive_axes(self):
+        """Per coordinate, whether the function grows superlinearly along that axis."""
+        return np.full(self.dim, self.coercive)
 
     def _value(self, pts):
         raise NotImplementedError
@@ -207,6 +203,10 @@ class ConvexFn:
         """Hessians at the K rows of pts, shape (K, dim, dim), or (1, dim, dim) when the
         Hessian is constant; kinds without one raise."""
         raise NotImplementedError(f"{type(self).__name__} has no Hessian")
+
+    def _curvature(self, pts):
+        """Second derivatives f_i''(x_i) of a separable kind, shaped like pts."""
+        raise NotImplementedError(f"{type(self).__name__} is not separable")
 
     def gap_factor(self, dual):
         """L with f(x) + dual(y) - x.y = |(y - grad f(x)) L|^2 / 2 when ``dual`` is this
@@ -224,16 +224,10 @@ class ConvexFn:
         return None
 
 
-def by_column(fns, t):
-    """The (K, d) array whose column i is the 1-D function ``fns[i]`` at column i of ``t``."""
-    return np.stack([f(t[:, i]) for i, f in enumerate(fns)], axis=1)
-
-
-def _separable_prox(pieces, pts, step):
+def _separable_prox(f, pts, step):
     # u_i - x_i + step f_i'(u_i) = 0 for every coordinate, in one root call
-    d1, d2 = [p.d1 for p in pieces], [p.d2 for p in pieces]
-    return newton_bisect(*newton_bracket(lambda v: v - pts + step * by_column(d1, v),
-                                         lambda v: 1.0 + step * by_column(d2, v),
+    return newton_bisect(*newton_bracket(lambda v: v - pts + step * f._grad(v),
+                                         lambda v: 1.0 + step * f._curvature(v),
                                          pts, 1.0 + np.abs(pts)),
                          scale=1.0 + np.abs(pts))
 
@@ -290,6 +284,16 @@ class Quadratic(ConvexFn):
     def coercive(self):
         return bool(self._eigs.min() > 1e-12 * max(1.0, self._eigs.max()))
 
+    @property
+    def separable(self):
+        # A is diagonal: every nonzero entry lies on the diagonal
+        return np.count_nonzero(self.A) == np.count_nonzero(np.diag(self.A))
+
+    @property
+    def coercive_axes(self):
+        a = np.diag(self.A)
+        return a > 1e-12 * np.maximum(1.0, a)
+
     def _value(self, pts):
         return 0.5 * np.einsum("mi,ij,mj->m", pts, self.A, pts) + pts @ self.b + self.c
 
@@ -298,6 +302,9 @@ class Quadratic(ConvexFn):
 
     def _hess(self, pts):
         return self.A[None]
+
+    def _curvature(self, pts):
+        return np.broadcast_to(np.diag(self.A), pts.shape)
 
     def gap_factor(self, dual):
         link = dual._conjugate_of if isinstance(dual, Quadratic) else None
@@ -325,26 +332,6 @@ class Quadratic(ConvexFn):
         M = np.eye(self.dim) + step * self.A
         return np.linalg.solve(M, (pts - step * self.b).T).T
 
-    def scalar_pieces(self):
-        if self.dim == 1:
-            return [self]
-        if not np.allclose(self.A, np.diag(np.diag(self.A)), atol=0.0):
-            return None
-        pieces = []
-        for i in range(self.dim):
-            c = self.c if i == 0 else 0.0
-            pieces.append(Quadratic([[self.A[i, i]]], [self.b[i]], c,
-                                    box=Box([self.box.lo[i]], [self.box.hi[i]])))
-        return pieces
-
-    def d1(self, t):
-        assert self.dim == 1
-        return self.A[0, 0] * t + self.b[0]
-
-    def d2(self, t):
-        assert self.dim == 1
-        return np.full_like(np.asarray(t, dtype=float), self.A[0, 0])
-
 
 def squared_norm(dim: int, weight: float = 0.5, center=None, box: Box | None = None) -> Quadratic:
     """weight * |x - center|^2 as a Quadratic."""
@@ -358,6 +345,7 @@ class PowerNorm(ConvexFn):
 
     smooth = True
     coercive = True
+    separable = True
 
     def __init__(self, r: float, scale: float = 1.0, dim: int = 1, box: Box | None = None):
         super().__init__(dim, box)
@@ -374,29 +362,15 @@ class PowerNorm(ConvexFn):
     def _grad(self, pts):
         return self.scale * self.r * np.sign(pts) * np.abs(pts) ** (self.r - 1.0)
 
+    def _curvature(self, pts):
+        with np.errstate(divide="ignore"):
+            return self.scale * self.r * (self.r - 1.0) * np.abs(pts) ** (self.r - 2.0)
+
     def _pair(self):
         r, a = self.r, self.scale
         s = r / (r - 1.0)
         astar = (a * r) ** (1.0 - s) / s
         return self, PowerNorm(s, astar, dim=self.dim, box=self.box)
-
-    def scalar_pieces(self):
-        if self.dim == 1:
-            return [self]
-        return [PowerNorm(self.r, self.scale, dim=1,
-                          box=Box([self.box.lo[i]], [self.box.hi[i]]))
-                for i in range(self.dim)]
-
-    def d1(self, t):
-        assert self.dim == 1
-        t = np.asarray(t, dtype=float)
-        return self.scale * self.r * np.sign(t) * np.abs(t) ** (self.r - 1.0)
-
-    def d2(self, t):
-        assert self.dim == 1
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return self.scale * self.r * (self.r - 1.0) * np.abs(t) ** (self.r - 2.0)
 
 
 class Affine(ConvexFn):
@@ -404,6 +378,7 @@ class Affine(ConvexFn):
 
     smooth = True
     coercive = False
+    separable = True
 
     def __init__(self, slope, offset: float = 0.0, box: Box | None = None):
         slope = np.atleast_1d(np.asarray(slope, dtype=float))
@@ -417,6 +392,9 @@ class Affine(ConvexFn):
     def _grad(self, pts):
         return np.broadcast_to(self.slope, pts.shape).copy()
 
+    def _curvature(self, pts):
+        return np.zeros_like(pts)
+
     def _pair(self):
         raise NotCoerciveError(
             "an affine function conjugates to an indicator; "
@@ -425,21 +403,6 @@ class Affine(ConvexFn):
 
     def _prox(self, pts, step):
         return pts - step * self.slope
-
-    def scalar_pieces(self):
-        if self.dim == 1:
-            return [self]
-        return [Affine([self.slope[i]], self.offset if i == 0 else 0.0,
-                       box=Box([self.box.lo[i]], [self.box.hi[i]]))
-                for i in range(self.dim)]
-
-    def d1(self, t):
-        assert self.dim == 1
-        return np.full_like(np.asarray(t, dtype=float), self.slope[0])
-
-    def d2(self, t):
-        assert self.dim == 1
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 class SeparableSum(ConvexFn):
@@ -466,6 +429,14 @@ class SeparableSum(ConvexFn):
     def coercive(self):
         return all(p.coercive for p in self.parts)
 
+    @property
+    def separable(self):
+        return all(p.separable for p in self.parts)
+
+    @property
+    def coercive_axes(self):
+        return np.concatenate([p.coercive_axes for p in self.parts])
+
     def _value(self, pts):
         return sum(p._value(pts[:, sl]) for p, sl in zip(self.parts, self.slices))
 
@@ -474,6 +445,12 @@ class SeparableSum(ConvexFn):
         for p, sl in zip(self.parts, self.slices):
             g[:, sl] = p._grad(pts[:, sl])
         return g
+
+    def _curvature(self, pts):
+        c = np.empty_like(pts)
+        for p, sl in zip(self.parts, self.slices):
+            c[:, sl] = p._curvature(pts[:, sl])
+        return c
 
     def _value_grad(self, pts):
         vg = [p._value_grad(pts[:, sl]) for p, sl in zip(self.parts, self.slices)]
@@ -500,15 +477,6 @@ class SeparableSum(ConvexFn):
             u[:, sl] = p._prox(pts[:, sl], step)
         return u
 
-    def scalar_pieces(self):
-        pieces = []
-        for p in self.parts:
-            sp = p.scalar_pieces()
-            if sp is None:
-                return None
-            pieces.extend(sp)
-        return pieces
-
 
 class Sum(ConvexFn):
     """Pointwise sum of convex functions on the same space."""
@@ -531,11 +499,22 @@ class Sum(ConvexFn):
     def coercive(self):
         return any(p.coercive for p in self.parts)
 
+    @property
+    def separable(self):
+        return all(p.separable for p in self.parts)
+
+    @property
+    def coercive_axes(self):
+        return np.logical_or.reduce([p.coercive_axes for p in self.parts])
+
     def _value(self, pts):
         return sum(p._value(pts) for p in self.parts)
 
     def _grad(self, pts):
         return sum(p._grad(pts) for p in self.parts)
+
+    def _curvature(self, pts):
+        return sum(p._curvature(pts) for p in self.parts)
 
     def _value_grad(self, pts):
         vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
@@ -553,7 +532,7 @@ class Sum(ConvexFn):
                 continue
             if isinstance(p, Affine):
                 b += p.slope
-            elif isinstance(p, Quadratic) and np.allclose(p.A, np.diag(np.diag(p.A)), atol=0.0):
+            elif isinstance(p, Quadratic) and p.separable:
                 a += np.diag(p.A)
                 b += p.b
             else:
@@ -575,31 +554,16 @@ class Sum(ConvexFn):
         if not isinstance(merged, Sum):
             primal, dual = merged.conjugate_pair()
             return (self if primal is merged else primal), dual
-        pieces = merged.scalar_pieces()
-        # catalog pieces are smooth; a coercive one has a strictly increasing
-        # derivative, so its conjugate is exact by inverting it: (f*)' = (f')^-1.
-        # Coercive pieces make the sum coercive even when no single part is.
-        if pieces is not None and all(p.coercive for p in pieces):
-            return merged, ScalarConjugate(pieces)
+        # separable catalog kinds are smooth; along an axis where one grows superlinearly
+        # f_i' strictly increases, so the conjugate is exact by inverting the gradient:
+        # (f*)' = (f')^-1.  Coercive axes make the sum coercive even when no part is.
+        if merged.separable and merged.coercive_axes.all():
+            return merged, ScalarConjugate(merged)
         if not merged.coercive:
             raise NotCoerciveError(
                 "sum is not coercive; add a quadratic perturbation before conjugating"
             )
         return _sampled_pair(merged)
-
-    def scalar_pieces(self):
-        per_part = [p.scalar_pieces() for p in self.parts]
-        if any(sp is None for sp in per_part):
-            return None
-        return [Sum([sp[i] for sp in per_part]) for i in range(self.dim)]
-
-    def d1(self, t):
-        assert self.dim == 1
-        return sum(p.d1(t) for p in self.parts)
-
-    def d2(self, t):
-        assert self.dim == 1
-        return sum(p.d2(t) for p in self.parts)
 
 
 def simplify_sum(parts, box=None):
@@ -847,34 +811,29 @@ def _locate(box: Box, pts):
 
 
 class ScalarConjugate(ConvexFn):
-    """Exact conjugate of smooth coercive 1-D pieces, one per coordinate.
+    """Exact conjugate of a smooth separable function coercive along every axis.
 
-    Each piece's derivative strictly increases, so the conjugate is evaluated
-    by inverting it: at y the supremum is attained at u with
-    pieces[i].d1(u_i) = y_i, giving value sum_i u_i y_i - pieces[i](u_i) and
-    gradient u.  All coordinates share one root call, in which each column
-    is its own element.  Any approximate u underestimates the sup, so paired
-    Fenchel gaps stay nonnegative up to the root-finder tolerance.
+    Each f_i' strictly increases, so the conjugate is evaluated by inverting
+    the gradient: at y the supremum is attained at u with fn._grad(u) = y,
+    giving value <u, y> - fn(u) and gradient u.  All coordinates share one
+    root call, in which each column is its own element.  Any approximate u
+    underestimates the sup, so paired Fenchel gaps stay nonnegative up to the
+    root-finder tolerance.
     """
 
     smooth = True
     coercive = True
 
-    def __init__(self, pieces):
-        pieces = [pieces] if isinstance(pieces, ConvexFn) else list(pieces)
-        if any(p.dim != 1 for p in pieces):
-            raise ValueError("scalar conjugates take 1-D pieces")
-        box = Box(np.concatenate([p.box.lo for p in pieces]),
-                  np.concatenate([p.box.hi for p in pieces]))
-        super().__init__(len(pieces), box)
-        self.pieces = pieces
-        self._d1 = [p.d1 for p in pieces]
-        self._d2 = [p.d2 for p in pieces]
+    def __init__(self, fn: ConvexFn):
+        if not fn.separable:
+            raise ValueError("scalar conjugates take a coordinatewise separable function")
+        super().__init__(fn.dim, fn.box)
+        self.fn = fn
 
     def _argsup(self, y):
         """Attaining points u, shape (K, d), of the supremum at the (K, d) rows y."""
-        return newton_bisect(*newton_bracket(lambda u: by_column(self._d1, u) - y,
-                                             lambda u: by_column(self._d2, u),
+        return newton_bisect(*newton_bracket(lambda u: self.fn._grad(u) - y,
+                                             self.fn._curvature,
                                              np.zeros_like(y), 1.0 + np.abs(y)),
                              scale=1.0 + np.abs(y))
 
@@ -886,16 +845,14 @@ class ScalarConjugate(ConvexFn):
 
     def _value_grad(self, pts):
         u = self._argsup(pts)
-        value = sum(u[:, i] * pts[:, i] - p.value(u[:, i, None])
-                    for i, p in enumerate(self.pieces))
-        return value, u
+        return np.sum(u * pts, axis=1) - self.fn._value(u), u
 
     def _pair(self):
-        return self, (self.pieces[0] if self.dim == 1 else SeparableSum(self.pieces))
+        return self, self.fn
 
     def _prox(self, pts, step):
-        # Moreau decomposition through the pieces' own proximal maps
-        inner = _separable_prox(self.pieces, pts / step, 1.0 / step)
+        # Moreau decomposition: the prox of fn / step at pts / step, in one root call
+        inner = _separable_prox(self.fn, pts / step, 1.0 / step)
         return pts - step * inner
 
 

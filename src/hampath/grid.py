@@ -146,13 +146,18 @@ def poincare_margin(g: PathGrid) -> float:
     """Slack in the discrete bound |p|_L2 <= T |dp|_L2 + sqrt(T) |p(0)|.
 
     Positive values mean the bound holds with room; checked with a 1.01
-    slack factor in tests.
+    slack factor in tests.  The margin is degree-1 homogeneous in p, so it is
+    evaluated on p divided by its largest node magnitude and scaled back: the
+    squares of tiny nodes would otherwise underflow.
     """
-    iv = interval_data(g)
-    T = g.T
-    lhs = np.sqrt(_l2_nodes_sq(g.p_nodes, g.h))
-    rhs = T * np.sqrt(_l2_intervals_sq(iv.dp, g.h)) + np.sqrt(T) * float(np.linalg.norm(g.p_nodes[0]))
-    return 1.01 * rhs - lhs
+    top = float(np.abs(g.p_nodes).max())
+    if top == 0.0:
+        return 0.0
+    p, T = g.p_nodes / top, g.T
+    dp = np.diff(p, axis=0) / g.h
+    lhs = np.sqrt(_l2_nodes_sq(p, g.h))
+    rhs = T * np.sqrt(_l2_intervals_sq(dp, g.h)) + np.sqrt(T) * float(np.linalg.norm(p[0]))
+    return top * (1.01 * rhs - lhs)
 
 
 def random_path(rng: np.random.Generator, T: float, N: int, M: int,

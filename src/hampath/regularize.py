@@ -18,9 +18,7 @@ from hampath.convex import (
     MoreauEnvelope,
     PowerNorm,
     Quadratic,
-    SubgradientResult,
     Sum,
-    by_column,
     penalized_argmin,
     simplify_sum,
 )
@@ -65,10 +63,6 @@ class EpsPerturbed(Hamiltonian):
         bump = Quadratic(self.eps * np.eye(self.dim), box=bp.box)
         return simplify_sum([bp, bump]), MoreauEnvelope(bd, self.eps)
 
-    def subgradient(self, xy) -> SubgradientResult:
-        res = self.base.subgradient(xy)
-        return SubgradientResult(res.value + self.eps * np.asarray(xy, dtype=float), res.is_unique)
-
 
 def quad_perturb(H: Hamiltonian, eps: float) -> EpsPerturbed:
     return EpsPerturbed(H, eps)
@@ -77,10 +71,10 @@ def quad_perturb(H: Hamiltonian, eps: float) -> EpsPerturbed:
 class _InfConvFn(ConvexFn):
     """Primal side of the inf-convolution; evaluated by inner minimization.
 
-    The inner solve is one root call over all coordinates for separable
-    primals and an enumeration of facets for a tabulated envelope plus a separable
-    quadratic (the eps stage of a grid-backed H); other kinds run one
-    L-BFGS-B solve per row.
+    The inner solve is one root call over all coordinates for a separable
+    primal, on its own gradient and curvature, and an enumeration of facets
+    for a tabulated envelope plus a separable quadratic (the eps stage of a
+    grid-backed H); other kinds run one L-BFGS-B solve per row.
     """
 
     smooth = True
@@ -93,10 +87,6 @@ class _InfConvFn(ConvexFn):
         self.lam = float(lam)
         self.r = float(r)
         self.s = r / (r - 1.0)
-        self.pieces = base_primal.scalar_pieces()
-        if self.pieces is not None:
-            self._d1 = [p.d1 for p in self.pieces]
-            self._d2 = [p.d2 for p in self.pieces]
         self.power = PowerPenalty(lam, self.s)
 
     def penalty(self, w):
@@ -108,7 +98,7 @@ class _InfConvFn(ConvexFn):
 
     def _attain(self, pts):
         """Attaining points u*(x) and the gradients of H_lam, both shaped like pts."""
-        if self.pieces is not None:
+        if self.base_primal.separable:
             return self._attain_separable(pts)
         form = self.base_primal.envelope_form()
         if form is not None:
@@ -127,17 +117,17 @@ class _InfConvFn(ConvexFn):
         also at v = 0, where the slope in w is unbounded; the root lies between
         0 and -lam^s f'(x), and grad H_lam = -v / lam^s.
         """
-        r, c = self.r, self.lam**self.s
-        g = by_column(self._d1, pts)
+        f, r, c = self.base_primal, self.r, self.lam**self.s
+        g = f._grad(pts)
 
         def rho_drho(v):
             a = np.abs(v)
             u = pts + np.sign(v) * a ** (r - 1.0)
-            # inf * 0 where f'' is unbounded at u = x (|u|^p pieces with p < 2 at 0);
+            # inf * 0 where f'' is unbounded at u = x (|u|^p terms with p < 2 at 0);
             # newton_bisect bisects on the non-finite slope
             with np.errstate(invalid="ignore"):
-                dw = by_column(self._d2, u) * ((r - 1.0) * a ** (r - 2.0))
-            return by_column(self._d1, u) + v / c, dw + 1.0 / c
+                dw = f._curvature(u) * ((r - 1.0) * a ** (r - 2.0))
+            return f._grad(u) + v / c, dw + 1.0 / c
 
         end = -c * g
         v = newton_bisect(rho_drho, np.minimum(end, 0.0), np.maximum(end, 0.0),
@@ -227,9 +217,6 @@ class InfConvolved(Hamiltonian):
         lhs = self.value(xy)
         rhs = self.fn.base_primal.value(u) + float(self.fn.penalty(xy - u))
         return abs(lhs - rhs)
-
-    def subgradient(self, xy) -> SubgradientResult:
-        return SubgradientResult(self.fn.grad(np.asarray(xy, dtype=float)), True)
 
 
 def infconv(H: Hamiltonian, lam: float, r: float = 4.0) -> InfConvolved:

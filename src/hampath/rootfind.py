@@ -1,14 +1,16 @@
 """Vectorized safeguarded Newton for increasing scalar residuals.
 
-Three callers reduce a smooth inner problem over d separable coordinates
-to one strictly increasing scalar equation per element of a (K, d) array,
-each column with the 1-D piece of its coordinate, and solve all of them in
-one ``newton_bisect`` call:
+Three callers reduce a smooth inner problem over a coordinatewise separable
+f(x) = sum_i f_i(x_i) to one strictly increasing scalar equation per
+element of a (K, d) array, reading f_i' and f_i'' column by column from the
+function's own ``_grad`` and ``_curvature``, and solve all of them in one
+``newton_bisect`` call:
 
 * derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
   solves f_i'(u_i) = y_i),
-* coordinatewise proximal maps (``ConvexFn._prox`` of a separable kind
-  solves u_i - x_i + step f_i'(u_i) = 0),
+* coordinatewise proximal maps (``convex._separable_prox``, behind the
+  ``_prox`` of a separable kind and of ``ScalarConjugate``, solves
+  u_i - x_i + step f_i'(u_i) = 0),
 * inf-convolution inner solves (``_InfConvFn._attain_separable`` solves
   f_i'(u_i) + penalty'(u_i - x_i) = 0 in the penalty slope v_i, with
   u_i = x_i + sign(v_i)|v_i|^(r-1): rho(v) = f'(x + sign(v)|v|^(r-1)) + v / lam^s).

@@ -229,7 +229,7 @@ class TestScalarConjugate:
         dual = piece.conjugate_pair()[1]
         y = np.array([1.3])
         u = dual.grad(y)[0]
-        assert piece.d1(u) == pytest.approx(1.3, abs=1e-9)
+        assert piece.grad(np.array([u]))[0] == pytest.approx(1.3, abs=1e-9)
 
     def test_biconjugation_returns_piece(self, rng):
         piece = self.mixed_piece()
@@ -259,6 +259,46 @@ class TestScalarConjugate:
         g = fn.grad(x)
         assert np.allclose(fn.value(x) + dual.value(g), np.sum(x * g, axis=1), atol=1e-9)
         assert np.allclose(dual.grad(g), x, atol=1e-9)
+
+    def test_coupled_function_rejected(self):
+        with pytest.raises(ValueError):
+            ScalarConjugate(Quadratic([[1.0, 0.3], [0.3, 1.0]]))
+
+
+class TestSeparableStructure:
+    """The separable kinds' curvature and per-axis growth, which their root solves read."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Quadratic(np.diag([1.3, 0.0, 2.5]), [0.4, -1.0, 0.0], 0.2),
+        lambda: PowerNorm(1.5, 0.3, dim=3),
+        lambda: PowerNorm(4.0, 0.1, dim=3),
+        lambda: Affine([0.5, -2.0, 1.0], 0.3),
+        lambda: Sum([Quadratic(np.diag([1.0, 0.0, 0.5])), PowerNorm(4.0, 0.1, dim=3),
+                     Affine([0.5, -2.0, 1.0])]),
+        lambda: SeparableSum([Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1)]),
+                              SeparableSum([PowerNorm(1.5, 0.3), Affine([1.0])]),
+                              Quadratic([[2.0]], [0.1])]),
+    ], ids=["quadratic", "power_1.5", "power_4", "affine", "sum", "nested_separable_sum"])
+    def test_curvature_matches_central_differences(self, make, rng):
+        f, h = make(), 1e-6
+        # away from 0, where |x|^1.5 has unbounded curvature
+        x = rng.choice([-1.0, 1.0], (40, f.dim)) * rng.uniform(0.5, 2.0, (40, f.dim))
+        assert f.separable
+        # each f_i' reads x_i alone, so one step in every coordinate differences them all
+        fd = (f._grad(x + h) - f._grad(x - h)) / (2 * h)
+        np.testing.assert_allclose(f._curvature(x), fd, rtol=1e-6, atol=1e-8)
+
+    def test_coercive_axes_of_coordinatewise_growth(self):
+        # q^2/2 from a singular joint quadratic, p^4/10 on p: no part is coercive
+        # alone, each axis is, so the sum conjugates exactly by derivative inversion
+        joint = Quadratic([[0.0, 0.0], [0.0, 1.0]])
+        split = SeparableSum([PowerNorm(4.0, 0.1), Quadratic([[0.0]])])
+        fn = Sum([joint, split])
+        assert not joint.coercive and not split.coercive
+        assert joint.coercive_axes.tolist() == [False, True]
+        assert split.coercive_axes.tolist() == [True, False]
+        assert fn.separable and fn.coercive_axes.tolist() == [True, True]
+        assert isinstance(fn.conjugate_pair()[1], ScalarConjugate)
 
 
 class TestPairCache:

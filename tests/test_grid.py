@@ -83,6 +83,11 @@ class TestNorms:
             g = random_path(rng, rng.uniform(0.3, 3.0), 2, int(rng.integers(2, 30)))
             assert poincare_margin(g) >= 0.0
 
+    def test_poincare_on_tiny_path(self):
+        # the squares of these nodes underflow; the margin must still be nonnegative
+        g = PathGrid(0.5, np.full((9, 2), 1.01892119e-161), np.zeros((9, 2)))
+        assert poincare_margin(g) >= 0.0
+
 
 @settings(max_examples=50, deadline=None)
 @given(p=finite_nodes, q=finite_nodes)

@@ -164,7 +164,7 @@ class TestInfConv:
         # one inner solve serves both value and gradient, on either branch
         separable = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
         generic = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
-        assert separable.pieces is not None and generic.pieces is None
+        assert separable.base_primal.separable and not generic.base_primal.separable
         for fn, pts in ((separable, rng.uniform(-2, 2, (15, 2))),
                         (generic, rng.uniform(-2, 2, (3, 2)))):
             v, g = fn._value_grad(pts)
@@ -234,7 +234,7 @@ class TestProxPoints:
         Hs = harmonic_hamiltonian()
         lg = infconv(Hg, 0.5, 4.0)
         ls = infconv(Hs, 0.5, 4.0)
-        assert lg.fn.pieces is None and ls.fn.pieces is not None
+        assert not lg.fn.base_primal.separable and ls.fn.base_primal.separable
         pt = np.array([1.2, -0.4])
         assert lg.value(pt) == pytest.approx(ls.value(pt), abs=1e-8)
         ip_g, jq_g = lg.attaining_points([1.2], [-0.4])
@@ -272,7 +272,7 @@ class TestInnerSolveAccuracy:
 
     def test_grid_infconv_rows(self, rng):
         fn = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
-        assert fn.pieces is None
+        assert not fn.base_primal.separable
         x = rng.uniform(-3, 3, (20, 2))
         u = fn.minimizers(x)
 
@@ -282,7 +282,7 @@ class TestInnerSolveAccuracy:
 
     def test_coupled_quadratic_infconv_rows(self, rng):
         fn = infconv(coupled_hamiltonian(), 0.4, 4.0).fn
-        assert fn.pieces is None
+        assert not fn.base_primal.separable
         x = rng.uniform(-2, 2, (200, 4))
         u = fn.minimizers(x)
         dirs = rng.normal(size=(8, 4))
@@ -297,7 +297,7 @@ class TestInnerSolveAccuracy:
 SEPARABLE_PIECES = {
     "quadratic": (lambda: Quadratic([[1.3]], [0.4]), -0.4 / 1.3),
     "quartic": (lambda: PowerNorm(4.0, 0.1), 0.0),
-    # d2 = +inf at 0: the penalty-slope residual's derivative is inf * 0 at v = 0
+    # f'' = +inf at 0: the penalty-slope residual's derivative is inf * 0 at v = 0
     "power_1.5": (lambda: PowerNorm(1.5, 0.1), 0.0),
     "quadratic+quartic": (lambda: Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1)]), 0.0),
 }
@@ -322,7 +322,7 @@ class TestSeparableInnerSolveAccuracy:
         make, m = SEPARABLE_PIECES[name]
         piece = make()
         fn = infconv(Hamiltonian(SeparableSum([make(), make()]), 1), lam, r).fn
-        assert fn.pieces is not None
+        assert fn.base_primal.separable
         # offset 0 puts x at m, where f'(x) = 0 and the closed-form bracket is [0, 0]
         x = np.column_stack([m + self.OFFSETS, m - self.OFFSETS[::-1] / 3.0])
         u, g = fn.minimizers(x), fn.grad(x)
@@ -337,8 +337,8 @@ class TestSeparableInnerSolveAccuracy:
             obj = objective(uk)
             assert obj <= objective(ref) + 1e-12 * (1.0 + abs(obj))
             # penalty'(u - x) = -grad H_lam(x), so the residual is f'(u) - grad H_lam(x)
-            slope = float(piece.d1(np.array(xk)))
-            assert abs(float(piece.d1(np.array(uk))) - gk) <= 1e-12 * (1.0 + abs(slope))
+            slope = float(piece.grad(np.array([xk]))[0])
+            assert abs(float(piece.grad(np.array([uk]))[0]) - gk) <= 1e-12 * (1.0 + abs(slope))
 
 
 class TestInnerSolveConditioning:

@@ -126,13 +126,13 @@ class TestBatchIndependence:
         from conftest import quartic_hamiltonian
 
         fn = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
-        assert fn.pieces is not None
+        assert fn.base_primal.separable
         self.assert_elementwise(
             lambda x: fn.minimizers(np.column_stack([x, -0.5 * x]))[:, 0])
 
 
 class TestColumnIndependence:
-    """Each column of a separable root call is bitwise its piece's own 1-D call."""
+    """Each column of a separable root call solves bitwise as its piece's own 1-D call."""
 
     Y = np.column_stack([TestBatchIndependence.BATCH, -2.0 * TestBatchIndependence.BATCH[::-1],
                          0.5 * TestBatchIndependence.BATCH])
@@ -145,15 +145,16 @@ class TestColumnIndependence:
                 PowerNorm(4.0, 0.3, dim=1), Quadratic([[2.0]], [0.1])]
 
     def test_batched_conjugate(self):
-        from hampath.convex import ScalarConjugate
+        from hampath.convex import ScalarConjugate, SeparableSum
 
-        value, grad = ScalarConjugate(self.pieces())._value_grad(self.Y)
+        value, grad = ScalarConjugate(SeparableSum(self.pieces()))._value_grad(self.Y)
         total = 0
         for i, piece in enumerate(self.pieces()):
             v, g = ScalarConjugate(piece)._value_grad(self.Y[:, i:i + 1])
             assert grad[:, i].tobytes() == g[:, 0].tobytes()
             total = total + v
-        assert value.tobytes() == total.tobytes()
+        # the value is <u, y> - f(u) of the whole function, summed in another order
+        assert np.all(np.abs(value - total) <= 1e-15 * (1.0 + np.abs(total)))
 
     def test_separable_prox(self):
         from hampath.convex import PowerNorm

@@ -223,7 +223,7 @@ class TestPathObjective:
         spec = ProblemSpec(mixed_hamiltonian(), 1.0, Cauchy([1.0], [0.0]), None)
         H = EpsPerturbed(spec.hamiltonian, 0.1)
         dual = H.pair()[1]
-        assert isinstance(dual, ScalarConjugate) and len(dual.pieces) == 2
+        assert isinstance(dual, ScalarConjugate) and dual.dim == 2
         t = np.linspace(0.0, 1.0, 41)
         obj = _PathObjective(spec, H, 40)
         z = obj.pack(PathGrid(1.0, np.cos(t), -np.sin(t)))
