@@ -6,7 +6,6 @@ optimality certificate.
 """
 
 from hampath.convex import (
-    Affine,
     Box,
     ConvexFn,
     GridConjugate,
@@ -19,6 +18,7 @@ from hampath.convex import (
     SeparableSum,
     SubgradientResult,
     Sum,
+    affine,
     squared_norm,
 )
 from hampath.legendre import GridFn, convexity_defect, discrete_conjugate
@@ -40,7 +40,6 @@ from hampath.certify import Certificate, certify, residual_order
 from hampath.solver import SolveParams, SolveResult, SolveStatus, gradient_action, solve, solve_linear_bvp
 
 __all__ = [
-    "Affine",
     "ActionBreakdown",
     "Box",
     "Cauchy",
@@ -68,6 +67,7 @@ __all__ = [
     "SolveStatus",
     "SubgradientResult",
     "Sum",
+    "affine",
     "beta_threshold",
     "cauchy_action",
     "certify",

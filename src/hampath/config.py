@@ -17,7 +17,6 @@ import yaml
 from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex, feedback_limit
 from hampath.conditions import GrowthCert
 from hampath.convex import (
-    Affine,
     Box,
     ConvexFn,
     GridSampled,
@@ -25,6 +24,7 @@ from hampath.convex import (
     PowerNorm,
     Quadratic,
     SeparableSum,
+    affine,
     simplify_sum,
     squared_norm,
 )
@@ -74,7 +74,6 @@ class ProblemConfig:
     spec: ProblemSpec
     params: SolveParams
     N: int
-    raw: dict = field(repr=False, default_factory=dict)
     output: dict = field(default_factory=dict)
     init_path: object = None
 
@@ -132,8 +131,7 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
             raise ConfigError("solver.init_file", f"path has T = {init_path.T:g}, N = "
                               f"{init_path.N}; the problem has T = {T:g}, N = {N}")
     spec = ProblemSpec(ham, T, boundary, cert)
-    return ProblemConfig(spec=spec, params=params, N=N, raw=raw, output=output,
-                         init_path=init_path)
+    return ProblemConfig(spec=spec, params=params, N=N, output=output, init_path=init_path)
 
 
 def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
@@ -166,13 +164,18 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
         return PowerNorm(r, scale, dim=dim, box=box)
     if kind == "affine":
         slope = _vector(_req(cfg, "slope", path), dim, f"{path}.slope")
-        return Affine(slope, _num(cfg.get("offset", 0.0), f"{path}.offset"), box=box)
+        return affine(slope, _num(cfg.get("offset", 0.0), f"{path}.offset"), box=box)
     if kind == "grid":
         file = _req(cfg, "file", path)
         full = file if os.path.isabs(file) else os.path.join(base_dir, file)
         if not os.path.exists(full):
             raise ConfigError(f"{path}.file", f"referenced file does not exist: {full}")
-        fn = GridSampled.from_csv(full)
+        try:
+            fn = GridSampled.from_csv(full)
+        except ValueError as exc:
+            # genfromtxt's message spans lines; a config fault is reported on one
+            raise ConfigError(f"{path}.file",
+                              "not a grid file: " + " ".join(str(exc).split())) from exc
         if fn.dim != dim:
             raise ConfigError(f"{path}.file", f"grid dimension {fn.dim} does not match {dim}")
         return fn
@@ -282,7 +285,7 @@ def _build_params(cfg, path: str) -> SolveParams:
             if not isinstance(v, list):
                 raise ConfigError(f"{path}.{key}", "expected a list")
             kwargs[key] = tuple(_num(x, f"{path}.{key}[{i}]") for i, x in enumerate(v))
-    for key in ("r", "tol_zero", "gtol"):
+    for key in ("r", "tol_zero"):
         if key in cfg:
             kwargs[key] = _num(cfg[key], f"{path}.{key}")
     if "max_iters" in cfg:

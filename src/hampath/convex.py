@@ -268,7 +268,9 @@ class Quadratic(ConvexFn):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         dim = A.shape[0]
         super().__init__(dim, box)
-        if A.shape != (dim, dim) or not np.allclose(A, A.T, atol=1e-10):
+        # exact symmetry first: allclose costs about ten times array_equal
+        if A.shape != (dim, dim) or not (np.array_equal(A, A.T)
+                                         or np.allclose(A, A.T, atol=1e-10)):
             raise ValueError("A must be square symmetric")
         self.A = 0.5 * (A + A.T)
         self.b = np.zeros(dim) if b is None else np.asarray(b, dtype=float).reshape(dim)
@@ -313,8 +315,8 @@ class Quadratic(ConvexFn):
     def _pair(self):
         if not self.coercive:
             raise NotCoerciveError(
-                "quadratic with singular curvature is not coercive; "
-                "add a quadratic perturbation before conjugating"
+                "quadratic with singular curvature (an affine term has none) is not "
+                "coercive; add a quadratic perturbation before conjugating"
             )
         Ainv = np.linalg.inv(self.A)
         bstar = -Ainv @ self.b
@@ -338,6 +340,12 @@ def squared_norm(dim: int, weight: float = 0.5, center=None, box: Box | None = N
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float).reshape(dim)
     A = 2.0 * weight * np.eye(dim)
     return Quadratic(A, -2.0 * weight * c, weight * float(c @ c), box=box)
+
+
+def affine(slope, offset: float = 0.0, box: Box | None = None) -> Quadratic:
+    """slope . x + offset as a Quadratic with zero curvature."""
+    slope = np.atleast_1d(np.asarray(slope, dtype=float))
+    return Quadratic(np.zeros((slope.size, slope.size)), slope, offset, box=box)
 
 
 class PowerNorm(ConvexFn):
@@ -371,38 +379,6 @@ class PowerNorm(ConvexFn):
         s = r / (r - 1.0)
         astar = (a * r) ** (1.0 - s) / s
         return self, PowerNorm(s, astar, dim=self.dim, box=self.box)
-
-
-class Affine(ConvexFn):
-    """f(x) = slope . x + offset."""
-
-    smooth = True
-    coercive = False
-    separable = True
-
-    def __init__(self, slope, offset: float = 0.0, box: Box | None = None):
-        slope = np.atleast_1d(np.asarray(slope, dtype=float))
-        super().__init__(slope.size, box)
-        self.slope = slope
-        self.offset = float(offset)
-
-    def _value(self, pts):
-        return pts @ self.slope + self.offset
-
-    def _grad(self, pts):
-        return np.broadcast_to(self.slope, pts.shape).copy()
-
-    def _curvature(self, pts):
-        return np.zeros_like(pts)
-
-    def _pair(self):
-        raise NotCoerciveError(
-            "an affine function conjugates to an indicator; "
-            "add a quadratic perturbation before conjugating"
-        )
-
-    def _prox(self, pts, step):
-        return pts - step * self.slope
 
 
 class SeparableSum(ConvexFn):
@@ -521,7 +497,7 @@ class Sum(ConvexFn):
         return sum(vals), sum(grads)
 
     def envelope_form(self):
-        # one envelope plus quadratics with diagonal curvature (and affine parts)
+        # one envelope plus quadratics with diagonal curvature (affine parts have none)
         forms = [p.envelope_form() for p in self.parts]
         if sum(f is not None for f in forms) != 1:
             return None
@@ -530,13 +506,10 @@ class Sum(ConvexFn):
         for p, f in zip(self.parts, forms):
             if f is not None:
                 continue
-            if isinstance(p, Affine):
-                b += p.slope
-            elif isinstance(p, Quadratic) and p.separable:
-                a += np.diag(p.A)
-                b += p.b
-            else:
+            if not (isinstance(p, Quadratic) and p.separable):
                 return None
+            a += np.diag(p.A)
+            b += p.b
         return env, a, b
 
     def subgradient(self, x):
@@ -567,7 +540,7 @@ class Sum(ConvexFn):
 
 
 def simplify_sum(parts, box=None):
-    """Fold quadratic and affine summands together; returns a single fn or a Sum."""
+    """Fold quadratic summands, affine ones included, together; returns a single fn or a Sum."""
     flat = []
     for p in parts:
         if isinstance(p, Sum):
@@ -585,10 +558,6 @@ def simplify_sum(parts, box=None):
             A += p.A
             b += p.b
             c += p.c
-            hit = True
-        elif isinstance(p, Affine):
-            b += p.slope
-            c += p.offset
             hit = True
         else:
             rest.append(p)
@@ -645,35 +614,28 @@ class GridSampled(ConvexFn):
 
     @classmethod
     def from_csv(cls, path):
-        """Load a two-column CSV (1-D) or header+matrix CSV (2-D)."""
-        with open(path) as fh:
-            first = fh.readline()
-        cells = [c.strip() for c in first.strip().split(",")]
+        """Load a two-column CSV (1-D) or header+matrix CSV (2-D).
 
-        def _is_num(s):
-            try:
-                float(s)
-                return True
-            except ValueError:
-                return False
-
+        The shape of the table alone decides: a 2-D grid has at least 3 nodes
+        per axis, so its table has at least 4 columns.  Malformed files raise
+        ``ValueError``.
+        """
         raw = np.genfromtxt(path, delimiter=",", dtype=float)
-        if raw.ndim == 2 and raw.shape[1] == 2 and (_is_num(cells[0]) or len(cells) == 2):
+        if raw.ndim != 2:
+            raise ValueError(f"{path}: expected at least two rows of comma-separated numbers")
+        if raw.shape[1] == 2:
             data = raw[~np.isnan(raw[:, 0])]
-            x, v = data[:, 0], data[:, 1]
-            dx = np.diff(x)
-            if not np.allclose(dx, dx[0], rtol=1e-8, atol=1e-12):
-                raise ValueError(f"{path}: grid nodes are not uniform")
-            return cls(GridFn([x[0]], [x[-1]], v))
-        # header row carries the second-axis nodes; each row starts with a first-axis node
-        y = raw[0, 1:]
-        x = raw[1:, 0]
-        vals = raw[1:, 1:]
-        for nodes in (x, y):
+            axes, vals = [data[:, 0]], data[:, 1]
+        else:
+            # header row carries the second-axis nodes; each row starts with a first-axis node
+            axes, vals = [raw[1:, 0], raw[0, 1:]], raw[1:, 1:]
+        for nodes in axes:
+            if nodes.size < 3:
+                raise ValueError(f"{path}: need at least 3 grid nodes per axis")
             d = np.diff(nodes)
             if not np.allclose(d, d[0], rtol=1e-8, atol=1e-12):
                 raise ValueError(f"{path}: grid nodes are not uniform")
-        return cls(GridFn([x[0], y[0]], [x[-1], y[-1]], vals))
+        return cls(GridFn([n[0] for n in axes], [n[-1] for n in axes], vals))
 
     @property
     def facets(self) -> FacetTable:

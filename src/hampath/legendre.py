@@ -6,7 +6,8 @@ A quadratic-cost brute-force evaluation is kept behind ``method="brute"``
 as an independent oracle for tests.  The solver does not call the transform:
 tabulated functions pair their envelope with the max over their nodes
 (``hampath.polyhedral``), whose facets come from the lower hulls here
-(``_lower_hull`` in 1-D, ``lower_facets`` in 2-D).
+(``_lower_hull`` in 1-D, ``lower_facets`` in 2-D).  In 2-D,
+``convexity_defect`` evaluates the envelope through that same facet table.
 """
 
 from __future__ import annotations
@@ -229,13 +230,23 @@ def _check_boundary(on_edge, ynodes, boundary_frac):
 
 
 def convexity_defect(f: GridFn) -> float:
-    """Max over nodes of (samples - lower convex envelope); zero for convex data."""
+    """Max over nodes of (samples - lower convex envelope); zero for convex data.
+
+    In 1-D the envelope at the nodes interpolates the lower hull in linear
+    time, where evaluating every facet at every node would take quadratic
+    time; in 2-D it is the samples' ``polyhedral.FacetTable`` envelope.
+    """
     if f.d == 1:
         x = f.axis_nodes(0)
         hull = _lower_hull(x, f.values)
         env = np.interp(x, x[hull], f.values[hull])
         return float(np.max(f.values - env))
-    return _convexity_defect_2d(f)
+    # polyhedral imports this module, so it is imported here
+    from hampath.polyhedral import FacetTable
+
+    X1, X2 = np.meshgrid(f.axis_nodes(0), f.axis_nodes(1), indexing="ij")
+    env, _ = FacetTable.of_grid(f).envelope(np.column_stack([X1.ravel(), X2.ravel()]))
+    return float(np.max(f.values.ravel() - env))
 
 
 def _convexity_proxy_2d(f: GridFn) -> float:
@@ -285,19 +296,3 @@ def lower_facets(f: GridFn):
                             (e1[:, 0] * d2 - e2[:, 0] * d1) / det])
     offset = v[:, 0] - grad[:, 0] * p[:, 0, 0] - grad[:, 1] * p[:, 0, 1]
     return tri, grad, offset
-
-
-def _convexity_defect_2d(f: GridFn) -> float:
-    _, grad, offset = lower_facets(f)
-    x1 = f.axis_nodes(0)
-    x2 = f.axis_nodes(1)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.column_stack([X1.ravel(), X2.ravel(), f.values.ravel()])
-    # the envelope at a node is the highest facet plane there; blocks bound memory
-    worst = -np.inf
-    for start in range(0, len(pts), 1024):
-        blk = pts[start : start + 1024]
-        planes = (grad[:, 0][:, None] * blk[:, 0][None, :]
-                  + grad[:, 1][:, None] * blk[:, 1][None, :] + offset[:, None])
-        worst = max(worst, float(np.max(blk[:, 2] - planes.max(axis=0))))
-    return worst

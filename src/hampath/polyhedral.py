@@ -100,37 +100,17 @@ class FacetTable:
         return out
 
 
-class PowerPenalty:
-    """Separable penalty sum_i |w_i|^s / (s lam^s), 1 < s < 2, term by term."""
-
-    def __init__(self, lam: float, s: float):
-        self.lam = float(lam)
-        self.s = float(s)
-
-    def terms(self, w):
-        return np.abs(w) ** self.s / (self.s * self.lam**self.s)
-
-    def d1(self, w):
-        return np.sign(w) * np.abs(w) ** (self.s - 1.0) / self.lam**self.s
-
-    def d2(self, w):
-        with np.errstate(divide="ignore"):
-            return (self.s - 1.0) * np.abs(w) ** (self.s - 2.0) / self.lam**self.s
-
-    def radius(self, slope):
-        """|w| at which the derivative reaches ``slope`` in magnitude: lam^r slope^(r-1)."""
-        return (self.lam**self.s * slope) ** (1.0 / (self.s - 1.0))
-
-
-def facet_argmin(table: FacetTable, a, b, lo, hi, penalty: PowerPenalty | None = None,
-                 x=None):
+def facet_argmin(table: FacetTable, a, b, lo, hi, penalty=None, x=None):
     """Per-row minimizers of envelope(u) + sum_i (a_i/2) u_i^2 + b_ki u_i [+ penalty(u - x_k)].
 
     ``a`` (d,) is nonnegative, ``b`` (K, d) holds one linear term per row and
     ``[lo_k, hi_k]`` must contain row k's minimizer; only the facets that
-    meet it are enumerated.  Without a penalty ``a`` must be positive, so
-    that every objective is strictly convex.  Ties between facets go to the
-    lowest facet index, so a row's result does not depend on the other rows.
+    meet it are enumerated.  The penalty is a strictly convex, coordinatewise
+    separable kind, read through its ``_value``, ``_grad`` and ``_curvature``
+    and its conjugate's ``_grad``, which inverts its own.  Without a penalty
+    ``a`` must be positive, so that every objective is strictly convex.  Ties
+    between facets go to the lowest facet index, so a row's result does not
+    depend on the other rows.
     """
     K, d = b.shape
     out = np.empty((K, d))
@@ -156,7 +136,7 @@ def _first_min_per_row(rows, val, K):
 def _objective(u, g, c, a, penalty, x):
     val = c + np.sum(g * u + 0.5 * a * u * u, axis=-1)
     if penalty is not None:
-        val = val + np.sum(penalty.terms(u - x), axis=-1)
+        val = val + penalty._value(u - x)
     return val
 
 
@@ -183,11 +163,12 @@ def _stationary(g, a, penalty, x):
         return -g / a
     q = g + a * x
     # |penalty'(u - x)| = |g + a u| <= |q| at the root, which lies between x and the
-    # point where the penalty's slope alone cancels q
-    w = penalty.radius(np.abs(q))
+    # point where the penalty's slope alone cancels q, (penalty')^-1(|q|) = (penalty*)'(|q|)
+    w = penalty.conjugate()._grad(np.abs(q))
     lo = np.where(q > 0, x - w, x)
     hi = np.where(q > 0, x, x + w)
-    return newton_bisect(lambda v: (g + a * v + penalty.d1(v - x), a + penalty.d2(v - x)),
+    return newton_bisect(lambda v: (g + a * v + penalty._grad(v - x),
+                                    a + penalty._curvature(v - x)),
                          lo, hi, scale=1.0 + np.abs(q))
 
 
@@ -215,7 +196,7 @@ def _edge_minima(verts, g, a, penalty, x):
         u = A + tau[..., None] * E
         grad = g + a * u
         if penalty is not None:
-            grad = grad + penalty.d1(u - x)
+            grad = grad + penalty._grad(u - x)
         return np.sum(E * grad, axis=-1)
 
     s0 = slope(np.zeros(A.shape[:2]), A, E, g3, x3)
@@ -232,7 +213,7 @@ def _edge_minima(verts, g, a, penalty, x):
                 # an axis the edge does not move along adds no curvature, even where
                 # the penalty's is infinite
                 with np.errstate(invalid="ignore"):
-                    curv = np.where(Em != 0, Em * Em * (a + penalty.d2(w)), 0.0)
+                    curv = np.where(Em != 0, Em * Em * (a + penalty._curvature(w)), 0.0)
                 return slope(tau, Am, Em, gm, xm), np.sum(curv, axis=-1)
             tau[mid] = newton_bisect(rho, np.zeros(Am.shape[0]), np.ones(Am.shape[0]),
                                      scale=1.0 - s0[mid])

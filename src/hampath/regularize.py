@@ -3,8 +3,11 @@
 ``quad_perturb`` adds (eps/2)|x|^2, which makes the conjugate finite and
 1/eps-Lipschitz-smooth (it becomes the Moreau envelope of the original
 conjugate).  ``infconv`` replaces H by an infimal convolution with the
-penalty |.|_s^s / (s lambda^s), s = r/(r-1) in (1, 2), whose conjugate has
-the exact closed form  H* + (lambda^r / r) * sum |.|^r.
+penalty |.|_s^s / (s lambda^s), s = r/(r-1) in (1, 2).  The conjugate of an
+inf-convolution is the sum of the conjugates (Rockafellar, *Convex
+Analysis*, Thm 16.4), so the stage's dual is H* plus the power term
+(lambda^r / r) * sum |.|^r, and the penalty is that term's ``PowerNorm``
+conjugate.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hampath.convex import (
     penalized_argmin,
     simplify_sum,
 )
-from hampath.polyhedral import PowerPenalty, facet_argmin
+from hampath.polyhedral import facet_argmin
 from hampath.rootfind import newton_bisect
 
 # rounds of narrowing the facet-enumeration box of an inf-convolution inner solve; on
@@ -86,11 +89,15 @@ class _InfConvFn(ConvexFn):
         self.base_dual = base_dual
         self.lam = float(lam)
         self.r = float(r)
-        self.s = r / (r - 1.0)
-        self.power = PowerPenalty(lam, self.s)
+        # the dual's power term and its conjugate, the penalty |w|^s / (s lam^s) with
+        # s = r/(r-1); the penalty conjugates back to this very term
+        self.dual_term = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim,
+                                   box=base_dual.box)
+        self.power = self.dual_term.conjugate()
+        self.power._pair_cache = (self.power, self.dual_term)
 
     def penalty(self, w):
-        return np.sum(self.power.terms(w), axis=-1)
+        return self.power._value(w)
 
     def minimizers(self, pts):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
@@ -105,7 +112,7 @@ class _InfConvFn(ConvexFn):
             u = self._minimizers_facets(pts, *form)
         else:
             u = self._minimizers_generic(pts)
-        return u, self.power.d1(pts - u)
+        return u, self.power._grad(pts - u)
 
     def _attain_separable(self, pts):
         """Minimizers and gradients of H_lam at pts, all coordinates in one root call.
@@ -117,7 +124,7 @@ class _InfConvFn(ConvexFn):
         also at v = 0, where the slope in w is unbounded; the root lies between
         0 and -lam^s f'(x), and grad H_lam = -v / lam^s.
         """
-        f, r, c = self.base_primal, self.r, self.lam**self.s
+        f, r, c = self.base_primal, self.r, self.lam**self.power.r
         g = f._grad(pts)
 
         def rho_drho(v):
@@ -139,9 +146,10 @@ class _InfConvFn(ConvexFn):
 
         At the minimizer, |penalty'(u_i - x_i)| = |g_i + a_i u_i + b_i| for a g in
         the envelope's subdifferential, so |u_i - x_i| <= lam^r G_i^(r-1) with G_i
-        bounding that sum; clipped to the box, the interval also holds the
-        minimizers that the box stops.  Each round bounds G_i again over the
-        facets and points of the current box, which narrows it.
+        bounding that sum: the dual term's derivative inverts the penalty's.
+        Clipped to the box, the interval also holds the minimizers that the box
+        stops.  Each round bounds G_i again over the facets and points of the
+        current box, which narrows it.
         """
         lo = np.broadcast_to(env.box.lo, pts.shape)
         hi = np.broadcast_to(env.box.hi, pts.shape)
@@ -150,7 +158,7 @@ class _InfConvFn(ConvexFn):
             if k:
                 G = env.facets.grad_bound_in(lo, hi)
             bound = G + np.abs(b) + a * np.maximum(np.abs(lo), np.abs(hi))
-            w = self.power.radius(bound * (1.0 + 1e-9)) + 1e-12 * (env.box.hi - env.box.lo)
+            w = self.dual_term._grad(bound * (1.0 + 1e-9)) + 1e-12 * (env.box.hi - env.box.lo)
             lo = np.maximum(lo, np.clip(pts - w, env.box.lo, env.box.hi))
             hi = np.minimum(hi, np.clip(pts + w, env.box.lo, env.box.hi))
         return facet_argmin(env.facets, a, np.broadcast_to(b, pts.shape), lo, hi,
@@ -159,7 +167,7 @@ class _InfConvFn(ConvexFn):
     def _minimizers_generic(self, pts):
         # room around the working box: the infimum of a finite primal can lie outside it
         return penalized_argmin(self.base_primal, pts,
-                                lambda w: (self.penalty(w), self.power.d1(w)),
+                                lambda w: (self.penalty(w), self.power._grad(w)),
                                 self.box.lo - 10.0 * self.lam, self.box.hi + 10.0 * self.lam,
                                 ftol=1e-14, gtol=1e-11, maxiter=200)
 
@@ -174,8 +182,7 @@ class _InfConvFn(ConvexFn):
         return self.base_primal._value(u) + self.penalty(pts - u), g
 
     def _pair(self):
-        power = PowerNorm(self.r, self.lam**self.r / self.r, dim=self.dim, box=self.base_dual.box)
-        return self, Sum([self.base_dual, power])
+        return self, Sum([self.base_dual, self.dual_term])
 
 
 class InfConvolved(Hamiltonian):

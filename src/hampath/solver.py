@@ -41,10 +41,18 @@ from hampath.regularize import EpsPerturbed, InfConvolved
 
 logger = logging.getLogger("hampath")
 
+# L-BFGS stops a stage once the largest gradient component is at most GTOL times the
+# path's scale; it keeps MEMORY curvature pairs, and its backtracking line search
+# accepts the Armijo decrease ARMIJO * step * slope after at most MAX_HALVINGS halvings
+GTOL = 1e-11
+MEMORY = 10
+ARMIJO = 1e-4
+MAX_HALVINGS = 50
+
 
 class ScheduleError(ValueError):
-    """No usable stage: none at all, an unavailable or nonsmooth stage pair, or nonsmooth
-    boundary potentials."""
+    """No usable stage: none at all, a stage that cannot be built, an unavailable or
+    nonsmooth stage pair, or a boundary potential that is nonsmooth or not coercive."""
 
 
 class ParamError(ValueError):
@@ -72,7 +80,6 @@ class SolveParams:
     tol_zero: float = 1e-6
     max_iters: int = 500
     seed: int = 0
-    gtol: float = 1e-11
     polish: bool = True
 
     def __post_init__(self):
@@ -125,8 +132,7 @@ class SolveResult:
 # -- limited-memory quasi-Newton ------------------------------------------
 
 
-def lbfgs(fun_grad, x0, max_iters=500, memory=10, c_armijo=1e-4, max_halvings=50,
-          gtol=1e-11, ftarget=None):
+def lbfgs(fun_grad, x0, max_iters=500, gtol=GTOL, ftarget=None):
     """Minimize a smooth function with L-BFGS and Armijo backtracking.
 
     ``fun_grad(x) -> (f, g)``.  Returns (x, f, g, iterations, reason).
@@ -153,10 +159,10 @@ def lbfgs(fun_grad, x0, max_iters=500, memory=10, c_armijo=1e-4, max_halvings=50
             gd = -float(g @ g)
         step = 1.0 if S else min(1.0, 1.0 / max(gnorm, 1e-12))
         ok = False
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             xn = x + step * d
             fn, gn = fun_grad(xn)
-            if np.isfinite(fn) and fn <= f + c_armijo * step * gd:
+            if np.isfinite(fn) and fn <= f + ARMIJO * step * gd:
                 ok = True
                 break
             step *= 0.5
@@ -169,7 +175,7 @@ def lbfgs(fun_grad, x0, max_iters=500, memory=10, c_armijo=1e-4, max_halvings=50
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
             S.append(s)
             Y.append(y)
-            if len(S) > memory:
+            if len(S) > MEMORY:
                 S.pop(0)
                 Y.pop(0)
         x, f, g = xn, fn, gn
@@ -448,14 +454,19 @@ class _PathObjective:
 
 
 def _stage_hamiltonians(base: Hamiltonian, params: SolveParams):
-    """Continuation stages as (eps, lam, hamiltonian)."""
+    """Continuation stages as (eps, lam, hamiltonian); a stage that cannot be built, such
+    as a lambda-only stage over a non-coercive H, raises ``ScheduleError`` naming it."""
     eps_s, lam_s = params.eps_schedule, params.lambda_schedule
     n = max(len(eps_s), len(lam_s))
     stages = []
     for k in range(n):
         eps = eps_s[k] if k < len(eps_s) else (eps_s[-1] if eps_s else 0.0)
         lam = lam_s[k] if k < len(lam_s) else (lam_s[-1] if lam_s else 0.0)
-        stages.append((eps, lam, _stage_hamiltonian(base, eps, lam, params.r)))
+        try:
+            stages.append((eps, lam, _stage_hamiltonian(base, eps, lam, params.r)))
+        except NotCoerciveError as exc:
+            raise ScheduleError(f"stage (eps={eps:g}, lambda={lam:g}) cannot be built: "
+                                f"{exc}") from exc
     return stages
 
 
@@ -531,6 +542,15 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
         raise ScheduleError(f"the Hamiltonian's conjugate is unavailable: {exc}") from exc
     if not stages:
         raise ScheduleError("no usable continuation stage: supply eps or lambda schedules")
+    if not isinstance(spec.boundary, Cauchy):
+        # every boundary action reads both potentials' conjugates
+        b = spec.boundary
+        for name, psi in (("psi1", b.start_potential), ("psi2", b.end_potential)):
+            try:
+                psi.conjugate_pair()
+            except NotCoerciveError as exc:
+                raise ScheduleError(f"boundary potential {name} cannot be conjugated: "
+                                    f"{exc}") from exc
 
     checks = None
     if spec.cert is not None:
@@ -577,7 +597,7 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
             obj = _PathObjective(spec, H, params.M)
             z, f, g, more, reason = lbfgs(
                 obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
-                gtol=params.gtol * path.scale(), ftarget=ftarget)
+                gtol=GTOL * path.scale(), ftarget=ftarget)
             path, iters = obj.unpack(z), iters + more
         if H is base:
             a_true = f  # the stage objective is the true action

@@ -251,6 +251,58 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("growth", [False, True])
+    def test_noncoercive_boundary_potential_exit_1(self, tmp_path, capsys, growth):
+        # an affine psi1 has no finite conjugate, so no boundary action can be assembled
+        with open(CONFIG_DIR / "connecting_trivial.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["boundary"]["psi1"] = {"kind": "affine", "slope": [1.0]}
+        if not growth:
+            del cfg["growth"]
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: boundary potential psi1 cannot be conjugated")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_lambda_stage_over_noncoercive_hamiltonian_exit_1(self, tmp_path, capsys):
+        # H = |p|^2 / 2 does not grow in q: its inf-convolution needs a conjugate it lacks
+        cfg = base_config()
+        cfg["hamiltonian"]["terms"] = [{"kind": "quadratic", "apply": "p"}]
+        cfg["solver"].update(eps_schedule=[], lambda_schedule=[0.3])
+        del cfg["growth"]
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stage (eps=0, lambda=0.3) cannot be built")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    GRID_FILE_FAULTS = {
+        "one_line": ("0,1,2\n", "at least two rows"),
+        "ragged": ("x,0,1,2\n0,1,2,3\n1,2,3\n2,3,4,5\n", "Some errors were detected"),
+        "nonuniform": ("0,0\n0.1,1\n0.3,2\n0.4,3\n", "grid nodes are not uniform"),
+    }
+
+    @pytest.mark.parametrize("fault", list(GRID_FILE_FAULTS))
+    def test_malformed_grid_file_exit_1(self, tmp_path, capsys, fault):
+        text, message = self.GRID_FILE_FAULTS[fault]
+        (tmp_path / "psi.csv").write_text(text)
+        cfg = base_config()
+        cfg["boundary"] = {"mode": "connecting",
+                          "psi1": {"kind": "grid", "file": "psi.csv"},
+                          "psi2": {"kind": "quadratic", "scale": 0.5},
+                          "coercivity_index": 2}
+        del cfg["growth"]
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: boundary.psi1.file: not a grid file: ")
+        assert message in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0
@@ -418,6 +470,22 @@ class TestConfigErrors:
         assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         first = (out / "trajectory.csv").read_text().splitlines()[1]
         assert [float(v) for v in first.split(",")] == [0.0, 0.5, 0.0]
+
+    def test_commented_1d_grid_file_loads_as_1d(self, tmp_path):
+        # a comment line with three cells says nothing about the table's shape
+        x = np.linspace(-2, 2, 41)
+        with open(tmp_path / "psi.csv", "w") as fh:
+            fh.write("# x, psi(x), note\n")
+            for xi in x:
+                fh.write(f"{xi:.17g},{0.5 * xi * xi:.17g}\n")
+        cfg = base_config()
+        cfg["boundary"] = {"mode": "connecting",
+                          "psi1": {"kind": "grid", "file": "psi.csv"},
+                          "psi2": {"kind": "quadratic", "scale": 0.5},
+                          "coercivity_index": 2}
+        psi1 = load_config(write_config(tmp_path, cfg)).spec.boundary.start_potential
+        assert psi1.dim == 1
+        assert psi1.value(np.array([1.0])) == pytest.approx(0.5, abs=1e-2)
 
     def test_grid_hamiltonian_roundtrip(self, tmp_path):
         x = np.linspace(-3, 3, 41)

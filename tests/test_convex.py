@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hampath.convex import (
-    Affine,
     Box,
     GridConjugate,
     GridSampled,
@@ -16,6 +15,7 @@ from hampath.convex import (
     ScalarConjugate,
     SeparableSum,
     Sum,
+    affine,
     convexity_violation,
     simplify_sum,
     squared_norm,
@@ -61,7 +61,7 @@ class TestEval:
         assert f(np.array([2.0])) == pytest.approx(4.0)
 
     def test_sum_with_affine(self):
-        f = Sum([Quadratic([[1.0]]), Affine([1.0])])
+        f = Sum([Quadratic([[1.0]]), affine([1.0])])
         assert f(np.array([1.0])) == pytest.approx(1.5)
 
     def test_batched_matches_single(self, rng):
@@ -100,7 +100,7 @@ class TestConjugate:
 
     def test_affine_refused(self):
         with pytest.raises(NotCoerciveError):
-            Affine([1.0, 2.0]).conjugate()
+            affine([1.0, 2.0]).conjugate()
 
     def test_singular_quadratic_refused(self):
         with pytest.raises(NotCoerciveError):
@@ -272,11 +272,11 @@ class TestSeparableStructure:
         lambda: Quadratic(np.diag([1.3, 0.0, 2.5]), [0.4, -1.0, 0.0], 0.2),
         lambda: PowerNorm(1.5, 0.3, dim=3),
         lambda: PowerNorm(4.0, 0.1, dim=3),
-        lambda: Affine([0.5, -2.0, 1.0], 0.3),
+        lambda: affine([0.5, -2.0, 1.0], 0.3),
         lambda: Sum([Quadratic(np.diag([1.0, 0.0, 0.5])), PowerNorm(4.0, 0.1, dim=3),
-                     Affine([0.5, -2.0, 1.0])]),
+                     affine([0.5, -2.0, 1.0])]),
         lambda: SeparableSum([Sum([Quadratic([[0.5]]), PowerNorm(4.0, 0.1)]),
-                              SeparableSum([PowerNorm(1.5, 0.3), Affine([1.0])]),
+                              SeparableSum([PowerNorm(1.5, 0.3), affine([1.0])]),
                               Quadratic([[2.0]], [0.1])]),
     ], ids=["quadratic", "power_1.5", "power_4", "affine", "sum", "nested_separable_sum"])
     def test_curvature_matches_central_differences(self, make, rng):
@@ -359,7 +359,7 @@ class TestInvariants:
         assert np.all(env.value(x) <= f.value(x) + 1e-12)
 
     def test_simplify_sum_merges_quadratics(self):
-        merged = simplify_sum([Quadratic(np.eye(2)), Affine([1.0, 0.0], 2.0),
+        merged = simplify_sum([Quadratic(np.eye(2)), affine([1.0, 0.0], 2.0),
                                Quadratic(0.5 * np.eye(2))])
         assert isinstance(merged, Quadratic)
         x = np.array([0.7, -0.4])
@@ -445,7 +445,7 @@ class TestValueGrad:
         self.assert_fused(dual, rng.uniform(-3, 3, (15, 2)))
 
     def test_sum(self, rng):
-        f = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2), Affine([0.3, -0.1])])
+        f = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2), affine([0.3, -0.1])])
         self.assert_fused(f, rng.uniform(-2, 2, (15, 2)))
 
     def test_moreau_envelope_of_2d_grid(self, rng):
