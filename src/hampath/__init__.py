@@ -23,21 +23,20 @@ from hampath.convex import (
 )
 from hampath.legendre import GridFn, convexity_defect, discrete_conjugate
 from hampath.grid import PathGrid, IntervalData, interval_data, sbp_residual, sobolev_norm
-from hampath.regularize import EpsPerturbed, InfConvolved, infconv, prox_points, quad_perturb
+from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.action import (
     ActionBreakdown,
     Cauchy,
     Connecting,
     ProblemSpec,
     SemiConvex,
-    cauchy_action,
-    connecting_action,
-    semiconvex_action,
+    action_for,
+    action_gradient,
     witness_lagrangian,
 )
 from hampath.conditions import GrowthCert, beta_threshold, check_psi_coercivity, check_semiconvex, check_subquadratic
 from hampath.certify import Certificate, certify, residual_order
-from hampath.solver import SolveParams, SolveResult, SolveStatus, gradient_action, solve, solve_linear_bvp
+from hampath.solver import SolveParams, SolveResult, SolveStatus, solve, solve_linear_bvp
 
 __all__ = [
     "ActionBreakdown",
@@ -67,24 +66,19 @@ __all__ = [
     "SolveStatus",
     "SubgradientResult",
     "Sum",
+    "action_for",
+    "action_gradient",
     "affine",
     "beta_threshold",
-    "cauchy_action",
     "certify",
     "check_psi_coercivity",
     "check_semiconvex",
     "check_subquadratic",
-    "connecting_action",
     "convexity_defect",
     "discrete_conjugate",
-    "gradient_action",
-    "infconv",
     "interval_data",
-    "prox_points",
-    "quad_perturb",
     "residual_order",
     "sbp_residual",
-    "semiconvex_action",
     "sobolev_norm",
     "solve",
     "solve_linear_bvp",

@@ -191,27 +191,6 @@ def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> 
     return ActionBreakdown(total, gaps, b0, bT, iv.h, gp, gq, inclusion)
 
 
-def connecting_action(H: Hamiltonian, start_potential: ConvexFn, end_potential: ConvexFn,
-                      g: PathGrid) -> ActionBreakdown:
-    """Action for paths joining the graphs of the two boundary subdifferentials."""
-    return action_for(ProblemSpec(H, g.T, Connecting(start_potential, end_potential)), g)
-
-
-def cauchy_action(H: Hamiltonian, g: PathGrid, p0, q0) -> ActionBreakdown:
-    """Action for the initial value problem; the start nodes are hard constraints."""
-    return action_for(ProblemSpec(H, g.T, Cauchy(p0, q0)), g)
-
-
-def semiconvex_action(H: Hamiltonian, start_potential: ConvexFn, end_potential: ConvexFn,
-                      delta1: float, delta2: float, g: PathGrid) -> ActionBreakdown:
-    """Connecting action with linear feedback folded into the dual slot.
-
-    With delta1 = delta2 = 0 this reproduces connecting_action exactly.
-    """
-    return action_for(ProblemSpec(H, g.T, SemiConvex(start_potential, end_potential,
-                                                     delta1, delta2)), g)
-
-
 def action_gradient(spec_boundary: BoundaryMode, H: Hamiltonian, g: PathGrid):
     """Exact gradient of the discrete action with respect to all nodes.
 

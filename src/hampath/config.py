@@ -9,6 +9,7 @@ are reported with the path of the offending key.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,17 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _mapping(cfg, keys: tuple, path: str) -> dict:
+    """``cfg`` as a mapping whose keys are all among ``keys``; names the first that is not."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(path, "must be a mapping")
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else str(key),
+                              f"unknown key; expected one of {', '.join(keys)}")
+    return cfg
+
+
 def _req(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}", "missing required key")
@@ -50,6 +62,11 @@ def _req(d: dict, key: str, path: str):
 
 
 def _num(v, path: str) -> float:
+    # YAML 1.1 reads exponent notation without a point or an exponent sign as text
+    if isinstance(v, str) and re.fullmatch(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", v):
+        raise ConfigError(path, f"expected a number, got the string {v!r}: YAML reads a "
+                          "number in exponent notation only with a decimal point and a signed "
+                          "exponent, as in 1.0e-6 or 1.0e+8")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(v).__name__}")
     return float(v)
@@ -59,6 +76,16 @@ def _posint(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
         raise ConfigError(path, f"expected a positive integer, got {v!r}")
     return v
+
+
+def _file(name, path: str, base_dir: str) -> str:
+    """The existing file that ``name`` names, relative to the config's directory."""
+    if not isinstance(name, str):
+        raise ConfigError(path, f"expected a file name, got {name!r}")
+    full = name if os.path.isabs(name) else os.path.join(base_dir, name)
+    if not os.path.exists(full):
+        raise ConfigError(path, f"referenced file does not exist: {full}")
+    return full
 
 
 def _vector(v, n: int, path: str) -> np.ndarray:
@@ -93,9 +120,8 @@ def load_config(path: str) -> ProblemConfig:
 
 
 def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
-    prob = _req(raw, "problem", "")
-    if not isinstance(prob, dict):
-        raise ConfigError("problem", "must be a mapping")
+    _mapping(raw, ("problem", "box", "hamiltonian", "boundary", "growth", "solver", "output"), "")
+    prob = _mapping(_req(raw, "problem", ""), ("N", "T"), "problem")
     N = _posint(_req(prob, "N", "problem"), "problem.N")
     if N > 8:
         raise ConfigError("problem.N", "dimensions beyond 8 are out of scope")
@@ -103,7 +129,7 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
     if T <= 0:
         raise ConfigError("problem.T", "horizon must be positive")
 
-    box_cfg = raw.get("box", {})
+    box_cfg = _mapping(raw.get("box") or {}, ("halfwidth",), "box")
     halfwidth = _num(box_cfg.get("halfwidth", 10.0), "box.halfwidth")
     if not halfwidth > 0:
         raise ConfigError("box.halfwidth", "must be positive")
@@ -114,15 +140,13 @@ def build_config(raw: dict, base_dir: str = ".") -> ProblemConfig:
     boundary = _build_boundary(_req(raw, "boundary", ""), N, T, comp_box, base_dir)
     cert = _build_cert(raw.get("growth"), "growth")
     params = _build_params(raw.get("solver", {}), "solver")
-    output = raw.get("output", {}) or {}
+    output = _mapping(raw.get("output") or {}, ("dir", "proceed_on_check_failure"), "output")
     init_path = None
     init_file = (raw.get("solver") or {}).get("init_file")
     if init_file is not None:
         from hampath.grid import PathGrid
 
-        full = init_file if os.path.isabs(init_file) else os.path.join(base_dir, init_file)
-        if not os.path.exists(full):
-            raise ConfigError("solver.init_file", f"referenced file does not exist: {full}")
+        full = _file(init_file, "solver.init_file", base_dir)
         try:
             init_path = PathGrid.from_csv(full)
         except ValueError as exc:
@@ -140,6 +164,7 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
     kind = _req(cfg, "kind", path)
     if kind == "quadratic":
         if "matrix" in cfg:
+            _mapping(cfg, ("kind", "matrix", "shift", "offset"), path)
             b = _vector(cfg["shift"], dim, f"{path}.shift") if "shift" in cfg else None
             offset = _num(cfg.get("offset", 0.0), f"{path}.offset")
             try:
@@ -149,12 +174,14 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
                 return Quadratic(A, b, offset, box=box)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}.matrix", str(exc)) from exc
+        _mapping(cfg, ("kind", "scale", "center"), path)
         scale = _num(cfg.get("scale", 0.5), f"{path}.scale")
         if scale <= 0:
             raise ConfigError(f"{path}.scale", "must be positive")
         center = _vector(cfg["center"], dim, f"{path}.center") if "center" in cfg else None
         return squared_norm(dim, scale, center, box=box)
     if kind == "power":
+        _mapping(cfg, ("kind", "r", "scale"), path)
         r = _num(_req(cfg, "r", path), f"{path}.r")
         scale = _num(cfg.get("scale", 1.0), f"{path}.scale")
         if r <= 1:
@@ -163,13 +190,12 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
             raise ConfigError(f"{path}.scale", "must be positive")
         return PowerNorm(r, scale, dim=dim, box=box)
     if kind == "affine":
+        _mapping(cfg, ("kind", "slope", "offset"), path)
         slope = _vector(_req(cfg, "slope", path), dim, f"{path}.slope")
         return affine(slope, _num(cfg.get("offset", 0.0), f"{path}.offset"), box=box)
     if kind == "grid":
-        file = _req(cfg, "file", path)
-        full = file if os.path.isabs(file) else os.path.join(base_dir, file)
-        if not os.path.exists(full):
-            raise ConfigError(f"{path}.file", f"referenced file does not exist: {full}")
+        _mapping(cfg, ("kind", "file"), path)
+        full = _file(_req(cfg, "file", path), f"{path}.file", base_dir)
         try:
             fn = GridSampled.from_csv(full)
         except ValueError as exc:
@@ -185,9 +211,11 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
 def _build_hamiltonian(cfg, N: int, phase_box: Box, base_dir: str) -> Hamiltonian:
     if not isinstance(cfg, dict):
         raise ConfigError("hamiltonian", "must be a mapping")
+    _mapping(cfg, ("grid",) if "grid" in cfg else ("terms",), "hamiltonian")
     comp_box = Box(phase_box.lo[:N], phase_box.hi[:N])
     if "grid" in cfg:
-        fn = _build_fn({"kind": "grid", **cfg["grid"]}, 2 * N, phase_box, "hamiltonian.grid", base_dir)
+        grid = _mapping(cfg["grid"], ("file",), "hamiltonian.grid")
+        fn = _build_fn({"kind": "grid", **grid}, 2 * N, phase_box, "hamiltonian.grid", base_dir)
         return Hamiltonian(fn, N)
     terms = _req(cfg, "terms", "hamiltonian")
     if not isinstance(terms, list) or not terms:
@@ -228,38 +256,38 @@ def _build_boundary(cfg, N: int, T: float, comp_box: Box, base_dir: str):
     if not isinstance(cfg, dict):
         raise ConfigError("boundary", "must be a mapping")
     mode = _req(cfg, "mode", "boundary")
+    modes = {"cauchy": ("p0", "q0"), "connecting": ("psi1", "psi2", "coercivity_index"),
+             "semiconvex": ("psi1", "psi2", "delta1", "delta2")}
+    if not isinstance(mode, str) or mode not in modes:
+        raise ConfigError("boundary.mode", f"unknown mode {mode!r}")
+    _mapping(cfg, ("mode",) + modes[mode], "boundary")
     if mode == "cauchy":
         p0 = _vector(_req(cfg, "p0", "boundary"), N, "boundary.p0")
         q0 = _vector(_req(cfg, "q0", "boundary"), N, "boundary.q0")
         return Cauchy(p0, q0)
+    psi1, psi2 = (_build_fn(_req(cfg, key, "boundary"), N, comp_box, f"boundary.{key}", base_dir)
+                  for key in ("psi1", "psi2"))
     if mode == "connecting":
-        psi1 = _build_fn(_req(cfg, "psi1", "boundary"), N, comp_box, "boundary.psi1", base_dir)
-        psi2 = _build_fn(_req(cfg, "psi2", "boundary"), N, comp_box, "boundary.psi2", base_dir)
         idx = cfg.get("coercivity_index")
         if idx not in (1, 2):
             raise ConfigError("boundary.coercivity_index",
                               "connecting mode requires choosing which potential "
                               "carries the quadratic growth condition (1 or 2)")
         return Connecting(psi1, psi2, idx)
-    if mode == "semiconvex":
-        psi1 = _build_fn(_req(cfg, "psi1", "boundary"), N, comp_box, "boundary.psi1", base_dir)
-        psi2 = _build_fn(_req(cfg, "psi2", "boundary"), N, comp_box, "boundary.psi2", base_dir)
-        d1 = _num(_req(cfg, "delta1", "boundary"), "boundary.delta1")
-        d2 = _num(_req(cfg, "delta2", "boundary"), "boundary.delta2")
-        lim = feedback_limit(T)
-        for key, d in (("delta1", d1), ("delta2", d2)):
-            if abs(d) >= lim:
-                raise ConfigError(f"boundary.{key}", f"feedback strength {d:g} reaches the "
-                                  f"solvability limit 1/(2T) = {lim:g}")
-        return SemiConvex(psi1, psi2, d1, d2)
-    raise ConfigError("boundary.mode", f"unknown mode {mode!r}")
+    d1 = _num(_req(cfg, "delta1", "boundary"), "boundary.delta1")
+    d2 = _num(_req(cfg, "delta2", "boundary"), "boundary.delta2")
+    lim = feedback_limit(T)
+    for key, d in (("delta1", d1), ("delta2", d2)):
+        if abs(d) >= lim:
+            raise ConfigError(f"boundary.{key}", f"feedback strength {d:g} reaches the "
+                              f"solvability limit 1/(2T) = {lim:g}")
+    return SemiConvex(psi1, psi2, d1, d2)
 
 
 def _build_cert(cfg, path: str) -> GrowthCert | None:
     if cfg is None:
         return None
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be a mapping")
+    _mapping(cfg, ("alpha", "beta", "gamma", "r"), path)
     try:
         return GrowthCert(
             alpha=_num(_req(cfg, "alpha", path), f"{path}.alpha"),
@@ -272,11 +300,12 @@ def _build_cert(cfg, path: str) -> GrowthCert | None:
 
 
 def _build_params(cfg, path: str) -> SolveParams:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be a mapping")
+    _mapping(cfg, ("M", "eps_schedule", "lambda_schedule", "r", "tol_zero", "max_iters", "seed",
+                   "init_file"), path)
     kwargs = {}
-    if "M" in cfg:
-        kwargs["M"] = _posint(cfg["M"], f"{path}.M")
+    for key in ("M", "max_iters"):
+        if key in cfg:
+            kwargs[key] = _posint(cfg[key], f"{path}.{key}")
     for key in ("eps_schedule", "lambda_schedule"):
         if key in cfg:
             v = cfg[key]
@@ -288,8 +317,6 @@ def _build_params(cfg, path: str) -> SolveParams:
     for key in ("r", "tol_zero"):
         if key in cfg:
             kwargs[key] = _num(cfg[key], f"{path}.{key}")
-    if "max_iters" in cfg:
-        kwargs["max_iters"] = _posint(cfg["max_iters"], f"{path}.max_iters")
     if "seed" in cfg:
         s = cfg["seed"]
         if isinstance(s, bool) or not isinstance(s, int):

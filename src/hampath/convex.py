@@ -654,9 +654,7 @@ class GridSampled(ConvexFn):
         return self, np.zeros(self.dim), np.zeros(self.dim)
 
     def _pair(self):
-        dual = GridConjugate(self)
-        dual._pair_cache = (dual, self)
-        return self, dual
+        return self, GridConjugate(self)
 
     def subgradient(self, x):
         """Least-norm element of the hull of the facet gradients active at x; unique only
@@ -905,9 +903,6 @@ class Hamiltonian:
 
     def _build_pair(self):
         return self.fn.conjugate_pair()
-
-    def conjugate(self) -> ConvexFn:
-        return self.pair()[1]
 
     def value(self, xy):
         return self.fn.value(xy)

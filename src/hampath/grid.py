@@ -78,10 +78,6 @@ class PathGrid:
         fmt = ",".join(["%.17g"] * rows.shape[1])
         return "\n".join([header] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
     @staticmethod
     def from_csv(path) -> "PathGrid":
         raw = np.genfromtxt(path, delimiter=",", names=True)

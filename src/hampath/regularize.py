@@ -1,8 +1,8 @@
 """Two smoothing continuations for Hamiltonians.
 
-``quad_perturb`` adds (eps/2)|x|^2, which makes the conjugate finite and
+``EpsPerturbed`` adds (eps/2)|x|^2, which makes the conjugate finite and
 1/eps-Lipschitz-smooth (it becomes the Moreau envelope of the original
-conjugate).  ``infconv`` replaces H by an infimal convolution with the
+conjugate).  ``InfConvolved`` replaces H by an infimal convolution with the
 penalty |.|_s^s / (s lambda^s), s = r/(r-1) in (1, 2).  The conjugate of an
 inf-convolution is the sum of the conjugates (Rockafellar, *Convex
 Analysis*, Thm 16.4), so the stage's dual is H* plus the power term
@@ -65,10 +65,6 @@ class EpsPerturbed(Hamiltonian):
         # tabulating the perturbed function as well
         bump = Quadratic(self.eps * np.eye(self.dim), box=bp.box)
         return simplify_sum([bp, bump]), MoreauEnvelope(bd, self.eps)
-
-
-def quad_perturb(H: Hamiltonian, eps: float) -> EpsPerturbed:
-    return EpsPerturbed(H, eps)
 
 
 class _InfConvFn(ConvexFn):
@@ -196,7 +192,6 @@ class InfConvolved(Hamiltonian):
         self.base = base
         self.lam = float(lam)
         self.r = float(r)
-        self.s = r / (r - 1.0)
         bp, bd = base.pair()  # raises for non-coercive bases
         fn = _InfConvFn(bp, bd, lam, r)
         super().__init__(fn, base.N)
@@ -225,11 +220,3 @@ class InfConvolved(Hamiltonian):
         rhs = self.fn.base_primal.value(u) + float(self.fn.penalty(xy - u))
         return abs(lhs - rhs)
 
-
-def infconv(H: Hamiltonian, lam: float, r: float = 4.0) -> InfConvolved:
-    return InfConvolved(H, lam, r)
-
-
-def prox_points(Hl: InfConvolved, p, q):
-    """The pair (i(p), j(q)) attaining the inf-convolution at (p, q); see ``attaining_points``."""
-    return Hl.attaining_points(p, q)

@@ -29,7 +29,6 @@ from hampath.action import (
     ProblemSpec,
     SemiConvex,
     action_for,
-    action_gradient,
     feedback_limit,
     pairing,
 )
@@ -83,6 +82,10 @@ class SolveParams:
     polish: bool = True
 
     def __post_init__(self):
+        for name in ("M", "max_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v <= 0:
+                raise ParamError(name, f"{name} must be a positive integer, got {v!r}")
         for name in ("eps_schedule", "lambda_schedule"):
             sched = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, sched)
@@ -453,39 +456,72 @@ class _PathObjective:
         return breakdown.total, grad
 
 
-def _stage_hamiltonians(base: Hamiltonian, params: SolveParams):
-    """Continuation stages as (eps, lam, hamiltonian); a stage that cannot be built, such
-    as a lambda-only stage over a non-coercive H, raises ``ScheduleError`` naming it."""
-    eps_s, lam_s = params.eps_schedule, params.lambda_schedule
-    n = max(len(eps_s), len(lam_s))
-    stages = []
-    for k in range(n):
-        eps = eps_s[k] if k < len(eps_s) else (eps_s[-1] if eps_s else 0.0)
-        lam = lam_s[k] if k < len(lam_s) else (lam_s[-1] if lam_s else 0.0)
+def _schedule(spec: ProblemSpec, params: SolveParams):
+    """Pre-flight: the stages to run, as (eps, lam, hamiltonian, exact) tuples.
+
+    Builds every stage (H perturbed by eps, then inf-convolved at lam; the polish
+    stage when the true pair is smooth), conjugates both boundary potentials and
+    checks that they and every stage pair are smooth, raising ``ScheduleError``
+    at the first fault.  An exact final stage runs alone.
+    """
+    b = spec.boundary
+    if isinstance(b, SemiConvex):
+        lim = feedback_limit(spec.T)
+        if abs(b.delta1) >= lim or abs(b.delta2) >= lim:
+            raise ValueError(
+                f"feedback strengths ({b.delta1:g}, {b.delta2:g}) reach the "
+                f"solvability limit 1/(2T) = {lim:g}")
+    base, eps_s, lam_s = spec.hamiltonian, params.eps_schedule, params.lambda_schedule
+    ladder = [(eps_s[min(k, len(eps_s) - 1)] if eps_s else 0.0,
+               lam_s[min(k, len(lam_s) - 1)] if lam_s else 0.0)
+              for k in range(max(len(eps_s), len(lam_s)))]
+    stages, rough = [], []
+    for eps, lam in ladder + ([(0.0, 0.0)] if params.polish else []):
         try:
-            stages.append((eps, lam, _stage_hamiltonian(base, eps, lam, params.r)))
+            H = EpsPerturbed(base, eps) if eps > 0 else base
+            H = InfConvolved(H, lam, params.r) if lam > 0 else H
+            smooth = all(f.smooth for f in H.pair())
         except NotCoerciveError as exc:
+            if not (eps or lam):
+                continue  # the true pair does not exist: no polish stage
             raise ScheduleError(f"stage (eps={eps:g}, lambda={lam:g}) cannot be built: "
                                 f"{exc}") from exc
-    return stages
+        except ConjugateUnavailableError as exc:
+            raise ScheduleError(f"the Hamiltonian's conjugate is unavailable: {exc}") from exc
+        if not (smooth or eps or lam):
+            continue  # the polish stage needs a smooth true pair
+        stages.append((eps, lam, H))
+        if not smooth:
+            rough.append((eps, lam))
+    if not stages:
+        raise ScheduleError("no usable continuation stage: supply eps or lambda schedules")
+    potentials = () if isinstance(b, Cauchy) else (("psi1", b.start_potential),
+                                                    ("psi2", b.end_potential))
+    for name, psi in potentials:
+        try:
+            psi.conjugate_pair()  # every boundary action reads both potentials' conjugates
+        except NotCoerciveError as exc:
+            raise ScheduleError(f"boundary potential {name} cannot be conjugated: "
+                                f"{exc}") from exc
+        if not psi.smooth:
+            raise ScheduleError(
+                f"boundary potential {name} is nonsmooth; the continuation smooths only "
+                "the Hamiltonian, so boundary potentials must be smooth kinds")
+    if rough:
+        eps, lam = rough[0]
+        raise ScheduleError(
+            f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair: the "
+            "Hamiltonian's conjugate is tabulated (H is grid-backed, or has neither a "
+            "closed-form nor a coordinatewise separable conjugate), and a tabulated "
+            "conjugate needs both schedules nonempty"
+        )
 
-
-def _stage_hamiltonian(H: Hamiltonian, eps: float, lam: float, r: float) -> Hamiltonian:
-    """H perturbed by eps (when eps > 0), then inf-convolved at lam with exponent r
-    (when lam > 0): the Hamiltonian of one continuation stage."""
-    if eps > 0:
-        H = EpsPerturbed(H, eps)
-    if lam > 0:
-        H = InfConvolved(H, lam, r)
-    return H
-
-
-def _pair_is_smooth(H: Hamiltonian) -> bool:
-    try:
-        primal, dual = H.pair()
-    except NotCoerciveError:
-        return False
-    return bool(primal.smooth and dual.smooth)
+    if _quadratic_stage(spec, stages[-1][2]):
+        if len(stages) > 1:
+            logger.info("final stage is exactly quadratic: skipping %d smoothing stage(s)",
+                        len(stages) - 1)
+        return [(*stages[-1], True)]
+    return [(*st, _quadratic_stage(spec, st[2])) for st in stages[:-1]] + [(*stages[-1], False)]
 
 
 def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
@@ -516,81 +552,29 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
           init: PathGrid | None = None) -> SolveResult:
     """Minimize the discrete action through the continuation schedule.
 
-    The whole schedule is built and validated first.  When the final stage is
-    exact (closed-form quadratic pairs throughout), it runs alone from the
-    initial path, as one refined Newton step, and the earlier stages are not
-    run or recorded; the schedules matter only for non-quadratic H.  Returns
-    the best path with a certificate recomputed from scratch; the certificate
-    is evaluated under the true Hamiltonian whenever its Fenchel pair exists,
-    otherwise under the final stage's smoothing.
+    Three steps, in this order: the schedule (``_schedule``; an unusable one
+    raises ``ScheduleError`` before anything runs), the hypothesis checks when
+    the spec carries a growth certificate, and the stages, each warm-started
+    from the last; none run when the checks fail and ``proceed_on_check_failure``
+    is not set, and the initial path is returned as ``HypothesisFailed``.  The
+    certificate is recomputed from scratch under the true Hamiltonian whenever
+    its Fenchel pair exists, otherwise under the final stage's smoothing.
     """
-    if isinstance(spec.boundary, SemiConvex):
-        lim = feedback_limit(spec.T)
-        b = spec.boundary
-        if abs(b.delta1) >= lim or abs(b.delta2) >= lim:
-            raise ValueError(
-                f"feedback strengths ({b.delta1:g}, {b.delta2:g}) reach the "
-                f"solvability limit 1/(2T) = {lim:g}")
-
-    base = spec.hamiltonian
-    try:
-        stages = _stage_hamiltonians(base, params)
-        if params.polish and _pair_is_smooth(base):
-            stages.append((0.0, 0.0, base))
-        smooth = [_pair_is_smooth(H) for _, _, H in stages]
-    except ConjugateUnavailableError as exc:
-        raise ScheduleError(f"the Hamiltonian's conjugate is unavailable: {exc}") from exc
-    if not stages:
-        raise ScheduleError("no usable continuation stage: supply eps or lambda schedules")
-    if not isinstance(spec.boundary, Cauchy):
-        # every boundary action reads both potentials' conjugates
-        b = spec.boundary
-        for name, psi in (("psi1", b.start_potential), ("psi2", b.end_potential)):
-            try:
-                psi.conjugate_pair()
-            except NotCoerciveError as exc:
-                raise ScheduleError(f"boundary potential {name} cannot be conjugated: "
-                                    f"{exc}") from exc
-
+    stages = _schedule(spec, params)
     checks = None
     if spec.cert is not None:
         checks = run_checks(spec, seed=params.seed)
-        if not checks.passed and not proceed_on_check_failure:
-            path = _initial_path(spec, params.M, init)
-            cert, cert_true, which = _certificates(spec, path, params, stages[-1][2])
-            return SolveResult(path, cert, (), SolveStatus.HYPOTHESIS_FAILED, checks, which,
-                               cert_true)
-        if not checks.passed:
+        if not checks.passed and proceed_on_check_failure:
             logger.warning("hypothesis checks failed; proceeding on request")
+    proceed = checks is None or checks.passed or proceed_on_check_failure
 
-    for (eps, lam, _), ok in zip(stages, smooth):
-        if not ok:
-            raise ScheduleError(
-                f"stage (eps={eps:g}, lambda={lam:g}) has a nonsmooth Fenchel pair: the "
-                "Hamiltonian's conjugate is tabulated (H is grid-backed, or has neither a "
-                "closed-form nor a coordinatewise separable conjugate), and a tabulated "
-                "conjugate needs both schedules nonempty"
-            )
-    if not isinstance(spec.boundary, Cauchy):
-        b = spec.boundary
-        for name, psi in (("psi1", b.start_potential), ("psi2", b.end_potential)):
-            if not psi.smooth:
-                raise ScheduleError(
-                    f"boundary potential {name} is nonsmooth; the continuation smooths only "
-                    "the Hamiltonian, so boundary potentials must be smooth kinds")
-
-    if len(stages) > 1 and _quadratic_stage(spec, stages[-1][2]):
-        # Newton reaches an exact stage's zero from any start: the ladder is wasted work
-        logger.info("final stage is exactly quadratic: skipping %d smoothing stage(s)",
-                    len(stages) - 1)
-        stages = stages[-1:]
     path = _initial_path(spec, params.M, init)
     history = []
-    for snum, (eps, lam, H) in enumerate(stages):
+    for snum, (eps, lam, H, exact) in enumerate(stages if proceed else ()):
         final = snum == len(stages) - 1
         ftarget = params.tol_zero * 1e-3 if final else max(10.0 * params.tol_zero, 1e-8)
         iters, reason = 0, None
-        if _quadratic_stage(spec, H):
+        if exact:
             path, f, g, iters, reason = newton_stage(spec, H, path, params.max_iters, ftarget)
         if reason in (None, "no_decrease"):
             # every other stage, and a Newton stage that stopped decreasing, runs L-BFGS
@@ -599,7 +583,7 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                 obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
                 gtol=GTOL * path.scale(), ftarget=ftarget)
             path, iters = obj.unpack(z), iters + more
-        if H is base:
+        if H is spec.hamiltonian:
             a_true = f  # the stage objective is the true action
         else:
             try:
@@ -611,30 +595,22 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
         logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",
                     eps, lam, f, iters, reason)
 
-    cert, cert_true, which = _certificates(spec, path, params, stages[-1][2])
-    status = SolveStatus.CONVERGED if cert.action_value <= params.tol_zero else SolveStatus.STALLED
+    final_H = stages[-1][2]
+    cert = cert_true = certify(spec, path, tol=params.tol_zero, H=final_H)
+    which = "true"
+    if final_H is not spec.hamiltonian:
+        which = "final_stage"
+        try:  # raises when the true pair does not exist
+            cert_true = certify(spec, path, tol=params.tol_zero)
+        except (NotCoerciveError, ValueError):
+            cert_true = None
+    if not proceed:
+        status = SolveStatus.HYPOTHESIS_FAILED
+    elif cert.action_value <= params.tol_zero:
+        status = SolveStatus.CONVERGED
+    else:
+        status = SolveStatus.STALLED
     return SolveResult(path, cert, tuple(history), status, checks, which, cert_true)
-
-
-def _certificates(spec: ProblemSpec, path: PathGrid, params: SolveParams,
-                  final_H: Hamiltonian):
-    """Stage-level certificate plus the smoothing-removed one when it exists."""
-    cert_stage = certify(spec, path, tol=params.tol_zero, H=final_H)
-    if final_H is spec.hamiltonian:
-        return cert_stage, cert_stage, "true"
-    try:
-        spec.hamiltonian.pair()
-        cert_true = certify(spec, path, tol=params.tol_zero)
-        return cert_stage, cert_true, "final_stage"
-    except (NotCoerciveError, ValueError):
-        return cert_stage, None, "final_stage"
-
-
-def gradient_action(spec: ProblemSpec, g: PathGrid, eps: float = 0.0, lam: float = 0.0,
-                    r: float = 4.0) -> PathGrid:
-    """Exact gradient of the stage action, returned in path-node layout."""
-    gp, gq = action_gradient(spec.boundary, _stage_hamiltonian(spec.hamiltonian, eps, lam, r), g)
-    return PathGrid(g.T, gp, gq)
 
 
 # -- linear two-point boundary value problem --------------------------------

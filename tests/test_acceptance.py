@@ -20,15 +20,13 @@ from hampath.action import (
     Connecting,
     ProblemSpec,
     SemiConvex,
-    cauchy_action,
-    connecting_action,
-    semiconvex_action,
+    action_for,
 )
 from hampath.certify import residual_order
 from hampath.conditions import GrowthCert, beta_threshold, check_subquadratic, semiconvex_thresholds
 from hampath.convex import Box, Hamiltonian, PowerNorm, Quadratic, squared_norm
 from hampath.grid import PathGrid, interval_data, random_path, sbp_residual
-from hampath.regularize import infconv, prox_points, quad_perturb
+from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.solver import SolveParams, SolveStatus, solve, solve_linear_bvp
 
 from conftest import (
@@ -79,13 +77,14 @@ def test_criterion_1_nonnegativity_suite():
             g = random_path(rng, 1.0, N, 10, amplitude=amp, smooth=not rough)
             count += 1
             floor = lambda br: -1e-10 * (1.0 + np.abs(br.interior).max())  # noqa: E731
-            br = connecting_action(H, half_square(N), half_square(N), g)
+            br = action_for(ProblemSpec(H, g.T, Connecting(half_square(N), half_square(N))), g)
             assert br.total >= floor(br)
             p = g.p_nodes.copy()
             q = g.q_nodes.copy()
-            brj = cauchy_action(H, PathGrid(1.0, p, q), p[0], q[0])
+            brj = action_for(ProblemSpec(H, 1.0, Cauchy(p[0], q[0])), PathGrid(1.0, p, q))
             assert brj.total >= floor(brj)
-            brs = semiconvex_action(H, half_square(N), half_square(N), -0.1, -0.1, g)
+            brs = action_for(ProblemSpec(H, g.T, SemiConvex(half_square(N), half_square(N),
+                                                            -0.1, -0.1)), g)
             assert brs.total >= floor(brs)
             count += 2
     elapsed = time.time() - t0
@@ -129,7 +128,7 @@ def test_criterion_3_conjugate_identities():
     for H in (harmonic_hamiltonian(), quartic_hamiltonian()):
         base_dual = H.pair()[1]
         for lam in (1.0, 0.5):
-            Hl = infconv(H, lam, 4.0)
+            Hl = InfConvolved(H, lam, 4.0)
             dual = Hl.pair()[1]
             y = rng.uniform(-2, 2, size=(200, 2))
             expect = base_dual.value(y) + (lam**4 / 4.0) * np.sum(np.abs(y) ** 4, axis=1)
@@ -143,7 +142,7 @@ def test_criterion_3_conjugate_identities():
     H = quartic_hamiltonian()
     lam, r = 0.5, 4.0
     s = r / (r - 1.0)
-    Hl = infconv(H, lam, r)
+    Hl = InfConvolved(H, lam, r)
     pts = rng.uniform(-2, 2, size=(200, 2))
     vals = Hl.value(pts)
     assert np.all(vals <= H.value(pts) + 1e-10)
@@ -156,7 +155,7 @@ def test_criterion_3_conjugate_identities():
     ]
     for H, alpha, beta, gamma in cases:
         for eps in (0.1, 0.01):
-            dual = quad_perturb(H, eps).pair()[1]
+            dual = EpsPerturbed(H, eps).pair()[1]
             y = rng.uniform(-3, 3, size=(500, 2))
             n2 = np.sum(y**2, axis=1)
             v = dual.value(y)
@@ -215,8 +214,8 @@ def test_criterion_6_semiconvex():
     # zero feedback reduces to the plain connecting action
     for _ in range(50):
         g = random_path(rng, 1.0, 1, 9)
-        a = connecting_action(H, half_square(), half_square(), g)
-        b = semiconvex_action(H, half_square(), half_square(), 0.0, 0.0, g)
+        a = action_for(ProblemSpec(H, g.T, Connecting(half_square(), half_square())), g)
+        b = action_for(ProblemSpec(H, g.T, SemiConvex(half_square(), half_square(), 0.0, 0.0)), g)
         assert abs(a.total - b.total) <= 1e-14 * (1.0 + abs(a.total))
     # solve at delta = -0.1 with all hypotheses holding
     spec = ProblemSpec(H, 1.0,
@@ -309,11 +308,11 @@ def _lambda_sweep(lams=(0.4, 0.2, 0.1)):
         res = solve(spec, SolveParams(M=100, eps_schedule=(), lambda_schedule=(lam,),
                                       tol_zero=1e-6, polish=False))
         assert res.status is SolveStatus.CONVERGED
-        Hl = infconv(spec.hamiltonian, lam, 4.0)
+        Hl = InfConvolved(spec.hamiltonian, lam, 4.0)
         iv = interval_data(res.path)
         disp = 0.0
         for k in range(iv.pbar.shape[0]):
-            ip, jq = prox_points(Hl, iv.pbar[k], iv.qbar[k])
+            ip, jq = Hl.attaining_points(iv.pbar[k], iv.qbar[k])
             disp = max(disp, float(np.linalg.norm(iv.pbar[k] - ip)
                                    + np.linalg.norm(iv.qbar[k] - jq)))
         slope = float(np.max(np.linalg.norm(iv.dp, axis=1)

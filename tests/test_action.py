@@ -8,15 +8,12 @@ from hampath.action import (
     SemiConvex,
     action_for,
     action_gradient,
-    cauchy_action,
-    connecting_action,
-    semiconvex_action,
     witness_lagrangian,
 )
 from hampath.convex import GridSampled, squared_norm
 from hampath.legendre import GridFn
 from hampath.grid import PathGrid, random_path
-from hampath.regularize import quad_perturb
+from hampath.regularize import EpsPerturbed
 
 from conftest import (
     coupled_hamiltonian,
@@ -39,21 +36,22 @@ def gap_floor(br):
 class TestConnecting:
     def test_zero_path_vanishes(self):
         H = harmonic_hamiltonian()
-        br = connecting_action(H, half_square(), half_square(), PathGrid.zeros(1.0, 1, 20))
+        br = action_for(ProblemSpec(H, 1.0, Connecting(half_square(), half_square())),
+                        PathGrid.zeros(1.0, 1, 20))
         assert br.total == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegative_on_random(self, rng):
         H = harmonic_hamiltonian()
         for _ in range(100):
             g = random_path(rng, 1.0, 1, 12)
-            br = connecting_action(H, half_square(), half_square(), g)
+            br = action_for(ProblemSpec(H, g.T, Connecting(half_square(), half_square())), g)
             assert br.total >= gap_floor(br)
             assert np.all(br.interior >= -1e-12 * (1 + np.abs(br.interior).max()))
 
     def test_decomposition_is_exact(self, rng):
         H = coupled_hamiltonian()
         g = random_path(rng, 0.7, 2, 9)
-        br = connecting_action(H, half_square(2), half_square(2), g)
+        br = action_for(ProblemSpec(H, g.T, Connecting(half_square(2), half_square(2))), g)
         rebuilt = br.h * float(np.sum(br.interior)) + br.boundary_start + br.boundary_end
         assert rebuilt == br.total
 
@@ -63,7 +61,7 @@ class TestConnecting:
         prim, dual = H.pair()
         for _ in range(20):
             g = random_path(rng, 1.0, 1, 8)
-            br = connecting_action(H, half_square(), half_square(), g)
+            br = action_for(ProblemSpec(H, g.T, Connecting(half_square(), half_square())), g)
             from hampath.grid import interval_data
 
             iv = interval_data(g)
@@ -92,7 +90,7 @@ class TestOracleSampledAction:
         for M in (100, 200, 400):
             t = np.linspace(0, T, M + 1)
             g = PathGrid(T, resample(tf, p_or, t), resample(tf, q_or, t))
-            vals.append(connecting_action(H, psi1, half_square(), g).total)
+            vals.append(action_for(ProblemSpec(H, g.T, Connecting(psi1, half_square())), g).total)
         assert vals[-1] <= 1e-4
         assert vals[0] >= vals[1] >= vals[2] >= 0.0
 
@@ -102,12 +100,12 @@ class TestCauchy:
         M, T = 200, 1.0
         t = np.linspace(0, T, M + 1)
         g = PathGrid(T, np.cos(t), -np.sin(t))
-        br = cauchy_action(harmonic_hamiltonian(), g, [1.0], [0.0])
+        br = action_for(ProblemSpec(harmonic_hamiltonian(), g.T, Cauchy([1.0], [0.0])), g)
         assert 0.0 <= br.total <= 1e-5
 
     def test_constant_path_value(self):
         g = PathGrid.constant(1.0, [1.0], [0.0], 40)
-        br = cauchy_action(harmonic_hamiltonian(), g, [1.0], [0.0])
+        br = action_for(ProblemSpec(harmonic_hamiltonian(), g.T, Cauchy([1.0], [0.0])), g)
         # H(1,0) = 1/2 and H*(0,0) = 0 on every interval
         assert br.total == pytest.approx(0.5, abs=1e-13)
 
@@ -119,13 +117,13 @@ class TestCauchy:
             q = g.q_nodes.copy()
             p[0], q[0] = 1.0, 0.0
             g2 = PathGrid(1.0, p, q)
-            br = cauchy_action(H, g2, [1.0], [0.0])
+            br = action_for(ProblemSpec(H, g2.T, Cauchy([1.0], [0.0])), g2)
             assert br.total >= gap_floor(br)
 
     def test_initial_condition_enforced(self):
         g = PathGrid.constant(1.0, [2.0], [0.0], 10)
         with pytest.raises(ValueError):
-            cauchy_action(harmonic_hamiltonian(), g, [1.0], [0.0])
+            action_for(ProblemSpec(harmonic_hamiltonian(), g.T, Cauchy([1.0], [0.0])), g)
 
 
 class TestSemiConvex:
@@ -133,20 +131,23 @@ class TestSemiConvex:
         H = harmonic_hamiltonian()
         for _ in range(50):
             g = random_path(rng, 1.0, 1, 9)
-            a = connecting_action(H, half_square(), half_square(), g)
-            b = semiconvex_action(H, half_square(), half_square(), 0.0, 0.0, g)
+            a = action_for(ProblemSpec(H, g.T, Connecting(half_square(), half_square())), g)
+            b = action_for(ProblemSpec(H, g.T, SemiConvex(half_square(), half_square(),
+                                                          0.0, 0.0)), g)
             assert abs(a.total - b.total) <= 1e-14 * (1 + abs(a.total))
 
     def test_zero_path_vanishes(self):
-        br = semiconvex_action(harmonic_hamiltonian(), half_square(), half_square(),
-                               -0.1, -0.1, PathGrid.zeros(1.0, 1, 15))
+        br = action_for(ProblemSpec(harmonic_hamiltonian(), 1.0,
+                                    SemiConvex(half_square(), half_square(), -0.1, -0.1)),
+                        PathGrid.zeros(1.0, 1, 15))
         assert br.total == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegative_with_negative_feedback(self, rng):
         H = scaled_hamiltonian(0.05)
         for _ in range(100):
             g = random_path(rng, 1.0, 1, 11)
-            br = semiconvex_action(H, half_square(), half_square(), -0.1, -0.1, g)
+            br = action_for(ProblemSpec(H, g.T, SemiConvex(half_square(), half_square(),
+                                                           -0.1, -0.1)), g)
             assert br.total >= gap_floor(br)
             assert np.all(br.interior >= -1e-12 * (1 + np.abs(br.interior).max()))
 
@@ -164,13 +165,14 @@ class TestWitnessLagrangian:
         for _ in range(100):
             g = random_path(rng, 1.0, 1, 8)
             rs = random_path(rng, 1.0, 1, 8)
-            action = connecting_action(H, half_square(), half_square(), g).total
+            action = action_for(ProblemSpec(H, g.T, Connecting(half_square(), half_square())),
+                                g).total
             val = witness_lagrangian(H, half_square(), half_square(), g, rs)
             assert val <= action + 1e-10 * (1 + abs(action))
 
     def test_zero_witness_coercive_growth(self):
         # along a scaled family the zero-witness value grows without bound
-        He = quad_perturb(scaled_hamiltonian(0.1, 1), 0.05)
+        He = EpsPerturbed(scaled_hamiltonian(0.1, 1), 0.05)
         T, M = 0.2, 16
         t = np.linspace(0, T, M + 1)
         base = PathGrid(T, np.cos(3 * t) + 0.5, np.sin(2 * t) - 0.25)
@@ -254,5 +256,5 @@ class TestCatalogNonnegativity:
             smooth_only = H.pair()[1].smooth
             for _ in range(30):
                 g = random_path(rng, 1.0, N, 9, smooth=not smooth_only)
-                br = connecting_action(H, half_square(N), half_square(N), g)
+                br = action_for(ProblemSpec(H, g.T, Connecting(half_square(N), half_square(N))), g)
                 assert br.total >= gap_floor(br)

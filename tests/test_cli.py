@@ -189,6 +189,21 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_unusable_schedule_with_failing_checks_exit_1(self, tmp_path, capsys):
+        # the schedule is refused before the checks run, whatever they would report
+        with open(CONFIG_DIR / "grid_cauchy.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["hamiltonian"]["grid"]["file"] = str(CONFIG_DIR / "grid_cauchy_H.csv")
+        cfg["solver"].update(eps_schedule=[0.05], lambda_schedule=[])
+        for beta in (0.001, 100.0):
+            cfg["growth"] = {"alpha": 0.01, "beta": beta, "gamma": 0.01}
+            out = tmp_path / f"o_{beta}"
+            assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "nonsmooth Fenchel pair" in err
+            assert len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
     def test_grid_boundary_potential_exit_1(self, tmp_path, capsys):
         # no continuation stage smooths a tabulated psi, so the solve is refused up front
         x = np.linspace(-4, 4, 81)
@@ -232,6 +247,8 @@ class TestSolveCommand:
     def test_config_fault_exit_1(self, tmp_path, capsys, fault):
         cfg = base_config()
         term = cfg["hamiltonian"]["terms"][0]
+        if fault.endswith("_matrix"):
+            del term["scale"]  # a quadratic is given by its matrix or by its scale
         if fault == "asymmetric_matrix":
             term.update(kind="quadratic", matrix=[[1.0, 0.3], [0.1, 1.0]])
         elif fault == "indefinite_matrix":
@@ -416,6 +433,71 @@ class TestConfigErrors:
             build_config(cfg)
         assert err.value.path == f"solver.{key}"
 
+    UNKNOWN_KEYS = {
+        "solvr": lambda cfg: cfg.update(solvr={"M": 3}),
+        "problem.M": lambda cfg: cfg["problem"].update(M=10),
+        "box.half_width": lambda cfg: cfg.update(box={"half_width": 5.0}),
+        "hamiltonian.term": lambda cfg: cfg["hamiltonian"].update(term=[]),
+        "hamiltonian.terms[0].r": lambda cfg: cfg["hamiltonian"]["terms"][0].update(r=4),
+        "hamiltonian.terms[0].scale": lambda cfg: cfg["hamiltonian"]["terms"][0].update(
+            matrix=[[1.0, 0.0], [0.0, 1.0]]),
+        "boundary.psi1": lambda cfg: cfg["boundary"].update(psi1={"kind": "quadratic"}),
+        "growth.delta": lambda cfg: cfg["growth"].update(delta=0.1),
+        "solver.max_iter": lambda cfg: cfg["solver"].update(max_iter=3),
+        "solver.gtol": lambda cfg: cfg["solver"].update(gtol=0.5),
+        "output.directory": lambda cfg: cfg.update(output={"directory": "out"}),
+    }
+
+    @pytest.mark.parametrize("path", list(UNKNOWN_KEYS))
+    def test_unknown_key_is_named(self, path):
+        cfg = base_config()
+        self.UNKNOWN_KEYS[path](cfg)
+        with pytest.raises(ConfigError) as err:
+            build_config(cfg)
+        assert err.value.path == path
+        assert "unknown key" in str(err.value)
+
+    MALFORMED = {
+        "box": lambda cfg: cfg.update(box=5.0),
+        "output": lambda cfg: cfg.update(output=["out"]),
+        "hamiltonian.grid": lambda cfg: cfg.update(hamiltonian={"grid": "H.csv"}),
+        "hamiltonian.grid.file": lambda cfg: cfg.update(hamiltonian={"grid": {"file": 5}}),
+        "solver.init_file": lambda cfg: cfg["solver"].update(init_file=5),
+    }
+
+    @pytest.mark.parametrize("path", list(MALFORMED))
+    def test_malformed_section_is_named(self, path):
+        cfg = base_config()
+        self.MALFORMED[path](cfg)
+        with pytest.raises(ConfigError) as err:
+            build_config(cfg)
+        assert err.value.path == path
+        assert str(err.value).endswith(("must be a mapping", "expected a file name, got 5"))
+
+    def test_unknown_key_exit_1(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["solver"].update(max_iter=3, gtol=0.5)  # written in sorted order
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver.gtol: unknown key; expected one of M,")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["1e-6", "1.0e8"])
+    def test_exponent_read_as_text_is_explained(self, tmp_path, text):
+        # YAML 1.1 reads exponent notation as a float only with a point and a signed exponent
+        cfg = base_config()
+        cfg["solver"]["tol_zero"] = 0.5
+        path = write_config(tmp_path, cfg)
+        Path(path).write_text(Path(path).read_text().replace("tol_zero: 0.5",
+                                                             f"tol_zero: {text}"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "solver.tol_zero"
+        assert f"got the string '{text}'" in str(err.value)
+        assert "a decimal point and a signed exponent" in str(err.value)
+
     def test_dimension_cap(self, tmp_path):
         cfg = base_config()
         cfg["problem"]["N"] = 9
@@ -429,7 +511,7 @@ class TestConfigErrors:
         cfg["solver"]["M"] = 50
         cfg["solver"]["init_file"] = "warm.csv"
         t = np.linspace(0, 1, 51)
-        PathGrid(1.0, np.cos(t), -np.sin(t)).to_csv(tmp_path / "warm.csv")
+        (tmp_path / "warm.csv").write_text(PathGrid(1.0, np.cos(t), -np.sin(t)).csv_text())
         assert main(["solve", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == 0
 
@@ -438,7 +520,7 @@ class TestConfigErrors:
         from hampath.grid import PathGrid
 
         t = np.linspace(0.0, T, M + 1)
-        PathGrid(T, np.cos(t), -np.sin(t)).to_csv(tmp_path / "warm.csv")
+        (tmp_path / "warm.csv").write_text(PathGrid(T, np.cos(t), -np.sin(t)).csv_text())
 
     @pytest.mark.parametrize("fault", ["horizon", "dimension", "not_a_path"])
     def test_init_file_that_does_not_fit_exit_1(self, tmp_path, capsys, fault):

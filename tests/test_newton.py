@@ -249,6 +249,17 @@ class TestExactFinalStage:
         assert 0.0 <= refined.action_value <= bound
         assert refined.inclusion_residuals.max() < unrefined.inclusion_residuals.max()
 
+    @pytest.mark.parametrize("name, stages", [("harmonic_cauchy", 1), ("separable_mixed", 5)])
+    def test_exactness_is_decided_once_per_stage(self, monkeypatch, name, stages):
+        decided = []
+        real = hampath.solver._quadratic_stage
+        monkeypatch.setattr(hampath.solver, "_quadratic_stage",
+                            lambda spec, H: decided.append(H) or real(spec, H))
+        cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+        res = solve(cfg.spec, replace(cfg.params, max_iters=2))
+        assert len(decided) == len(set(map(id, decided))) == stages
+        assert len(res.stage_history) == stages
+
 
 def _two_sided(primal, dual, x, y):
     fx, dx = _evaluate(primal, x)

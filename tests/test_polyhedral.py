@@ -18,7 +18,7 @@ from hampath.convex import (
 )
 from hampath.legendre import GridFn
 from hampath.polyhedral import facet_argmin
-from hampath.regularize import _InfConvFn, infconv, quad_perturb
+from hampath.regularize import EpsPerturbed, InfConvolved, _InfConvFn
 
 from conftest import grid_hamiltonian
 
@@ -181,7 +181,7 @@ class TestLocalOptimality:
     """An independent check: no point of a fine local grid does better."""
 
     def test_inf_convolution_rows(self, rng):
-        fn = infconv(quad_perturb(grid_hamiltonian(41), 0.05), 0.3, 4.0).fn
+        fn = InfConvolved(EpsPerturbed(grid_hamiltonian(41), 0.05), 0.3, 4.0).fn
         x = np.concatenate([rng.uniform(-3, 3, (4, 2)), [[4.0, 4.0], [6.0, 1.0]]])
         u = fn.minimizers(x)
         d = np.linspace(-0.05, 0.05, 101)

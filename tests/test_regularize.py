@@ -10,7 +10,7 @@ from hampath.convex import (
     SeparableSum,
     Sum,
 )
-from hampath.regularize import infconv, prox_points, quad_perturb
+from hampath.regularize import EpsPerturbed, InfConvolved
 
 from conftest import (
     coupled_hamiltonian,
@@ -32,34 +32,34 @@ def subquadratic_power():
 
 class TestQuadPerturb:
     def test_zero_base_value(self):
-        He = quad_perturb(zero_hamiltonian(), 0.1)
+        He = EpsPerturbed(zero_hamiltonian(), 0.1)
         assert He.value(np.array([1.0, 1.0])) == pytest.approx(0.1)
 
     def test_zero_base_conjugate(self):
-        He = quad_perturb(zero_hamiltonian(), 0.1)
+        He = EpsPerturbed(zero_hamiltonian(), 0.1)
         dual = He.pair()[1]
         assert dual.value(np.array([1.0, 0.0])) == pytest.approx(5.0)
 
     def test_quadratic_base_conjugate(self):
-        He = quad_perturb(harmonic_hamiltonian(), 0.1)
+        He = EpsPerturbed(harmonic_hamiltonian(), 0.1)
         dual = He.pair()[1]
         assert dual.value(np.array([1.0, 0.0])) == pytest.approx(1.0 / 2.2, abs=1e-10)
 
     def test_perturbation_difference_exact(self, rng):
         base = quartic_hamiltonian()
-        He = quad_perturb(base, 0.05)
+        He = EpsPerturbed(base, 0.05)
         pts = rng.uniform(-2, 2, size=(100, 2))
         diff = He.value(pts) - base.value(pts)
         assert np.allclose(diff, 0.025 * np.sum(pts**2, axis=1), atol=1e-12)
 
     def test_subgradient_shift(self):
-        He = quad_perturb(harmonic_hamiltonian(), 0.1)
+        He = EpsPerturbed(harmonic_hamiltonian(), 0.1)
         res = He.subgradient(np.array([1.0, 2.0]))
         assert np.allclose(res.value, [1.1, 2.2])
 
     def test_envelope_conjugate_smooth_and_exact(self, rng):
         # power base: dual side is a numerically proxed envelope
-        He = quad_perturb(quartic_hamiltonian(), 0.1)
+        He = EpsPerturbed(quartic_hamiltonian(), 0.1)
         prim, dual = He.pair()
         assert dual.smooth
         y = rng.uniform(-2, 2, size=(30, 2))
@@ -75,7 +75,7 @@ class TestQuadPerturb:
         ]
         for H, alpha, beta, gamma in cases:
             for eps in (0.1, 0.01):
-                He = quad_perturb(H, eps)
+                He = EpsPerturbed(H, eps)
                 dual = He.pair()[1]
                 y = rng.uniform(-3, 3, size=(500, 2))
                 vals = dual.value(y)
@@ -90,7 +90,7 @@ class TestInfConv:
     def test_closed_form_conjugate_identity(self, rng):
         for H in (harmonic_hamiltonian(), quartic_hamiltonian()):
             for lam in (1.0, 0.5):
-                Hl = infconv(H, lam, 4.0)
+                Hl = InfConvolved(H, lam, 4.0)
                 dual = Hl.pair()[1]
                 base_dual = H.pair()[1]
                 y = rng.uniform(-2, 2, size=(200, 2))
@@ -105,7 +105,7 @@ class TestInfConv:
                         (quartic_hamiltonian(), "quartic")):
             base_dual = H.pair()[1]
             for lam in (1.0, 0.5):
-                Hl = infconv(H, lam, 4.0)
+                Hl = InfConvolved(H, lam, 4.0)
                 for pt in (np.array([0.7, -0.3]), np.array([1.0, 0.5])):
                     def neg(ucoord, axis, val=pt):
                         u = np.zeros(2)
@@ -128,7 +128,7 @@ class TestInfConv:
         pts = rng.uniform(-2, 2, size=(200, 2))
         prev = None
         for lam in (1.0, 0.5, 0.25):
-            Hl = infconv(H, lam, 4.0)
+            Hl = InfConvolved(H, lam, 4.0)
             vals = Hl.value(pts)
             assert np.all(vals <= H.value(pts) + 1e-10)
             if prev is not None:
@@ -137,7 +137,7 @@ class TestInfConv:
 
     def test_upper_bound_at_origin_value(self):
         H = harmonic_hamiltonian()
-        Hl = infconv(H, 1.0, 4.0)
+        Hl = InfConvolved(H, 1.0, 4.0)
         s = 4.0 / 3.0
         bound = H.value(np.zeros(2)) + 2.0 / s
         assert Hl.value(np.array([1.0, 1.0])) <= bound + 1e-10
@@ -147,23 +147,23 @@ class TestInfConv:
         H = quartic_hamiltonian()
         lam, r = 0.5, 4.0
         s = r / (r - 1.0)
-        Hl = infconv(H, lam, r)
+        Hl = InfConvolved(H, lam, r)
         pts = rng.uniform(-2, 2, size=(50, 2))
         bound = H.value(np.zeros(2)) + np.sum(np.abs(pts) ** s, axis=1) / (s * lam**s)
         assert np.all(Hl.value(pts) <= bound + 1e-9)
 
     def test_r_at_most_two_rejected(self):
         with pytest.raises(ValueError):
-            infconv(harmonic_hamiltonian(), 0.5, 2.0)
+            InfConvolved(harmonic_hamiltonian(), 0.5, 2.0)
 
     def test_noncoercive_base_rejected(self):
         with pytest.raises(ValueError):
-            infconv(zero_hamiltonian(), 0.5, 4.0)
+            InfConvolved(zero_hamiltonian(), 0.5, 4.0)
 
     def test_value_grad_matches_separate_calls(self, rng):
         # one inner solve serves both value and gradient, on either branch
-        separable = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
-        generic = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
+        separable = InfConvolved(quartic_hamiltonian(), 0.5, 4.0).fn
+        generic = InfConvolved(EpsPerturbed(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
         assert separable.base_primal.separable and not generic.base_primal.separable
         for fn, pts in ((separable, rng.uniform(-2, 2, (15, 2))),
                         (generic, rng.uniform(-2, 2, (3, 2)))):
@@ -174,16 +174,16 @@ class TestInfConv:
 
 class TestProxPoints:
     def test_minimum_at_origin(self):
-        Hl = infconv(harmonic_hamiltonian(), 0.7, 4.0)
-        ip, jq = prox_points(Hl, [0.0], [0.0])
+        Hl = InfConvolved(harmonic_hamiltonian(), 0.7, 4.0)
+        ip, jq = Hl.attaining_points([0.0], [0.0])
         assert abs(ip[0]) < 1e-9 and abs(jq[0]) < 1e-9
 
     def test_displacement_shrinks_with_lambda(self):
         H = harmonic_hamiltonian()
         prev = None
         for lam in (1.0, 0.5, 0.25):
-            Hl = infconv(H, lam, 4.0)
-            ip, _ = prox_points(Hl, [1.0], [0.0])
+            Hl = InfConvolved(H, lam, 4.0)
+            ip, _ = Hl.attaining_points([1.0], [0.0])
             disp = abs(1.0 - ip[0])
             if prev is not None:
                 assert disp < prev
@@ -193,14 +193,14 @@ class TestProxPoints:
     def test_matches_grid_search_oracle(self):
         # 1-D quadratic piece: min_u 0.5 u^2 + |1-u|^{4/3} / ((4/3) lam^{4/3})
         lam, s = 1.0, 4.0 / 3.0
-        Hl = infconv(harmonic_hamiltonian(), lam, 4.0)
-        ip, _ = prox_points(Hl, [1.0], [0.0])
+        Hl = InfConvolved(harmonic_hamiltonian(), lam, 4.0)
+        ip, _ = Hl.attaining_points([1.0], [0.0])
         oracle = grid_argmin(
             lambda u: 0.5 * u**2 + np.abs(1.0 - u) ** s / (s * lam**s), -2.0, 2.0)
         assert ip[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_attainment_identity(self, rng):
-        Hl = infconv(quartic_hamiltonian(), 0.5, 4.0)
+        Hl = InfConvolved(quartic_hamiltonian(), 0.5, 4.0)
         for _ in range(10):
             p = rng.uniform(-2, 2, size=1)
             q = rng.uniform(-2, 2, size=1)
@@ -218,11 +218,11 @@ class TestProxPoints:
         cfg = load_config(str(Path(__file__).parent.parent / "configs" / "lambda_sweep.yaml"))
         params = replace(cfg.params, lambda_schedule=(lam,), eps_schedule=(), polish=False)
         iv = interval_data(solve(cfg.spec, params).path)
-        Hl = infconv(cfg.spec.hamiltonian, lam, params.r)
-        ip, jq = prox_points(Hl, iv.pbar, iv.qbar)
+        Hl = InfConvolved(cfg.spec.hamiltonian, lam, params.r)
+        ip, jq = Hl.attaining_points(iv.pbar, iv.qbar)
         assert ip.shape == iv.pbar.shape and jq.shape == iv.qbar.shape
         for k in range(iv.pbar.shape[0]):
-            ip_k, jq_k = prox_points(Hl, iv.pbar[k], iv.qbar[k])
+            ip_k, jq_k = Hl.attaining_points(iv.pbar[k], iv.qbar[k])
             np.testing.assert_allclose(ip[k], ip_k, rtol=0, atol=1e-10)
             np.testing.assert_allclose(jq[k], jq_k, rtol=0, atol=1e-10)
 
@@ -232,8 +232,8 @@ class TestProxPoints:
         A = np.array([[1.0, 1e-12], [1e-12, 1.0]])
         Hg = Hamiltonian(Quadratic(A), 1)
         Hs = harmonic_hamiltonian()
-        lg = infconv(Hg, 0.5, 4.0)
-        ls = infconv(Hs, 0.5, 4.0)
+        lg = InfConvolved(Hg, 0.5, 4.0)
+        ls = InfConvolved(Hs, 0.5, 4.0)
         assert not lg.fn.base_primal.separable and ls.fn.base_primal.separable
         pt = np.array([1.2, -0.4])
         assert lg.value(pt) == pytest.approx(ls.value(pt), abs=1e-8)
@@ -271,7 +271,7 @@ class TestInnerSolveAccuracy:
         assert worst_relative_drop(objective, zip(u, x), STENCIL) <= 1e-12
 
     def test_grid_infconv_rows(self, rng):
-        fn = infconv(quad_perturb(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
+        fn = InfConvolved(EpsPerturbed(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
         assert not fn.base_primal.separable
         x = rng.uniform(-3, 3, (20, 2))
         u = fn.minimizers(x)
@@ -281,7 +281,7 @@ class TestInnerSolveAccuracy:
         assert worst_relative_drop(objective, zip(u, x), STENCIL) <= 1e-12
 
     def test_coupled_quadratic_infconv_rows(self, rng):
-        fn = infconv(coupled_hamiltonian(), 0.4, 4.0).fn
+        fn = InfConvolved(coupled_hamiltonian(), 0.4, 4.0).fn
         assert not fn.base_primal.separable
         x = rng.uniform(-2, 2, (200, 4))
         u = fn.minimizers(x)
@@ -321,7 +321,7 @@ class TestSeparableInnerSolveAccuracy:
 
         make, m = SEPARABLE_PIECES[name]
         piece = make()
-        fn = infconv(Hamiltonian(SeparableSum([make(), make()]), 1), lam, r).fn
+        fn = InfConvolved(Hamiltonian(SeparableSum([make(), make()]), 1), lam, r).fn
         assert fn.base_primal.separable
         # offset 0 puts x at m, where f'(x) = 0 and the closed-form bracket is [0, 0]
         x = np.column_stack([m + self.OFFSETS, m - self.OFFSETS[::-1] / 3.0])
@@ -388,7 +388,7 @@ class TestTabulatedInfConv:
 
     @staticmethod
     def stage(n, half):
-        return infconv(quad_perturb(grid_hamiltonian(n, half), 0.05), 0.3, 4.0)
+        return InfConvolved(EpsPerturbed(grid_hamiltonian(n, half), 0.05), 0.3, 4.0)
 
     def test_finite_at_and_beyond_the_grid_edge(self):
         Hl = self.stage(41, 4.0)
@@ -432,7 +432,7 @@ class TestEpsPerturbedPair:
 
     def test_nonsmooth_base_builds_one_transform(self, monkeypatch, rng):
         calls = self.count_builds(monkeypatch)
-        primal, dual = quad_perturb(grid_hamiltonian(), 0.05).pair()
+        primal, dual = EpsPerturbed(grid_hamiltonian(), 0.05).pair()
         assert not primal.smooth and dual.smooth
         self.evaluate(primal, dual, rng)
         assert calls == {"tabulate": 0, "facets": 1}
@@ -443,7 +443,7 @@ class TestEpsPerturbedPair:
         calls = self.count_builds(monkeypatch)
         base = Hamiltonian(Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]),
                                 PowerNorm(4.0, 0.1, dim=2)]), 1)
-        primal, dual = quad_perturb(base, 0.1).pair()
+        primal, dual = EpsPerturbed(base, 0.1).pair()
         assert isinstance(dual, MoreauEnvelope) and dual.inner is base.pair()[1]
         assert not primal.smooth and dual.smooth
         self.evaluate(primal, dual, rng)

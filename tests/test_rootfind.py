@@ -121,11 +121,11 @@ class TestBatchIndependence:
         self.assert_elementwise(lambda x: f._prox(x[:, None], 0.1)[:, 0])
 
     def test_separable_inf_convolution(self):
-        from hampath.regularize import infconv
+        from hampath.regularize import InfConvolved
 
         from conftest import quartic_hamiltonian
 
-        fn = infconv(quartic_hamiltonian(), 0.5, 4.0).fn
+        fn = InfConvolved(quartic_hamiltonian(), 0.5, 4.0).fn
         assert fn.base_primal.separable
         self.assert_elementwise(
             lambda x: fn.minimizers(np.column_stack([x, -0.5 * x]))[:, 0])
@@ -166,14 +166,14 @@ class TestColumnIndependence:
 
     def test_separable_inf_convolution(self):
         from hampath.convex import Hamiltonian, SeparableSum
-        from hampath.regularize import infconv
+        from hampath.regularize import InfConvolved
 
         pieces = self.pieces()[:2]
-        fn = infconv(Hamiltonian(SeparableSum(pieces), 1), 0.3, 4.0).fn
+        fn = InfConvolved(Hamiltonian(SeparableSum(pieces), 1), 0.3, 4.0).fn
         u, g = fn.minimizers(self.Y[:, :2]), fn.grad(self.Y[:, :2])
         for i, piece in enumerate(pieces):
             # the same piece on both coordinates, fed column i twice
-            col = infconv(Hamiltonian(SeparableSum([piece, piece]), 1), 0.3, 4.0).fn
+            col = InfConvolved(Hamiltonian(SeparableSum([piece, piece]), 1), 0.3, 4.0).fn
             x = np.column_stack([self.Y[:, i], self.Y[:, i]])
             assert u[:, i].tobytes() == col.minimizers(x)[:, 0].tobytes()
             assert g[:, i].tobytes() == col.grad(x)[:, 0].tobytes()

@@ -4,15 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex
+from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex, action_gradient
 from hampath.conditions import GrowthCert
 from hampath.convex import Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
 from hampath.grid import PathGrid, interval_data
 from hampath.solver import (
+    ParamError,
     ResonanceError,
+    ScheduleError,
     SolveParams,
     SolveStatus,
-    gradient_action,
     lbfgs,
     solve,
     solve_linear_bvp,
@@ -165,6 +166,19 @@ class TestGridBackedHamiltonian:
         with pytest.raises(ValueError, match="nonsmooth"):
             solve(spec, SolveParams(M=10, eps_schedule=(0.1,), lambda_schedule=()))
 
+    def test_unusable_schedule_raises_before_the_checks(self, monkeypatch):
+        # the schedule is validated whole before the hypothesis checks run
+        import hampath.solver
+        from hampath.config import load_config
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_checks called")
+        monkeypatch.setattr(hampath.solver, "run_checks", refuse)
+        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+        spec = replace(cfg.spec, cert=GrowthCert(0.01, 0.001, 0.01))
+        with pytest.raises(ScheduleError, match="nonsmooth Fenchel pair"):
+            solve(spec, replace(cfg.params, lambda_schedule=()))
+
     def test_smoke_solve_decreases(self):
         from hampath.action import action_for
         from hampath.convex import GridSampled
@@ -197,6 +211,21 @@ class TestGridBackedHamiltonian:
         cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
         res = solve(cfg.spec, replace(cfg.params, max_iters=3))
         assert res.stage_history[-1].iterations == 3
+
+
+class TestSolveParams:
+    @pytest.mark.parametrize("field, value", [
+        ("M", 0), ("M", 2.5), ("M", True), ("max_iters", -3), ("max_iters", 0),
+        ("max_iters", 10.0)])
+    def test_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ParamError) as err:
+            SolveParams(**{field: value})
+        assert err.value.field == field
+        assert f"{field} must be a positive integer" in str(err.value)
+
+    def test_numpy_integers_are_counts(self):
+        params = SolveParams(M=np.int64(20), max_iters=np.int32(5))
+        assert (params.M, params.max_iters) == (20, 5)
 
 
 class TestStageReasons:
@@ -416,14 +445,15 @@ class TestGradientAction:
     def test_zero_at_trivial_stationary_point(self):
         spec = ProblemSpec(scaled_hamiltonian(0.1), 0.2,
                            Connecting(squared_norm(1, 0.5), squared_norm(1, 0.5), 1), None)
-        g = gradient_action(spec, PathGrid.zeros(0.2, 1, 30))
+        g = PathGrid(0.2, *action_gradient(spec.boundary, spec.hamiltonian,
+                                           PathGrid.zeros(0.2, 1, 30)))
         assert np.abs(g.p_nodes).max() <= 1e-12
         assert np.abs(g.q_nodes).max() <= 1e-12
 
     def test_small_at_converged_minimum(self):
         spec = harmonic_cauchy_spec()
         res = solve(spec, SolveParams(M=100, tol_zero=1e-8))
-        g = gradient_action(spec, res.path)
+        g = PathGrid(res.path.T, *action_gradient(spec.boundary, spec.hamiltonian, res.path))
         assert max(np.abs(g.p_nodes[1:]).max(), np.abs(g.q_nodes[1:]).max()) <= 1e-3
 
     def test_finite_difference_with_smoothing(self, rng):
@@ -435,11 +465,11 @@ class TestGradientAction:
         q = g.q_nodes.copy()
         p[0], q[0] = 1.0, 0.0
         g = PathGrid(1.0, p, q)
-        grad = gradient_action(spec, g, eps=0.05, lam=0.3, r=4.0)
         from hampath.action import action_for
         from hampath.regularize import EpsPerturbed, InfConvolved
 
         H = InfConvolved(EpsPerturbed(spec.hamiltonian, 0.05), 0.3, 4.0)
+        grad = PathGrid(1.0, *action_gradient(spec.boundary, H, g))
         hfd = 1e-6
         for k, j in ((2, 0), (5, 0)):
             p = g.p_nodes.copy()
@@ -497,34 +527,34 @@ class TestLinearBvp:
 
 
 class TestInfConvSolutionStructure:
-    def test_inclusion_passes_through_prox_points(self):
+    def test_inclusion_passes_through_attaining_points(self):
         # at a solved smoothing stage the slope pair equals the gradient of
         # the base Hamiltonian evaluated at the attaining points
-        from hampath.regularize import infconv, prox_points
+        from hampath.regularize import InfConvolved
 
         spec = harmonic_cauchy_spec()
         lam = 0.3
         res = solve(spec, SolveParams(M=80, eps_schedule=(), lambda_schedule=(lam,),
                                       tol_zero=1e-6, polish=False))
         assert res.status is SolveStatus.CONVERGED
-        Hl = infconv(spec.hamiltonian, lam, 4.0)
+        Hl = InfConvolved(spec.hamiltonian, lam, 4.0)
         iv = interval_data(res.path)
         worst = 0.0
         for k in range(iv.pbar.shape[0]):
-            ip, jq = prox_points(Hl, iv.pbar[k], iv.qbar[k])
+            ip, jq = Hl.attaining_points(iv.pbar[k], iv.qbar[k])
             grad = spec.hamiltonian.grad(np.concatenate([ip, jq]))
             y = np.concatenate([-iv.dq[k], iv.dp[k]])
             worst = max(worst, float(np.max(np.abs(y - grad))))
         assert worst <= 1e-4
 
     def test_smoothed_energy_conserved(self):
-        from hampath.regularize import infconv
+        from hampath.regularize import InfConvolved
 
         spec = harmonic_cauchy_spec()
         lam = 0.3
         res = solve(spec, SolveParams(M=80, eps_schedule=(), lambda_schedule=(lam,),
                                       tol_zero=1e-6, polish=False))
-        Hl = infconv(spec.hamiltonian, lam, 4.0)
+        Hl = InfConvolved(spec.hamiltonian, lam, 4.0)
         nodes = np.concatenate([res.path.p_nodes, res.path.q_nodes], axis=1)
         vals = Hl.value(nodes)
         assert vals.max() - vals.min() <= 1e-3 * (1.0 + abs(vals[0]))
