@@ -74,6 +74,8 @@ class ActionBreakdown:
     gradient in all nodes (Cauchy mode included; the solver masks the fixed
     rows), None unless the Hamiltonian pair and both boundary potentials are
     smooth.  ``inclusion``: |y - grad H(x)| per interval when the primal is smooth.
+    ``hessians``: only when asked, the (primal, dual) Hessians at the points of each
+    pair read, interior first, then the start and end potentials outside Cauchy mode.
     """
 
     total: float
@@ -84,6 +86,7 @@ class ActionBreakdown:
     grad_p: np.ndarray | None = None
     grad_q: np.ndarray | None = None
     inclusion: np.ndarray | None = None
+    hessians: tuple | None = None
 
     def gradient(self):
         """(grad_p, grad_q); ValueError when the evaluation had a nonsmooth side."""
@@ -105,16 +108,20 @@ def pairing(g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
     return iv, x, np.concatenate([yu, yv], axis=1)
 
 
-def _evaluate(fn: ConvexFn, pts):
-    """Values at pts, with gradients from the same inner solve when fn is smooth."""
+def _evaluate(fn: ConvexFn, pts, hess: bool = False):
+    """Values at pts, with gradients from the same inner solve when fn is smooth, and
+    Hessians from it too when asked (None otherwise)."""
+    if hess:
+        return fn._value_grad_hess(pts)
     if fn.smooth:
-        return fn._value_grad(pts)
-    return fn._value(pts), None
+        return (*fn._value_grad(pts), None)
+    return fn._value(pts), None, None
 
 
-def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y):
+def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y, hess: bool = False):
     """Rowwise gaps primal(x) + dual(y) - x.y, with the gradients of both sides (None when
-    a side is nonsmooth).
+    a side is nonsmooth) and, when asked, the pair (primal Hessians at x, dual Hessians at
+    y), else None.
 
     A closed-form quadratic pair gives the gap in completed-square form
     |(y - grad primal(x)) L|^2 / 2 with L L' = A^-1: the same quantity, read from
@@ -123,10 +130,11 @@ def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y):
     L = primal.gap_factor(dual)
     if L is not None:
         dx, dy = primal._grad(x), dual._grad(y)
-        return 0.5 * np.sum(((y - dx) @ L) ** 2, axis=1), dx, dy
-    fx, dx = _evaluate(primal, x)
-    fy, dy = _evaluate(dual, y)
-    return fx + fy - np.sum(x * y, axis=1), dx, dy
+        hessians = (primal._hess(x), dual._hess(y)) if hess else None
+        return 0.5 * np.sum(((y - dx) @ L) ** 2, axis=1), dx, dy, hessians
+    fx, dx, hx = _evaluate(primal, x, hess)
+    fy, dy, hy = _evaluate(dual, y, hess)
+    return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
 
 def _node_gradient(dHx, dHy, iv, delta1, delta2, M, N):
@@ -145,12 +153,15 @@ def _node_gradient(dHx, dHy, iv, delta1, delta2, M, N):
     return gp, gq
 
 
-def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> ActionBreakdown:
+def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None,
+               hessians: bool = False) -> ActionBreakdown:
     """The discrete action of the spec's boundary mode; H overrides the spec's Hamiltonian.
 
     One evaluation of each Fenchel pair side yields the gaps, the boundary
-    split, the node gradient and the inclusion residuals.  Connecting mode is
-    the semiconvex action with delta1 = delta2 = 0.
+    split, the node gradient and the inclusion residuals, and with ``hessians``
+    the Hessians of both sides as well (``NotImplementedError`` from a kind
+    without one).  Connecting mode is the semiconvex action with
+    delta1 = delta2 = 0.
     """
     H = H if H is not None else spec.hamiltonian
     b = spec.boundary
@@ -165,20 +176,24 @@ def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> 
 
     primal, dual = H.pair()
     iv, x, y = pairing(g, d1, d2)
-    gaps, dHx, dHy = fenchel_young(primal, dual, x, y)
+    gaps, dHx, dHy, hess = fenchel_young(primal, dual, x, y, hessians)
     inclusion = None if dHx is None else np.linalg.norm(y - dHx, axis=1)
     gp = gq = None
     if dHx is not None and dHy is not None:
         gp, gq = _node_gradient(dHx, dHy, iv, d1, d2, g.M, g.N)
 
     b0 = bT = 0.0
+    ends = ()
     if not isinstance(b, Cauchy):
         p0, q0 = g.p_nodes[0], g.q_nodes[0]
         pT, qT = g.p_nodes[-1], g.q_nodes[-1]
         # psi1(p0) + psi1*(q0) - p0.q0 and psi2(qT) + psi2*(-pT) + pT.qT
-        b0, dsp0, dsdq0 = fenchel_young(*b.start_potential.conjugate_pair(), p0[None], q0[None])
-        bT, depT, dedT = fenchel_young(*b.end_potential.conjugate_pair(), qT[None], -pT[None])
+        b0, dsp0, dsdq0, h0 = fenchel_young(*b.start_potential.conjugate_pair(), p0[None],
+                                            q0[None], hessians)
+        bT, depT, dedT, hT = fenchel_young(*b.end_potential.conjugate_pair(), qT[None],
+                                           -pT[None], hessians)
         b0, bT = float(b0[0]), float(bT[0])
+        ends = (h0, hT)
         if gp is not None and all(d is not None for d in (dsp0, dsdq0, depT, dedT)):
             gp[-1] += -dedT[0] + qT
             gq[-1] += depT[0] + pT
@@ -188,7 +203,8 @@ def action_for(spec: ProblemSpec, g: PathGrid, H: Hamiltonian | None = None) -> 
             gp = gq = None
 
     total = iv.h * float(np.sum(gaps)) + b0 + bT
-    return ActionBreakdown(total, gaps, b0, bT, iv.h, gp, gq, inclusion)
+    return ActionBreakdown(total, gaps, b0, bT, iv.h, gp, gq, inclusion,
+                           (hess, *ends) if hessians else None)
 
 
 def action_gradient(spec_boundary: BoundaryMode, H: Hamiltonian, g: PathGrid):

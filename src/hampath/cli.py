@@ -21,7 +21,7 @@ from hampath.conditions import run_checks
 from hampath.config import ConfigError, ProblemConfig, load_config
 from hampath.grid import interval_data
 from hampath.regularize import InfConvolved
-from hampath.solver import ScheduleError, SolveStatus, solve
+from hampath.solver import ParamError, ScheduleError, SolveStatus, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,7 +119,12 @@ def cmd_solve(args) -> int:
 
         logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     cfg = load_config(args.config)
-    params = cfg.params if args.seed is None else replace(cfg.params, seed=args.seed)
+    params = cfg.params
+    if args.seed is not None:
+        try:
+            params = replace(params, seed=args.seed)
+        except ParamError as exc:
+            raise UsageError(f"--seed: {exc}") from None
     result = solve(cfg.spec, params, init=cfg.init_path,
                    proceed_on_check_failure=bool(cfg.output.get("proceed_on_check_failure", False)))
     outdir = args.out or cfg.output.get("dir", ".")

@@ -269,7 +269,7 @@ def _build_boundary(cfg, N: int, T: float, comp_box: Box, base_dir: str):
                   for key in ("psi1", "psi2"))
     if mode == "connecting":
         idx = cfg.get("coercivity_index")
-        if idx not in (1, 2):
+        if isinstance(idx, bool) or idx not in (1, 2):
             raise ConfigError("boundary.coercivity_index",
                               "connecting mode requires choosing which potential "
                               "carries the quadratic growth condition (1 or 2)")
@@ -318,10 +318,7 @@ def _build_params(cfg, path: str) -> SolveParams:
         if key in cfg:
             kwargs[key] = _num(cfg[key], f"{path}.{key}")
     if "seed" in cfg:
-        s = cfg["seed"]
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise ConfigError(f"{path}.seed", "expected an integer")
-        kwargs["seed"] = s
+        kwargs["seed"] = cfg["seed"]
     try:
         return SolveParams(**kwargs)
     except ParamError as exc:

@@ -201,8 +201,11 @@ class ConvexFn:
 
     def _hess(self, pts):
         """Hessians at the K rows of pts, shape (K, dim, dim), or (1, dim, dim) when the
-        Hessian is constant; kinds without one raise."""
-        raise NotImplementedError(f"{type(self).__name__} has no Hessian")
+        Hessian is constant: the diagonal of ``_curvature`` for a separable kind; other
+        kinds without one raise."""
+        if not self.separable:
+            raise NotImplementedError(f"{type(self).__name__} has no Hessian")
+        return _diagonal(self._curvature(pts))
 
     def _curvature(self, pts):
         """Second derivatives f_i''(x_i) of a separable kind, shaped like pts."""
@@ -217,11 +220,26 @@ class ConvexFn:
         """Values and gradients at the same points; one inner solve where kinds need one."""
         return self._value(pts), self._grad(pts)
 
+    def _value_grad_hess(self, pts):
+        """Values, gradients and Hessians at the same points; kinds whose Hessian comes out
+        of an inner solve return all three from one solve.  The Hessian comes first, so a
+        kind without one raises before it evaluates anything."""
+        hess = self._hess(pts)
+        return (*self._value_grad(pts), hess)
+
     def envelope_form(self):
         """``(envelope, a, b)`` when this function is a tabulated ``GridSampled`` plus
         sum_i (a_i/2) u_i^2 + b_i u_i + const, whose inner minimizations enumerate the
         envelope's facets; None for every other kind."""
         return None
+
+
+def _diagonal(c):
+    """Diagonal matrices, shape (K, d, d), with the rows of c (K, d) on their diagonals."""
+    out = np.zeros(c.shape + c.shape[-1:])
+    i = np.arange(c.shape[-1])
+    out[:, i, i] = c
+    return out
 
 
 def _separable_prox(f, pts, step):
@@ -495,6 +513,13 @@ class Sum(ConvexFn):
     def _value_grad(self, pts):
         vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
         return sum(vals), sum(grads)
+
+    def _hess(self, pts):
+        return sum(p._hess(pts) for p in self.parts)
+
+    def _value_grad_hess(self, pts):
+        vals, grads, hess = zip(*(p._value_grad_hess(pts) for p in self.parts))
+        return sum(vals), sum(grads), sum(hess)
 
     def envelope_form(self):
         # one envelope plus quadratics with diagonal curvature (affine parts have none)
@@ -806,6 +831,17 @@ class ScalarConjugate(ConvexFn):
     def _value_grad(self, pts):
         u = self._argsup(pts)
         return np.sum(u * pts, axis=1) - self.fn._value(u), u
+
+    def _hess(self, pts):
+        return self._value_grad_hess(pts)[2]
+
+    def _value_grad_hess(self, pts):
+        # the Hessian of the conjugate inverts fn's at the attaining point: 1 / f_i''(u_i),
+        # zero where f_i'' is unbounded
+        u = self._argsup(pts)
+        with np.errstate(divide="ignore"):
+            curv = 1.0 / self.fn._curvature(u)
+        return np.sum(u * pts, axis=1) - self.fn._value(u), u, _diagonal(curv)
 
     def _pair(self):
         return self, self.fn

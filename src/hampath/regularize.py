@@ -22,6 +22,7 @@ from hampath.convex import (
     PowerNorm,
     Quadratic,
     Sum,
+    _diagonal,
     penalized_argmin,
     simplify_sum,
 )
@@ -71,9 +72,10 @@ class _InfConvFn(ConvexFn):
     """Primal side of the inf-convolution; evaluated by inner minimization.
 
     The inner solve is one root call over all coordinates for a separable
-    primal, on its own gradient and curvature, and an enumeration of facets
-    for a tabulated envelope plus a separable quadratic (the eps stage of a
-    grid-backed H); other kinds run one L-BFGS-B solve per row.
+    primal, on its own gradient and curvature, which also yields the Hessian,
+    and an enumeration of facets for a tabulated envelope plus a separable
+    quadratic (the eps stage of a grid-backed H); other kinds run one L-BFGS-B
+    solve per row and have no Hessian.
     """
 
     smooth = True
@@ -102,7 +104,8 @@ class _InfConvFn(ConvexFn):
     def _attain(self, pts):
         """Attaining points u*(x) and the gradients of H_lam, both shaped like pts."""
         if self.base_primal.separable:
-            return self._attain_separable(pts)
+            u, v = self._attain_separable(pts)
+            return u, -v / self.lam**self.power.r
         form = self.base_primal.envelope_form()
         if form is not None:
             u = self._minimizers_facets(pts, *form)
@@ -111,7 +114,7 @@ class _InfConvFn(ConvexFn):
         return u, self.power._grad(pts - u)
 
     def _attain_separable(self, pts):
-        """Minimizers and gradients of H_lam at pts, all coordinates in one root call.
+        """Minimizers u and penalty slopes v at pts, all coordinates in one root call.
 
         The stationarity equation f_i'(u_i) + penalty'(u_i - x_i) = 0 is solved in
         the penalty slope v = sign(w)|w|^(s-1) of w = u - x, in which
@@ -135,7 +138,7 @@ class _InfConvFn(ConvexFn):
         end = -c * g
         v = newton_bisect(rho_drho, np.minimum(end, 0.0), np.maximum(end, 0.0),
                           scale=1.0 + np.abs(g))
-        return pts + np.sign(v) * np.abs(v) ** (r - 1.0), -v / c
+        return pts + np.sign(v) * np.abs(v) ** (r - 1.0), v
 
     def _minimizers_facets(self, pts, env, a, b):
         """Facet enumeration for envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i.
@@ -176,6 +179,23 @@ class _InfConvFn(ConvexFn):
     def _value_grad(self, pts):
         u, g = self._attain(pts)
         return self.base_primal._value(u) + self.penalty(pts - u), g
+
+    def _hess(self, pts):
+        return self._value_grad_hess(pts)[2]
+
+    def _value_grad_hess(self, pts):
+        """Over a separable primal, the Hessian is the parallel sum of the primal's and the
+        penalty's at u: per coordinate 1 / (1/f''(u) + lam^s (r-1) |v|^(r-2)), which stays
+        finite at v = 0 and where f'' is unbounded."""
+        f = self.base_primal
+        if not f.separable:
+            raise NotImplementedError("an inf-convolution has a Hessian only over a "
+                                      "separable primal")
+        c, r = self.lam**self.power.r, self.r
+        u, v = self._attain_separable(pts)
+        with np.errstate(divide="ignore"):
+            curv = 1.0 / (1.0 / f._curvature(u) + c * (r - 1.0) * np.abs(v) ** (r - 2.0))
+        return f._value(u) + self.penalty(pts - u), -v / c, _diagonal(curv)
 
     def _pair(self):
         return self, Sum([self.base_dual, self.dual_term])

@@ -12,8 +12,16 @@ quadratic function of the nodes, and Newton's method on the block-tridiagonal
 node system (the implicit midpoint rule) minimizes it in one step from any
 start.  The node Hessian is factored once, and the step is refined once by a
 back-substitution on the same factorization.  When the final stage is exact
-it runs alone, so the schedules matter only for non-quadratic H.  Every other
-stage runs a limited-memory quasi-Newton method.
+it runs alone.
+
+When the final stage is not exact but its pair has Hessians, it first runs
+alone from the initial path under the same engine with the Gauss-Newton
+matrix, reassembled at every accepted path.  For a smooth pair each interval
+gap is the Bregman divergence D_{H*}(y, grad H(x)), so near a solution the
+action is a zero-residual least-squares problem and Newton converges
+quadratically.  When Newton stops short of the target, the schedule runs from
+the initial path as if Newton had not been tried.  Every stage of the
+schedule that is not exact runs a limited-memory quasi-Newton method.
 """
 
 from __future__ import annotations
@@ -30,13 +38,19 @@ from hampath.action import (
     SemiConvex,
     action_for,
     feedback_limit,
-    pairing,
 )
 from hampath.certify import Certificate, certify
 from hampath.conditions import CheckReport, run_checks
-from hampath.convex import ConjugateUnavailableError, Hamiltonian, NotCoerciveError
+from hampath.convex import (
+    ConjugateUnavailableError,
+    DomainError,
+    Hamiltonian,
+    NotCoerciveError,
+    ProxError,
+)
 from hampath.grid import PathGrid
 from hampath.regularize import EpsPerturbed, InfConvolved
+from hampath.rootfind import RootFindError
 
 logger = logging.getLogger("hampath")
 
@@ -86,6 +100,9 @@ class SolveParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v <= 0:
                 raise ParamError(name, f"{name} must be a positive integer, got {v!r}")
+        s = self.seed
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise ParamError("seed", f"seed must be a non-negative integer, got {s!r}")
         for name in ("eps_schedule", "lambda_schedule"):
             sched = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, sched)
@@ -203,7 +220,7 @@ def _two_loop(g, S, Y):
     return d
 
 
-# -- Newton stages on quadratic actions -------------------------------------
+# -- Newton stages on the block-tridiagonal node system ----------------------
 
 
 def _mm(a, b):
@@ -305,26 +322,27 @@ def _quadratic_stage(spec: ProblemSpec, H: Hamiltonian) -> bool:
     return all(primal.gap_factor(dual) is not None for primal, dual in pairs)
 
 
-def _node_hessian(spec: ProblemSpec, H: Hamiltonian, g: PathGrid):
+def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
     """Diagonal and upper blocks of the stage action's Hessian in the nodes z_k = (p_k, q_k).
 
     Interval k contributes h J' W J, where J = (P, Q) is the Jacobian of
     F = y - grad H(x) in (z_k, z_{k+1}) and W the dual Hessian at y; each
-    boundary gap contributes B' W B on its end node.  Cauchy mode drops the
-    fixed node 0.
+    boundary gap contributes B' W B on its end node.  ``hessians`` are those of
+    ``action_for(..., hessians=True)`` at g.  On a quadratic action this is the
+    exact Hessian; on any other it is the Gauss-Newton matrix, exact where every
+    gap vanishes.  Cauchy mode drops the fixed node 0.
     """
     b = spec.boundary
     d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
-    primal, dual = H.pair()
-    _, x, y = pairing(g, d1, d2)
     N, h = g.N, g.h
     I, O = np.eye(N), np.zeros((N, N))
     E = np.block([[O, -I], [I, O]]) / h  # slope part of y: (-dq, dp)
     F = np.block([[-d2 * I, O], [O, -d1 * I]])  # feedback part of y, on the midpoint
     # per-interval Hessians broadcast along the last axis: constant ones have length 1
-    P = 0.5 * (F[:, :, None] - np.moveaxis(primal._hess(x), 0, -1)) - E[:, :, None]
+    (Hx, Hy), *ends = hessians
+    P = 0.5 * (F[:, :, None] - np.moveaxis(Hx, 0, -1)) - E[:, :, None]
     Q = P + 2.0 * E[:, :, None]
-    W = np.moveaxis(dual._hess(y), 0, -1)
+    W = np.moveaxis(Hy, 0, -1)
     WQ = _mm(W, Q)
     D = np.zeros((2 * N, 2 * N, g.M + 1))
     D[:, :, :-1] = _tmm(P, _mm(W, P))
@@ -333,68 +351,89 @@ def _node_hessian(spec: ProblemSpec, H: Hamiltonian, g: PathGrid):
     U = np.broadcast_to(h * _tmm(P, WQ), (2 * N, 2 * N, g.M))
     if isinstance(b, Cauchy):
         return D[:, :, 1:], U[:, :, 1:]
-    sp, sd = b.start_potential.conjugate_pair()
-    ep, ed = b.end_potential.conjugate_pair()
-    p0, q0, pT, qT = g.p_nodes[0], g.q_nodes[0], g.p_nodes[-1], g.q_nodes[-1]
+    (sp, sd), (ep, ed) = ends
     # r0 = q0 - grad psi1(p0), rT = -pT - grad psi2(qT)
-    B0 = np.hstack([-sp._hess(p0[None])[0], I])
-    BT = np.hstack([-I, -ep._hess(qT[None])[0]])
-    D[:, :, 0] += B0.T @ sd._hess(q0[None])[0] @ B0
-    D[:, :, -1] += BT.T @ ed._hess(-pT[None])[0] @ BT
+    B0 = np.hstack([-sp[0], I])
+    BT = np.hstack([-I, -ep[0]])
+    D[:, :, 0] += B0.T @ sd[0] @ B0
+    D[:, :, -1] += BT.T @ ed[0] @ BT
     return D, U
 
 
 def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: int,
-                 ftarget: float):
-    """Minimize a quadratic stage action by Newton steps on the node system.
+                 ftarget: float, exact: bool = True):
+    """Minimize a stage action by Newton steps on the block-tridiagonal node system.
 
-    The node Hessian of a quadratic action does not depend on the path, so it
-    is assembled and factored once, at the first step.  The right-hand side is
-    the exact node gradient from ``action_for`` and a step is kept only when
-    ``action_for`` confirms a decrease.  The step that meets ``ftarget`` is
-    followed by one refinement back-substitution on the same factorization:
-    on a quadratic action the new gradient is exactly the linear residual the
-    step left in rounding (iterative refinement), and the refined path is kept
-    when it lowers the action again.  The refinement counts as part of the step
-    it refines.  Returns (path, action, gradient, iterations, reason) with
-    reason ``ftarget``, ``max_iters`` or ``no_decrease``; the gradient covers
-    the free nodes.
+    The right-hand side is the exact node gradient from ``action_for``, and a
+    step is kept only when ``action_for`` confirms a decrease.
+
+    On an exact (quadratic) stage the node Hessian does not depend on the
+    path, so it is assembled and factored once, at the first step.  The step
+    that meets ``ftarget`` is followed by one refinement back-substitution on
+    the same factorization: on a quadratic action the new gradient is exactly
+    the linear residual the step left in rounding (iterative refinement), and
+    the refined path is kept when it lowers the action again.  The refinement
+    counts as part of the step it refines.
+
+    On any other stage the matrix is the Gauss-Newton matrix, reassembled at
+    every accepted path from the Hessians that the same ``action_for`` call
+    returns.  Each gap is a Bregman divergence of the dual, so near a
+    zero-action path the action is a zero-residual least-squares problem and
+    the steps converge quadratically there.  A side of the pair without a
+    Hessian raises ``NotImplementedError`` at the first evaluation.
+
+    Returns (path, action, gradient, iterations, reason) with reason
+    ``ftarget``, ``max_iters`` or ``no_decrease``: a step that does not lower
+    the action, a non-finite matrix or step, or a trial point whose inner
+    solve fails.  The gradient covers the free nodes.
     """
     free = slice(1, None) if isinstance(spec.boundary, Cauchy) else slice(None)
 
     def evaluate(g):
-        ev = action_for(spec, g, H=H)
+        # an exact stage reads its constant Hessians once, at the first path
+        ev = action_for(spec, g, H=H, hessians=not exact or factor is None)
         gp, gq = ev.gradient()
-        return ev.total, np.hstack([gp, gq])[free]
+        return ev.total, np.hstack([gp, gq])[free], ev.hessians
 
     def newton_step(g, grad):
-        step = factor.solve(-grad.T).T
+        with np.errstate(all="ignore"):
+            step = factor.solve(-grad.T).T
         z = np.hstack([g.p_nodes, g.q_nodes])
         z[free] += step
         if not np.all(np.isfinite(z)):
             return None
         return PathGrid(g.T, z[:, :g.N], z[:, g.N:])
 
-    f, grad = evaluate(path)
     factor = None
+    f, grad, hess = evaluate(path)
     it = 0
     while f > ftarget:
         if it == max_iters:
             return path, f, grad, it, "max_iters"
-        if factor is None:
-            factor = BlockTridiagonalFactor(*_node_hessian(spec, H, path))
+        if factor is None or not exact:
+            # an unbounded Hessian shows as a non-finite block, a singular one as a
+            # non-finite step
+            with np.errstate(all="ignore"):
+                D, U = _node_hessian(spec, path, hess)
+                if not (np.all(np.isfinite(D)) and np.all(np.isfinite(U))):
+                    return path, f, grad, it, "no_decrease"
+                factor = BlockTridiagonalFactor(D, U)
         trial = newton_step(path, grad)
         if trial is None:
             return path, f, grad, it, "no_decrease"
-        ft, gt = evaluate(trial)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ft, gt, ht = evaluate(trial)
+        except (RootFindError, ProxError, DomainError):
+            return path, f, grad, it, "no_decrease"
         if not ft < f:
             return path, f, grad, it, "no_decrease"
-        path, f, grad, it = trial, ft, gt, it + 1
-    if factor is not None:
+        path, f, grad, hess, it = trial, ft, gt, ht, it + 1
+    if exact and factor is not None:
         # the last step met the target: refine it once
         refined = newton_step(path, grad)
         if refined is not None:
-            fr, gr = evaluate(refined)
+            fr, gr, _ = evaluate(refined)
             if fr < f:
                 path, f, grad = refined, fr, gr
     return path, f, grad, it, "ftarget"
@@ -548,6 +587,19 @@ def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
     return init
 
 
+def _stage_record(spec, eps, lam, H, path, f, g, iters, reason) -> StageRecord:
+    if H is spec.hamiltonian:
+        a_true = f  # the stage objective is the true action
+    else:
+        try:
+            a_true = action_for(spec, path).total
+        except (NotCoerciveError, ValueError):
+            a_true = float("nan")
+    logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",
+                eps, lam, f, iters, reason)
+    return StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true, reason)
+
+
 def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool = False,
           init: PathGrid | None = None) -> SolveResult:
     """Minimize the discrete action through the continuation schedule.
@@ -556,7 +608,10 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     raises ``ScheduleError`` before anything runs), the hypothesis checks when
     the spec carries a growth certificate, and the stages, each warm-started
     from the last; none run when the checks fail and ``proceed_on_check_failure``
-    is not set, and the initial path is returned as ``HypothesisFailed``.  The
+    is not set, and the initial path is returned as ``HypothesisFailed``.  A
+    final stage that is not exact but whose pair has Hessians is first tried
+    alone under Newton; it is the only stage recorded when Newton meets its
+    target, and otherwise the stages run from the initial path.  The
     certificate is recomputed from scratch under the true Hamiltonian whenever
     its Fenchel pair exists, otherwise under the final stage's smoothing.
     """
@@ -569,9 +624,24 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     proceed = checks is None or checks.passed or proceed_on_check_failure
 
     path = _initial_path(spec, params.M, init)
-    history = []
-    for snum, (eps, lam, H, exact) in enumerate(stages if proceed else ()):
-        final = snum == len(stages) - 1
+    history, todo = [], (stages if proceed else [])
+    eps, lam, H, exact = stages[-1]
+    if todo and not exact:
+        # a final stage whose pair has Hessians first runs alone under Newton; when
+        # Newton stops short of its target, the schedule runs from the initial path
+        try:
+            out = newton_stage(spec, H, path, params.max_iters, params.tol_zero * 1e-3,
+                               exact=False)
+        except NotImplementedError:  # a side of the final pair has no Hessian
+            out = None
+        if out is not None and out[4] == "ftarget":
+            if len(stages) > 1:
+                logger.info("Newton met the final stage's target: skipping %d smoothing "
+                            "stage(s)", len(stages) - 1)
+            path, todo = out[0], []
+            history.append(_stage_record(spec, eps, lam, H, *out))
+    for snum, (eps, lam, H, exact) in enumerate(todo):
+        final = snum == len(todo) - 1
         ftarget = params.tol_zero * 1e-3 if final else max(10.0 * params.tol_zero, 1e-8)
         iters, reason = 0, None
         if exact:
@@ -583,17 +653,7 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                 obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
                 gtol=GTOL * path.scale(), ftarget=ftarget)
             path, iters = obj.unpack(z), iters + more
-        if H is spec.hamiltonian:
-            a_true = f  # the stage objective is the true action
-        else:
-            try:
-                a_true = action_for(spec, path).total
-            except (NotCoerciveError, ValueError):
-                a_true = float("nan")
-        history.append(StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true,
-                                   reason))
-        logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",
-                    eps, lam, f, iters, reason)
+        history.append(_stage_record(spec, eps, lam, H, path, f, g, iters, reason))
 
     final_H = stages[-1][2]
     cert = cert_true = certify(spec, path, tol=params.tol_zero, H=final_H)

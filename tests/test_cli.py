@@ -474,6 +474,33 @@ class TestConfigErrors:
         assert err.value.path == path
         assert str(err.value).endswith(("must be a mapping", "expected a file name, got 5"))
 
+    def test_bool_coercivity_index_is_refused(self):
+        with open(CONFIG_DIR / "connecting_trivial.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["boundary"]["coercivity_index"] = True
+        with pytest.raises(ConfigError) as err:
+            build_config(cfg)
+        assert err.value.path == "boundary.coercivity_index"
+        assert "which potential carries the quadratic growth condition" in str(err.value)
+
+    @pytest.mark.parametrize("value", [-1, 2.5])
+    def test_seed_fault_is_a_config_error(self, tmp_path, value):
+        cfg = base_config()
+        cfg["solver"]["seed"] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert err.value.path == "solver.seed"
+        assert "non-negative integer" in str(err.value)
+
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["solve", str(CONFIG_DIR / "connecting_trivial.yaml"), "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "config error: --seed: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         cfg = base_config()
         cfg["solver"].update(max_iter=3, gtol=0.5)  # written in sorted order

@@ -1,5 +1,7 @@
-"""Newton stages on quadratic actions: the block-tridiagonal solver, the
-completed-square gaps, and the gate that leaves every other stage on L-BFGS."""
+"""Newton stages: the block-tridiagonal solver, the completed-square gaps, the
+Hessians of the Fenchel pair sides, and the gate that runs a final stage whose
+pair has Hessians alone under Newton and hands every other solve, and every
+Newton attempt that stops short, to the L-BFGS continuation."""
 
 import os
 import subprocess
@@ -11,14 +13,25 @@ import numpy as np
 import pytest
 
 import hampath.action
+import hampath.convex
+import hampath.regularize
 import hampath.solver
 from hampath.action import Cauchy, ProblemSpec, _evaluate, action_for, fenchel_young
 from hampath.certify import certify
 from hampath.cli import main
 from hampath.config import load_config
-from hampath.convex import Hamiltonian, PowerNorm, Quadratic
+from hampath.convex import (
+    Hamiltonian,
+    PowerNorm,
+    Quadratic,
+    ScalarConjugate,
+    SeparableSum,
+    Sum,
+    affine,
+)
 from hampath.grid import PathGrid, random_path
-from hampath.regularize import EpsPerturbed
+from hampath.regularize import EpsPerturbed, InfConvolved
+from hampath.rootfind import RootFindError
 from hampath.solver import (
     BlockTridiagonalFactor,
     SolveParams,
@@ -77,7 +90,7 @@ class TestCompletedSquare:
         x = rng.normal(size=(500, 4)) * 3.0
         # half the rows lie on the graph y = grad f(x), where the exact gap is zero
         y = np.vstack([rng.normal(size=(250, 4)) * 3.0, primal._grad(x[250:])])
-        gaps, _, _ = fenchel_young(primal, dual, x, y)
+        gaps = fenchel_young(primal, dual, x, y)[0]
         two_sided = primal._value(x) + dual._value(y) - np.sum(x * y, axis=1)
         scale = 1.0 + np.abs(primal._value(x)) + np.abs(dual._value(y))
         assert np.all(np.abs(gaps - two_sided) <= 1e-12 * scale)
@@ -239,8 +252,9 @@ class TestExactFinalStage:
         spec, H = cfg.spec, cfg.spec.hamiltonian
         assert cfg.params.M == 400
         g = PathGrid.zeros(spec.T, 1, cfg.params.M)
-        gp, gq = action_for(spec, g).gradient()
-        factor = BlockTridiagonalFactor(*_node_hessian(spec, H, g))
+        ev = action_for(spec, g, hessians=True)
+        gp, gq = ev.gradient()
+        factor = BlockTridiagonalFactor(*_node_hessian(spec, g, ev.hessians))
         z = np.hstack([g.p_nodes, g.q_nodes]) + factor.solve(-np.hstack([gp, gq]).T).T
         unrefined = certify(spec, PathGrid(g.T, z[:, :1], z[:, 1:]), tol=cfg.params.tol_zero)
         refined = solve(spec, cfg.params).certificate
@@ -261,14 +275,18 @@ class TestExactFinalStage:
         assert len(res.stage_history) == stages
 
 
-def _two_sided(primal, dual, x, y):
-    fx, dx = _evaluate(primal, x)
-    fy, dy = _evaluate(dual, y)
-    return fx + fy - np.sum(x * y, axis=1), dx, dy
+def _two_sided(primal, dual, x, y, hess=False):
+    fx, dx, hx = _evaluate(primal, x, hess)
+    fy, dy, hy = _evaluate(dual, y, hess)
+    return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a non-quadratic stage entered the Newton engine")
+
+
+def _decline(*args, **kwargs):
+    raise NotImplementedError("Newton attempt refused")
 
 
 NON_QUADRATIC = {
@@ -286,15 +304,146 @@ def _config(name):
     return cfg.spec, cfg.params
 
 
-@pytest.mark.parametrize("case", list(NON_QUADRATIC))
-def test_non_quadratic_solves_are_the_lbfgs_continuation(monkeypatch, case):
-    """Outside quadratic pairs, a solve is L-BFGS on the two-sided Fenchel-Young action,
-    bit for bit."""
+@pytest.mark.parametrize("case", ["grid_cauchy", "powernorm_r4"])
+def test_where_newton_declines_the_solve_is_the_lbfgs_continuation(monkeypatch, case):
+    """A tabulated pair has no Hessian, and PowerNorm's dual curvature is unbounded at
+    y = 0: the solve is L-BFGS on the two-sided Fenchel-Young action, bit for bit."""
     spec, params = NON_QUADRATIC[case]()
     got = solve(spec, params).path
     spec, params = NON_QUADRATIC[case]()
-    monkeypatch.setattr(hampath.solver, "newton_stage", _refuse)
+    monkeypatch.setattr(hampath.solver, "newton_stage", _decline)
     monkeypatch.setattr(hampath.action, "fenchel_young", _two_sided)
     want = solve(spec, params).path
     assert got.p_nodes.tobytes() == want.p_nodes.tobytes()
     assert got.q_nodes.tobytes() == want.q_nodes.tobytes()
+
+
+@pytest.mark.parametrize("case", ["mixed", "separable_mixed"])
+def test_smooth_final_stage_converges_in_one_newton_stage(monkeypatch, case):
+    spec, params = NON_QUADRATIC[case]()
+    monkeypatch.setattr(hampath.solver, "lbfgs", _refuse)
+    res = solve(spec, params)
+    assert res.status.value == "Converged"
+    [st] = res.stage_history
+    assert (st.eps, st.lam, st.reason) == (0.0, 0.0, "ftarget")
+    assert 0 < st.iterations < 10
+    assert st.objective == res.certificate.action_value <= params.tol_zero * 1e-3
+
+
+def test_newton_that_stops_short_hands_over_bitwise(monkeypatch):
+    """At p0 = 50 the first full Newton step raises the action; the schedule then runs
+    from the initial path exactly as when no Newton attempt is made."""
+    spec, params = _config("separable_mixed")
+    spec = replace(spec, boundary=Cauchy([50.0], [0.0]))
+    params = replace(params, M=20, max_iters=20)
+    reasons = []
+    real = hampath.solver.newton_stage
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        reasons.append(out[4])
+        return out
+    monkeypatch.setattr(hampath.solver, "newton_stage", recorded)
+    got = solve(spec, params)
+    assert reasons == ["no_decrease"]
+    assert got.status.value == "StalledAboveTol" and len(got.stage_history) == 5
+    monkeypatch.setattr(hampath.solver, "newton_stage", _decline)
+    want = solve(spec, params)
+    assert got.path.p_nodes.tobytes() == want.path.p_nodes.tobytes()
+    assert got.path.q_nodes.tobytes() == want.path.q_nodes.tobytes()
+    assert got.stage_history == want.stage_history
+
+
+def test_trial_point_whose_inner_solve_fails_hands_over(monkeypatch):
+    spec, _ = NON_QUADRATIC["mixed"]()
+    g = PathGrid.constant(spec.T, [1.0], [0.0], 50)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise RootFindError("inner minimization stalled")
+        return action_for(*args, **kwargs)
+    monkeypatch.setattr(hampath.solver, "action_for", failing)
+    path, f, _, iters, reason = newton_stage(spec, spec.hamiltonian, g, 10, 0.0, exact=False)
+    assert (iters, reason, len(calls)) == (0, "no_decrease", 2)
+    assert path is g and f == action_for(spec, g).total
+
+
+def _sum_quartic():
+    return Sum([Quadratic(np.diag([0.5, 0.3])), PowerNorm(4.0, 0.1, dim=2)])
+
+
+HESSIAN_KINDS = {
+    "powernorm_r1.5": lambda: PowerNorm(1.5, 0.7, dim=2),
+    "powernorm_r4": lambda: PowerNorm(4.0, 0.3, dim=2),
+    "diagonal_sum": _sum_quartic,
+    "nested_separable_sum": lambda: Sum([
+        Quadratic(np.eye(2)),
+        SeparableSum([Sum([Quadratic(np.diag([0.25])), PowerNorm(4.0, 0.1)]),
+                      Quadratic(np.zeros((1, 1)))])]),
+    "scalar_conjugate": lambda: ScalarConjugate(_sum_quartic()),
+    "infconv_0.4": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.4).fn,
+    "infconv_0.1": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.1).fn,
+}
+
+
+class TestHessians:
+    @staticmethod
+    def _points(rng):
+        # away from 0, where PowerNorm's curvature is unbounded or vanishes
+        return rng.uniform(0.3, 2.0, size=(40, 2)) * rng.choice([-1.0, 1.0], size=(40, 2))
+
+    @pytest.mark.parametrize("kind", list(HESSIAN_KINDS))
+    def test_matches_central_differences_of_the_gradient(self, rng, kind):
+        f = HESSIAN_KINDS[kind]()
+        pts = self._points(rng)
+        hess = np.broadcast_to(f._hess(pts), (len(pts), 2, 2))
+        delta = 1e-5
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = delta
+            column = (f._grad(pts + e) - f._grad(pts - e)) / (2.0 * delta)
+            assert np.abs(hess[:, :, j] - column).max() <= 1e-6 * (1.0 + np.abs(column).max())
+
+    @pytest.mark.parametrize("kind", list(HESSIAN_KINDS))
+    def test_hook_returns_value_gradient_and_hessian_bitwise(self, rng, kind):
+        f = HESSIAN_KINDS[kind]()
+        pts = self._points(rng)
+        value, grad, hess = f._value_grad_hess(pts)
+        v, g = f._value_grad(pts)
+        assert np.array_equal(value, v) and np.array_equal(grad, g)
+        assert np.array_equal(hess, f._hess(pts))
+
+    def test_hessians_where_the_curvature_is_unbounded(self):
+        # the conjugate of |u|^1.5 + u^2/2 has zero curvature at y = 0
+        f = ScalarConjugate(Sum([PowerNorm(1.5, 1.0), Quadratic(np.eye(1))]))
+        assert f._hess(np.zeros((1, 1)))[0, 0, 0] == 0.0
+        # |u|^1.5 + b.u attains its inf-convolution at u = 0 from the x whose penalty
+        # slope is v = -b lam^s; there the Hessian is the penalty's alone
+        b, lam, r = np.array([0.3, -0.2]), 0.3, 4.0
+        g = InfConvolved(Hamiltonian(Sum([PowerNorm(1.5, 1.0, dim=2), affine(b)]), 1), lam, r).fn
+        c = lam ** (r / (r - 1.0))
+        v = -b * c
+        x = -np.sign(v) * np.abs(v) ** (r - 1.0)
+        assert np.abs(g.minimizers(x[None])).max() <= 1e-12
+        want = 1.0 / (c * (r - 1.0) * np.abs(v) ** (r - 2.0))
+        # the computed u is off 0 by rounding, where 1/f'' is about 1e-6
+        assert np.allclose(np.diag(g._hess(x[None])[0]), want, rtol=1e-4)
+
+    @pytest.mark.parametrize("lam, sides", [(None, 1), (0.2, 2)])
+    def test_one_root_call_per_root_solved_side_per_evaluation(self, monkeypatch, lam, sides):
+        spec, params = _config("separable_mixed")
+        H = spec.hamiltonian if lam is None else InfConvolved(spec.hamiltonian, lam)
+        H.pair()
+        calls, evals = [], []
+        for module in (hampath.convex, hampath.regularize):
+            monkeypatch.setattr(module, "newton_bisect",
+                                lambda *a, _f=module.newton_bisect, **k:
+                                calls.append(1) or _f(*a, **k))
+        monkeypatch.setattr(hampath.solver, "action_for",
+                            lambda *a, **k: evals.append(k) or action_for(*a, **k))
+        g = PathGrid.constant(spec.T, [1.0], [0.0], 50)
+        newton_stage(spec, H, g, 3, 0.0, exact=False)
+        assert evals and all(k["hessians"] for k in evals)
+        assert len(calls) == sides * len(evals)

@@ -227,6 +227,14 @@ class TestSolveParams:
         params = SolveParams(M=np.int64(20), max_iters=np.int32(5))
         assert (params.M, params.max_iters) == (20, 5)
 
+    @pytest.mark.parametrize("value", [-1, 1.0, True, "3"])
+    def test_seed_is_a_non_negative_integer(self, value):
+        with pytest.raises(ParamError) as err:
+            SolveParams(seed=value)
+        assert err.value.field == "seed"
+        assert "seed must be a non-negative integer" in str(err.value)
+        assert SolveParams(seed=0).seed == 0 and SolveParams(seed=np.int64(7)).seed == 7
+
 
 class TestStageReasons:
     def test_quadratic_newton_stage_meets_its_target(self):
