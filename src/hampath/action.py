@@ -108,13 +108,14 @@ def pairing(g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
     return iv, x, np.concatenate([yu, yv], axis=1)
 
 
-def _evaluate(fn: ConvexFn, pts, hess: bool = False):
+def _evaluate(fn: ConvexFn, pts, hess: bool = False, guess=None):
     """Values at pts, with gradients from the same inner solve when fn is smooth, and
-    Hessians from it too when asked (None otherwise)."""
+    Hessians from it too when asked (None otherwise).  ``guess`` guesses the gradients
+    (see ``ConvexFn._value_grad``)."""
     if hess:
-        return fn._value_grad_hess(pts)
+        return fn._value_grad_hess(pts, guess)
     if fn.smooth:
-        return (*fn._value_grad(pts), None)
+        return (*fn._value_grad(pts, guess), None)
     return fn._value(pts), None, None
 
 
@@ -126,6 +127,10 @@ def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y, hess: bool = False):
     A closed-form quadratic pair gives the gap in completed-square form
     |(y - grad primal(x)) L|^2 / 2 with L L' = A^-1: the same quantity, read from
     gradients alone, and never negative in floating point.
+
+    Every other pair evaluates the dual side with x as the guess of its gradient:
+    at zero gap grad dual(y) = x, so a dual that solves for its gradient
+    (``ScalarConjugate``) starts there.  The primal side gets no guess.
     """
     L = primal.gap_factor(dual)
     if L is not None:
@@ -133,7 +138,7 @@ def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y, hess: bool = False):
         hessians = (primal._hess(x), dual._hess(y)) if hess else None
         return 0.5 * np.sum(((y - dx) @ L) ** 2, axis=1), dx, dy, hessians
     fx, dx, hx = _evaluate(primal, x, hess)
-    fy, dy, hy = _evaluate(dual, y, hess)
+    fy, dy, hy = _evaluate(dual, y, hess, guess=x)
     return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
 

@@ -216,16 +216,23 @@ class ConvexFn:
         function's closed-form quadratic conjugate; None for every other pair."""
         return None
 
-    def _value_grad(self, pts):
-        """Values and gradients at the same points; one inner solve where kinds need one."""
+    def _value_grad(self, pts, guess=None):
+        """Values and gradients at the same points; one inner solve where kinds need one.
+
+        ``guess``, shaped like pts, is a guess of the gradients.  Only a kind that
+        solves for its gradient reads it, as the start of that solve; it changes how
+        many iterations the solve takes, never what counts as a solution.  A sum
+        does not hand it on: a guess of a sum's gradient is none of its parts'.
+        """
         return self._value(pts), self._grad(pts)
 
-    def _value_grad_hess(self, pts):
+    def _value_grad_hess(self, pts, guess=None):
         """Values, gradients and Hessians at the same points; kinds whose Hessian comes out
         of an inner solve return all three from one solve.  The Hessian comes first, so a
-        kind without one raises before it evaluates anything."""
+        kind without one raises before it evaluates anything.  ``guess`` as in
+        ``_value_grad``."""
         hess = self._hess(pts)
-        return (*self._value_grad(pts), hess)
+        return (*self._value_grad(pts, guess), hess)
 
     def envelope_form(self):
         """``(envelope, a, b)`` when this function is a tabulated ``GridSampled`` plus
@@ -446,7 +453,7 @@ class SeparableSum(ConvexFn):
             c[:, sl] = p._curvature(pts[:, sl])
         return c
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         vg = [p._value_grad(pts[:, sl]) for p, sl in zip(self.parts, self.slices)]
         return sum(v for v, _ in vg), np.concatenate([g for _, g in vg], axis=1)
 
@@ -510,14 +517,14 @@ class Sum(ConvexFn):
     def _curvature(self, pts):
         return sum(p._curvature(pts) for p in self.parts)
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
         return sum(vals), sum(grads)
 
     def _hess(self, pts):
         return sum(p._hess(pts) for p in self.parts)
 
-    def _value_grad_hess(self, pts):
+    def _value_grad_hess(self, pts, guess=None):
         vals, grads, hess = zip(*(p._value_grad_hess(pts) for p in self.parts))
         return sum(vals), sum(grads), sum(hess)
 
@@ -671,7 +678,7 @@ class GridSampled(ConvexFn):
     def _value(self, pts):
         return self._value_grad(pts)[0]
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         vals, idx = self.facets.envelope(_locate(self.box, pts))
         return vals, self.facets.grad[idx]
 
@@ -737,7 +744,7 @@ class GridConjugate(ConvexFn):
     def _value(self, pts):
         return self._value_grad(pts)[0]
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         K = pts.shape[0]
         vals, grad = np.empty(K), np.empty_like(pts)
         for sl in _row_chunks(K, self.node_values.size):
@@ -804,6 +811,12 @@ class ScalarConjugate(ConvexFn):
     root call, in which each column is its own element.  Any approximate u
     underestimates the sup, so paired Fenchel gaps stay nonnegative up to the
     root-finder tolerance.
+
+    An evaluation given a ``guess`` of its gradients starts each root there
+    (where it lies inside the root's bracket): the Fenchel-Young gap passes the
+    paired primal point x, which is the answer at zero gap.  The bracket and the
+    tolerance do not depend on the guess, so it moves a root by at most that
+    tolerance.
     """
 
     smooth = True
@@ -815,12 +828,13 @@ class ScalarConjugate(ConvexFn):
         super().__init__(fn.dim, fn.box)
         self.fn = fn
 
-    def _argsup(self, y):
-        """Attaining points u, shape (K, d), of the supremum at the (K, d) rows y."""
+    def _argsup(self, y, start=None):
+        """Attaining points u, shape (K, d), of the supremum at the (K, d) rows y, with
+        Newton started at ``start`` where it is inside the bracket."""
         return newton_bisect(*newton_bracket(lambda u: self.fn._grad(u) - y,
                                              self.fn._curvature,
                                              np.zeros_like(y), 1.0 + np.abs(y)),
-                             scale=1.0 + np.abs(y))
+                             scale=1.0 + np.abs(y), start=start)
 
     def _value(self, pts):
         return self._value_grad(pts)[0]
@@ -828,17 +842,17 @@ class ScalarConjugate(ConvexFn):
     def _grad(self, pts):
         return self._argsup(pts)
 
-    def _value_grad(self, pts):
-        u = self._argsup(pts)
+    def _value_grad(self, pts, guess=None):
+        u = self._argsup(pts, guess)
         return np.sum(u * pts, axis=1) - self.fn._value(u), u
 
     def _hess(self, pts):
         return self._value_grad_hess(pts)[2]
 
-    def _value_grad_hess(self, pts):
+    def _value_grad_hess(self, pts, guess=None):
         # the Hessian of the conjugate inverts fn's at the attaining point: 1 / f_i''(u_i),
         # zero where f_i'' is unbounded
-        u = self._argsup(pts)
+        u = self._argsup(pts, guess)
         with np.errstate(divide="ignore"):
             curv = 1.0 / self.fn._curvature(u)
         return np.sum(u * pts, axis=1) - self.fn._value(u), u, _diagonal(curv)
@@ -877,7 +891,7 @@ class MoreauEnvelope(ConvexFn):
     def _grad(self, pts):
         return (pts - self.inner._prox(pts, self.step)) / self.step
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         p = self.inner._prox(pts, self.step)
         return (self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step),
                 (pts - p) / self.step)

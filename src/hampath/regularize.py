@@ -176,14 +176,14 @@ class _InfConvFn(ConvexFn):
     def _grad(self, pts):
         return self._attain(pts)[1]
 
-    def _value_grad(self, pts):
+    def _value_grad(self, pts, guess=None):
         u, g = self._attain(pts)
         return self.base_primal._value(u) + self.penalty(pts - u), g
 
     def _hess(self, pts):
         return self._value_grad_hess(pts)[2]
 
-    def _value_grad_hess(self, pts):
+    def _value_grad_hess(self, pts, guess=None):
         """Over a separable primal, the Hessian is the parallel sum of the primal's and the
         penalty's at u: per coordinate 1 / (1/f''(u) + lam^s (r-1) |v|^(r-2)), which stays
         finite at v = 0 and where f'' is unbounded."""

@@ -20,6 +20,14 @@ of its own, 1 + |center| or 1 + |y|, so that an element's result does not
 depend on the rest of its batch; the inf-convolution residual and facet
 enumeration (``polyhedral``) know their brackets in closed form.
 
+Newton starts each element at its bracket's midpoint, or at a caller's
+per-element ``start`` where that lies strictly inside the bracket: the
+derivative inversion of ``ScalarConjugate`` is started at the paired primal
+point, which at zero Fenchel-Young gap is the root itself.  A start changes
+how many iterations a root takes, never what counts as one: the bracket, the
+tolerance, the bisection fallback and the stall check are the same with and
+without it.
+
 Elements stop independently: an element is done once its residual meets
 ``tol * scale`` or its bracket has shrunk to rounding, and from then on its
 iterate is left unchanged while the others keep iterating.  A batch of
@@ -68,20 +76,26 @@ def bracket_root(rho, center, init_width=1.0, max_doublings=80):
     raise RootFindError("failed to bracket root after doubling cap")
 
 
-def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None):
+def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None, start=None):
     """Root of an increasing residual, bracketed in [lo, hi], elementwise.
 
-    ``rho_drho(u) -> (rho, drho)``.  Newton steps are taken when they stay
-    inside the bracket, otherwise, and after ``NEWTON_ITERS`` iterations, the
-    bracket is bisected; the bracket is updated from the residual sign each
-    iteration.  An element whose residual meets ``tol * scale``, or whose
-    bracket is below rounding, is frozen at its current iterate; the call
-    returns once every element is.  Raises if at the cap any element's
-    residual exceeds 1e-6 times its own scale.
+    ``rho_drho(u) -> (rho, drho)``.  The first iterate is ``start`` (one per
+    element, or one for all) where it lies strictly inside the bracket and the
+    midpoint elsewhere.  Newton steps are taken when they stay inside the
+    bracket, otherwise, and after ``NEWTON_ITERS`` iterations, the bracket is
+    bisected; the bracket is updated from the residual sign each iteration.
+    An element whose residual meets ``tol * scale``, or whose bracket is below
+    rounding, is frozen at its current iterate; the call returns once every
+    element is.  Raises if at the cap any element's residual exceeds 1e-6
+    times its own scale.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     u = 0.5 * (lo + hi)
+    if start is not None:
+        # NaN compares false, so a non-finite start falls back to the midpoint
+        start = np.broadcast_to(np.asarray(start, dtype=float), u.shape)
+        u = np.where((start > lo) & (start < hi), start, u)
     if scale is None:
         scale = 1.0
     r = None

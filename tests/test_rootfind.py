@@ -86,6 +86,54 @@ class TestNewtonBisect:
         assert info.value.residual > 1e-6
 
 
+class TestStart:
+    """A start moves where Newton begins, never what counts as a root."""
+
+    C = np.array([-4.0, -0.3, 0.0, 0.2, 3.5])
+    SCALE = 1.0 + np.abs(C)
+
+    def bracket(self):
+        return bracket_root(lambda u: cubic(self.C)(u)[0], np.zeros_like(self.C),
+                            init_width=self.SCALE)
+
+    def solve(self, start=None, c=C, lo=None, hi=None):
+        if lo is None:
+            lo, hi = self.bracket()
+        return newton_bisect(cubic(c), lo, hi, scale=1.0 + np.abs(c), start=start)
+
+    def test_start_inside_the_bracket(self):
+        lo, hi = self.bracket()
+        for t in (0.1, 0.5, 0.9):
+            u = self.solve(lo + t * (hi - lo))
+            assert np.all(np.abs(u**3 + u - self.C) <= 1e-12 * self.SCALE)
+            assert np.all((lo <= u) & (u <= hi))
+
+    def test_start_at_the_root_takes_one_evaluation(self):
+        root = self.solve()
+        rho_drho, calls = counted(cubic(self.C))
+        lo, hi = self.bracket()
+        u = newton_bisect(rho_drho, lo, hi, scale=self.SCALE, start=root)
+        assert calls[0] == 1 and u.tobytes() == root.tobytes()
+
+    @pytest.mark.parametrize("where", ["lo", "hi", "below", "above", "nan", "inf", "-inf"])
+    def test_start_off_the_open_bracket_is_the_midpoint(self, where):
+        lo, hi = self.bracket()
+        start = {"lo": lo, "hi": hi, "below": lo - 1.0, "above": hi + 1.0,
+                 "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[where]
+        assert self.solve(start).tobytes() == self.solve().tobytes()
+
+    def test_an_element_does_not_depend_on_the_others_starts(self, rng):
+        lo, hi = self.bracket()
+        start = lo + rng.uniform(-0.5, 1.5, size=self.C.size) * (hi - lo)
+        start[2] = np.nan
+        batch = self.solve(start)
+        other = self.solve(np.where(np.arange(self.C.size) == 1, start, lo + 0.3 * (hi - lo)))
+        assert batch[1].tobytes() == other[1].tobytes()
+        for k in range(self.C.size):
+            one = self.solve(start[k:k + 1], self.C[k:k + 1], lo[k:k + 1], hi[k:k + 1])
+            assert batch[k].tobytes() == one[0].tobytes()
+
+
 class TestBracketRoot:
     def test_doubling_cap_raises(self):
         with pytest.raises(RootFindError):
