@@ -62,12 +62,8 @@ def _subgradient_inclusions(H: Hamiltonian, boundary, g: PathGrid):
     """
     d1, d2 = (boundary.delta1, boundary.delta2) if isinstance(boundary, SemiConvex) else (0.0, 0.0)
     _, x, y = pairing(g, d1, d2)
-    primal = H.pair()[0]
-    out = np.empty(x.shape[0])
-    for k in range(x.shape[0]):
-        res = primal.subgradient(x[k])
-        out[k] = np.linalg.norm(y[k] - res.value) if res.is_unique else np.nan
-    return out
+    vals, unique = H.pair()[0]._subgradients(x)
+    return np.where(unique, np.linalg.norm(y - vals, axis=1), np.nan)
 
 
 def certify(spec: ProblemSpec, g: PathGrid, tol: float | None = None,

@@ -142,6 +142,13 @@ class ConvexFn:
             return SubgradientResult(self.grad(np.asarray(x, dtype=float).reshape(self.dim)), True)
         raise NotImplementedError
 
+    def _subgradients(self, pts):
+        """``subgradient`` at every row of pts: the values (K, dim) and the uniqueness flags
+        (K,)."""
+        res = [self.subgradient(x) for x in pts]
+        return (np.array([r.value for r in res]).reshape(pts.shape),
+                np.array([r.is_unique for r in res], dtype=bool))
+
     # -- conjugation ---------------------------------------------------
     def conjugate(self) -> "ConvexFn":
         return self.conjugate_pair()[1]
@@ -691,30 +698,44 @@ class GridSampled(ConvexFn):
     def subgradient(self, x):
         """Least-norm element of the hull of the facet gradients active at x; unique only
         when every active facet has the same gradient (off the kinks)."""
-        x = _locate(self.box, np.asarray(x, dtype=float).reshape(1, self.dim))
+        vals, unique = self._subgradients(np.asarray(x, dtype=float).reshape(1, self.dim))
+        return SubgradientResult(vals[0], bool(unique[0]))
+
+    def _subgradients(self, pts):
+        # the planes of all rows at once; rows with the same number of active facets
+        # search their hulls together
+        pts = _locate(self.box, pts)
         fac = self.facets
-        planes = _affine(x, fac.grad, fac.offset)[0]
-        top = planes.max()
-        active = fac.grad[planes >= top - 1e-12 * (1.0 + abs(top))]
-        spread = float(np.max(active.max(axis=0) - active.min(axis=0)))
-        unique = spread <= 1e-9 * (1.0 + float(np.abs(active).max()))
-        return SubgradientResult(_least_norm_in_hull(active), unique)
+        vals, unique = np.empty_like(pts), np.empty(pts.shape[0], dtype=bool)
+        for sl in _row_chunks(pts.shape[0], fac.offset.size):
+            planes = _affine(pts[sl], fac.grad, fac.offset)
+            top = planes.max(axis=1)
+            active = planes >= (top - 1e-12 * (1.0 + np.abs(top)))[:, None]
+            count = active.sum(axis=1)
+            for n in np.unique(count):
+                rows = np.flatnonzero(count == n)
+                grads = fac.grad[np.nonzero(active[rows])[1]].reshape(rows.size, n, self.dim)
+                spread = np.max(grads.max(axis=1) - grads.min(axis=1), axis=1)
+                unique[sl.start + rows] = spread <= 1e-9 * (1.0 + np.abs(grads).max(axis=(1, 2)))
+                vals[sl.start + rows] = _least_norm_in_hull(grads)
+        return vals, unique
 
 
 def _least_norm_in_hull(P):
-    """Point of least norm in the convex hull of the rows of P (1-D or 2-D points)."""
-    i, j = np.triu_indices(P.shape[0], 1)
-    A, E = P[i], P[j] - P[i]
+    """Point of least norm in the convex hull of the points P[k] (K, n, d), d = 1 or 2, for
+    every k."""
+    K, n, d = P.shape
+    i, j = np.triu_indices(n, 1)
+    A, E = P[:, i], P[:, j] - P[:, i]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(-np.sum(A * E, axis=1) / np.sum(E * E, axis=1), 0.0, 1.0)
-    cand = np.concatenate([P, A + np.nan_to_num(t)[:, None] * E])
-    best = cand[np.argmin(np.sum(cand * cand, axis=1))]
-    if P.shape[1] == 2 and np.any(best):
+        t = np.clip(-np.sum(A * E, axis=2) / np.sum(E * E, axis=2), 0.0, 1.0)
+    cand = np.concatenate([P, A + np.nan_to_num(t)[:, :, None] * E], axis=1)
+    best = cand[np.arange(K), np.argmin(np.sum(cand * cand, axis=2), axis=1)]
+    if d == 2:
         # the origin is inside the hull when no angular gap between the points reaches pi
-        ang = np.sort(np.arctan2(P[:, 1], P[:, 0]))
-        gaps = np.diff(np.concatenate([ang, ang[:1] + 2 * np.pi]))
-        if gaps.max() < np.pi:
-            return np.zeros(2)
+        ang = np.sort(np.arctan2(P[:, :, 1], P[:, :, 0]), axis=1)
+        gaps = np.diff(np.concatenate([ang, ang[:, :1] + 2 * np.pi], axis=1), axis=1)
+        best[(gaps.max(axis=1) < np.pi) & np.any(best, axis=1)] = 0.0
     return best
 
 

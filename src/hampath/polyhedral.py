@@ -10,9 +10,17 @@ is the interior stationary point when that lies on the facet, and otherwise
 the best of the minima over the facet's edges.  Callers pass a box per row
 that provably holds the minimizer, which limits the facets enumerated; all
 (row, facet) pairs of a call are solved together.
+
+``midpoint_march`` solves the implicit midpoint rule of a Hamiltonian system
+whose Hamiltonian is a 2-D envelope plus a diagonal quadratic, one interval at
+a time: each step is a subgradient inclusion that it solves by enumerating
+the envelope's facets, kink edges, vertices and box faces.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +65,7 @@ class FacetTable:
         self.lo = verts.min(axis=1)
         self.hi = verts.max(axis=1)
         self.grad_bound = np.abs(grad).max(axis=0)
+        self._mesh = None
 
     @classmethod
     def of_grid(cls, grid: GridFn) -> "FacetTable":
@@ -73,6 +82,13 @@ class FacetTable:
         X1, X2 = np.meshgrid(grid.axis_nodes(0), grid.axis_nodes(1), indexing="ij")
         nodes = np.column_stack([X1.ravel(), X2.ravel()])
         return cls(nodes[tri], grad, offset)
+
+    @property
+    def mesh(self) -> "Mesh":
+        """Edges and vertex stars of a 2-D table, built on first use."""
+        if self._mesh is None:
+            self._mesh = Mesh.of_table(self)
+        return self._mesh
 
     def envelope(self, pts):
         """Envelope values at the rows of pts (inside the box) and the first facet
@@ -220,3 +236,190 @@ def _edge_minima(verts, g, a, penalty, x):
     u = A + tau[..., None] * E
     val = _objective(u, g3, 0.0, a, penalty, x3)
     return u[np.arange(u.shape[0]), np.argmin(val, axis=1)]
+
+
+@dataclass(frozen=True, eq=False)
+class Mesh:
+    """Where a 2-D envelope has more than one subgradient: its kink edges, box faces and
+    vertices.
+
+    On the relative interior of an edge of facet t, running from ``A`` along
+    ``E``, the subgradients of the envelope plus the box's indicator are
+    grad[t] + mu D: on a kink edge shared with facet s, D = grad[s] - grad[t]
+    and 0 <= mu <= 1; on an edge in the box boundary, D is the outward unit
+    normal and mu >= 0.  ``shared`` and ``faces`` hold these edges as (t, A, E, D)
+    arrays in the order of (facet, corner), each shared edge once, from its
+    lower-index facet.
+
+    At a vertex v, a slope s is a subgradient when the envelope minus the plane
+    of slope s through v is nonnegative along every facet edge leaving v, that
+    is (grad[t] - s) . E >= 0 for both edges E of each facet t at v; near a box
+    face this admits the normal cone.  Entry i of the vertex stars is corner
+    ``star_v[i]`` of facet ``star_t[i]`` with its two edges ``star_E[i]``
+    (2, 2); ``vertices`` holds the coordinates, in lexicographic order.
+
+    Both rest on the lower-hull triangles meeting edge to edge.  An edge that
+    matches no other and lies inside the box breaks that; it is left out, and
+    a step that relied on it fails the certificate that judges the march.
+    """
+
+    vertices: np.ndarray
+    shared: tuple
+    faces: tuple
+    star_v: np.ndarray
+    star_t: np.ndarray
+    star_E: np.ndarray
+
+    @classmethod
+    def of_table(cls, table: FacetTable) -> "Mesh":
+        V = table.verts
+        F = V.shape[0]
+        # as complex numbers the vertices sort in lexicographic order in one 1-D sort
+        vertices, vid = np.unique(V[:, :, 0] + 1j * V[:, :, 1], return_inverse=True)
+        vertices = np.column_stack([vertices.real, vertices.imag])
+        vid = vid.reshape(F, 3)
+        corner = np.arange(3)
+
+        def edges(flat):
+            # edge k of facet t runs from its corner k to corner k + 1; flat = 3 t + k
+            t, k = np.divmod(flat, 3)
+            A, B = V[t, k], V[t, (k + 1) % 3]
+            return t, A, B
+
+        # an edge shared by two facets has the same unordered vertex pair in both
+        a, b = vid, vid[:, (corner + 1) % 3]
+        key = (np.minimum(a, b) * len(vertices) + np.maximum(a, b)).ravel()
+        order = np.argsort(key, kind="stable")
+        same = key[order[1:]] == key[order[:-1]]
+        first, second = order[:-1][same], order[1:][same]
+        by_facet = np.argsort(first)
+        first, second = first[by_facet], second[by_facet]
+        t, A, B = edges(first)
+        shared = (t, A, B - A, table.grad[second // 3] - table.grad[t])
+
+        once = np.ones(key.size, dtype=bool)
+        once[first] = once[second] = False
+        t, A, B = edges(np.flatnonzero(once))
+        lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+        normal = ((A == hi) & (B == hi)).astype(float) - ((A == lo) & (B == lo))
+        side = np.any(normal != 0, axis=1)
+        faces = (t[side], A[side], (B - A)[side], normal[side])
+
+        star_E = np.stack([V[:, (corner + 1) % 3] - V, V[:, (corner + 2) % 3] - V], axis=2)
+        return cls(vertices, shared, faces, vid.ravel(), np.repeat(np.arange(F), 3),
+                   star_E.reshape(3 * F, 2, 2))
+
+
+def midpoint_march(form, z0, h, M):
+    """Nodes (M + 1, 2) of the implicit midpoint rule from z0 for the Hamiltonian
+    env(u) + sum_i (a_i/2) u_i^2 + b_i u_i, with ``form = (env, a, b)`` as
+    ``ConvexFn.envelope_form`` returns it and env a 2-D ``GridSampled``; None
+    when a step finds no solution (see ``MidpointStep``).  Midpoints stay in the
+    envelope's box, nodes need not.
+    """
+    step = MidpointStep(form, h)
+    nodes = np.empty((M + 1, 2))
+    nodes[0] = z0
+    for k in range(M):
+        x = step(nodes[k])
+        if x is None:
+            return None
+        nodes[k + 1] = 2.0 * x - nodes[k]
+    return nodes
+
+
+class MidpointStep:
+    """One implicit midpoint step of length h: the midpoint x of the interval that starts
+    at node z, for the envelope form ``(env, a, b)`` of ``midpoint_march``.
+
+    x solves the inclusion y - a x - b in d(env + box indicator)(x), where
+    y = (2/h) R (x - z) with R(u, v) = (-v, u) is the interval's slope pair
+    (-dq, dp); the next node is 2 x - z.  The map
+    x -> d(env + indicator)(x) + a x + b - y(x) is maximal monotone (R is skew)
+    with bounded domain, so it is onto and a solution exists (Rockafellar,
+    *Convex Analysis*; Brezis, *Operateurs maximaux monotones*).  The needed
+    slope s(x) = y - a x - b = P x - w is affine in x, and a solution is sought
+    in this order, each case over all of its candidates at once, the lowest
+    index winning as in ``facet_argmin``: facet interiors (s(x) = grad[t] with x
+    on facet t), kink edges, vertices and box faces (see ``Mesh``).
+
+    With a = 0, P E is normal to every edge E, so the 2 x 2 system of an edge
+    is singular: its solutions, when there are any, form a segment whose ends
+    solve a facet or a vertex case.  Only a form with a != 0 reaches the edge
+    and box-face cases.
+    """
+
+    def __init__(self, form, h):
+        env, a, self.b = form
+        self.fac = env.facets
+        self.c = c = 2.0 / h
+        self.P = np.array([[-a[0], -c], [c, -a[1]]])
+        self.Pinv = np.array([[-a[1], c], [-c, -a[0]]]) / (a[0] * a[1] + c * c)
+        # facet t: P x - w = grad[t] gives x = Pinv grad[t] + Pinv w; _affine(u, A, 0)
+        # is A u for every row u
+        self.X0 = _affine(self.fac.grad, self.Pinv, 0.0)
+
+    def __call__(self, z):
+        w = self.c * np.array([-z[1], z[0]]) + self.b
+        x = self.facet(w)
+        if x is None:
+            x = self.edge(self.shared, 1.0, w)
+        if x is None:
+            x = self.vertex(w)
+        if x is None:
+            x = self.edge(self.faces, np.inf, w)
+        return x
+
+    # the mesh and the systems of the cases after the first are built when a step first
+    # needs them
+
+    @functools.cached_property
+    def shared(self):
+        return self._edge_system(self.fac.mesh.shared)
+
+    @functools.cached_property
+    def faces(self):
+        return self._edge_system(self.fac.mesh.faces)
+
+    def _edge_system(self, edges):
+        # x = A + tau E with slope grad[t] + mu D: mu D - tau P E = P A - grad[t] - w
+        t, A, E, D = edges
+        C = -_affine(E, self.P, 0.0)
+        return (A, E, C, D, D[:, 0] * C[:, 1] - D[:, 1] * C[:, 0],
+                _affine(A, self.P, 0.0) - self.fac.grad[t])
+
+    @functools.cached_property
+    def stars(self):
+        mesh = self.fac.mesh
+        return (_affine(mesh.vertices, self.P, 0.0), self.fac.grad[mesh.star_t],
+                np.abs(mesh.star_E).sum(axis=2))
+
+    def facet(self, w):
+        x = self.X0 + _affine(w[None], self.Pinv, 0.0)
+        inside = _in_triangle(x, self.fac.verts)
+        return x[np.argmax(inside)] if inside.any() else None
+
+    @staticmethod
+    def edge(system, cap, w):
+        A, E, C, D, det, r0 = system
+        r = r0 - w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = (r[:, 0] * C[:, 1] - r[:, 1] * C[:, 0]) / det
+            tau = (D[:, 0] * r[:, 1] - D[:, 1] * r[:, 0]) / det
+        ok = (tau >= 0) & (tau <= 1) & (mu >= 0) & (mu <= cap)
+        if not ok.any():
+            return None
+        j = np.argmax(ok)
+        return A[j] + tau[j] * E[j]
+
+    def vertex(self, w):
+        mesh = self.fac.mesh
+        PV, star_g, star_norm = self.stars
+        s = PV - w
+        d = star_g - s[mesh.star_v]
+        dots = np.sum(d[:, None, :] * mesh.star_E, axis=2)
+        # rounding slack relative to the terms of each product
+        size = 1.0 + np.abs(star_g).sum(axis=1) + np.abs(s).sum(axis=1)[mesh.star_v]
+        bad = np.any(dots < -1e-12 * size[:, None] * star_norm, axis=1)
+        ok = np.bincount(mesh.star_v[bad], minlength=len(mesh.vertices)) == 0
+        return mesh.vertices[np.argmax(ok)] if ok.any() else None

@@ -49,6 +49,7 @@ from hampath.convex import (
     ProxError,
 )
 from hampath.grid import PathGrid
+from hampath.polyhedral import midpoint_march
 from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.rootfind import RootFindError
 
@@ -501,12 +502,15 @@ class _PathObjective:
 
 
 def _schedule(spec: ProblemSpec, params: SolveParams):
-    """Pre-flight: the stages to run, as (eps, lam, hamiltonian, exact) tuples.
+    """Pre-flight: the stages to run, as (eps, lam, hamiltonian, exact) tuples, and the
+    envelope form of the march (None when there is none).
 
     Builds every stage (H perturbed by eps, then inf-convolved at lam; the polish
     stage when the true pair is smooth), conjugates both boundary potentials and
     checks that they and every stage pair are smooth, raising ``ScheduleError``
-    at the first fault.  An exact final stage runs alone.
+    at the first fault.  An exact final stage runs alone.  A Cauchy problem
+    whose true pair is polyhedral in 2-D (its primal has an ``envelope_form``)
+    has no smooth polish stage; the march takes its place.
     """
     b = spec.boundary
     if isinstance(b, SemiConvex):
@@ -519,7 +523,7 @@ def _schedule(spec: ProblemSpec, params: SolveParams):
     ladder = [(eps_s[min(k, len(eps_s) - 1)] if eps_s else 0.0,
                lam_s[min(k, len(lam_s) - 1)] if lam_s else 0.0)
               for k in range(max(len(eps_s), len(lam_s)))]
-    stages, rough = [], []
+    stages, rough, march = [], [], None
     for eps, lam in ladder + ([(0.0, 0.0)] if params.polish else []):
         try:
             H = EpsPerturbed(base, eps) if eps > 0 else base
@@ -533,7 +537,11 @@ def _schedule(spec: ProblemSpec, params: SolveParams):
         except ConjugateUnavailableError as exc:
             raise ScheduleError(f"the Hamiltonian's conjugate is unavailable: {exc}") from exc
         if not (smooth or eps or lam):
-            continue  # the polish stage needs a smooth true pair
+            # the polish stage needs a smooth true pair; a polyhedral one is marched
+            primal = H.pair()[0]
+            if isinstance(b, Cauchy) and primal.dim == 2:
+                march = primal.envelope_form()
+            continue
         stages.append((eps, lam, H))
         if not smooth:
             rough.append((eps, lam))
@@ -564,8 +572,9 @@ def _schedule(spec: ProblemSpec, params: SolveParams):
         if len(stages) > 1:
             logger.info("final stage is exactly quadratic: skipping %d smoothing stage(s)",
                         len(stages) - 1)
-        return [(*stages[-1], True)]
-    return [(*st, _quadratic_stage(spec, st[2])) for st in stages[:-1]] + [(*stages[-1], False)]
+        return [(*stages[-1], True)], march
+    return ([(*st, _quadratic_stage(spec, st[2])) for st in stages[:-1]]
+            + [(*stages[-1], False)], march)
 
 
 def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
@@ -592,9 +601,15 @@ def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
     return init
 
 
-def _stage_record(spec, eps, lam, H, path, f, g, iters, reason) -> StageRecord:
+def _stage_record(spec, eps, lam, H, path, f, g, iters, reason,
+                  cert_true: Certificate | None = None) -> StageRecord:
+    """The record of a stage that ended at ``path`` with objective f and gradient g (None
+    when the stage has none); ``cert_true``, the certificate of the same path under the
+    true pair, gives ``action_true`` without evaluating it again."""
     if H is spec.hamiltonian:
         a_true = f  # the stage objective is the true action
+    elif cert_true is not None:
+        a_true = cert_true.action_value
     else:
         try:
             a_true = action_for(spec, path).total
@@ -602,7 +617,22 @@ def _stage_record(spec, eps, lam, H, path, f, g, iters, reason) -> StageRecord:
             a_true = float("nan")
     logger.info("stage eps=%g lam=%g: objective %.3e after %d iters (%s)",
                 eps, lam, f, iters, reason)
-    return StageRecord(eps, lam, iters, float(f), float(np.max(np.abs(g))), a_true, reason)
+    grad_norm = float("nan") if g is None else float(np.max(np.abs(g)))
+    return StageRecord(eps, lam, iters, float(f), grad_norm, a_true, reason)
+
+
+def march_stage(spec: ProblemSpec, form, params: SolveParams):
+    """The implicit-midpoint path of ``polyhedral.midpoint_march`` over the envelope form
+    of the true pair, with its certificate under that pair; None when a step finds no
+    solution, a node leaves the table's box or the certified action misses the final
+    target, tol_zero * 1e-3."""
+    b, box = spec.boundary, form[0].box
+    nodes = midpoint_march(form, np.concatenate([b.p0, b.q0]), spec.T / params.M, params.M)
+    if nodes is None or not np.all((box.lo <= nodes) & (nodes <= box.hi)):
+        return None
+    path = PathGrid(spec.T, nodes[:, :1], nodes[:, 1:])
+    cert = certify(spec, path, tol=params.tol_zero)
+    return (path, cert) if cert.action_value <= params.tol_zero * 1e-3 else None
 
 
 def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool = False,
@@ -614,13 +644,15 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     the spec carries a growth certificate, and the stages, each warm-started
     from the last; none run when the checks fail and ``proceed_on_check_failure``
     is not set, and the initial path is returned as ``HypothesisFailed``.  A
-    final stage that is not exact but whose pair has Hessians is first tried
-    alone under Newton; it is the only stage recorded when Newton meets its
-    target, and otherwise the stages run from the initial path.  The
+    Cauchy problem whose true pair is polyhedral is first marched
+    (``march_stage``); otherwise, or when the march finds no path that meets the
+    final target, a final stage that is not exact but whose pair has Hessians is
+    first tried alone under Newton.  Either is the only stage recorded when it
+    meets its target, and otherwise the stages run from the initial path.  The
     certificate is recomputed from scratch under the true Hamiltonian whenever
     its Fenchel pair exists, otherwise under the final stage's smoothing.
     """
-    stages = _schedule(spec, params)
+    stages, march = _schedule(spec, params)
     checks = None
     if spec.cert is not None:
         checks = run_checks(spec, seed=params.seed)
@@ -629,14 +661,23 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     proceed = checks is None or checks.passed or proceed_on_check_failure
 
     path = _initial_path(spec, params.M, init)
-    history, todo = [], (stages if proceed else [])
-    eps, lam, H, exact = stages[-1]
+    runs, todo = [], (stages if proceed else [])
+    eps, lam, final_H, exact = stages[-1]
+    cert = None
+    if todo and march is not None:
+        marched = march_stage(spec, march, params)
+        if marched is not None:
+            logger.info("the march met the final target: skipping %d smoothing stage(s)",
+                        len(stages))
+            (path, cert), final_H, todo = marched, spec.hamiltonian, []
+            runs.append((0.0, 0.0, final_H, path, cert.action_value, None, params.M,
+                         "ftarget"))
     if todo and not exact:
         # a final stage whose pair has Hessians first runs alone under Newton; when
         # Newton stops short of its target, the schedule runs from the initial path
         try:
-            out = newton_stage(spec, H, path, params.max_iters, params.tol_zero * 1e-3,
-                               exact=False)
+            out = newton_stage(spec, final_H, path, params.max_iters,
+                               params.tol_zero * 1e-3, exact=False)
         except NotImplementedError:  # a side of the final pair has no Hessian
             out = None
         if out is not None and out[4] == "ftarget":
@@ -644,7 +685,7 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                 logger.info("Newton met the final stage's target: skipping %d smoothing "
                             "stage(s)", len(stages) - 1)
             path, todo = out[0], []
-            history.append(_stage_record(spec, eps, lam, H, *out))
+            runs.append((eps, lam, final_H, *out))
     for snum, (eps, lam, H, exact) in enumerate(todo):
         final = snum == len(todo) - 1
         ftarget = params.tol_zero * 1e-3 if final else max(10.0 * params.tol_zero, 1e-8)
@@ -658,17 +699,20 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
                 obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
                 gtol=GTOL * path.scale(), ftarget=ftarget)
             path, iters = obj.unpack(z), iters + more
-        history.append(_stage_record(spec, eps, lam, H, path, f, g, iters, reason))
+        runs.append((eps, lam, H, path, f, g, iters, reason))
 
-    final_H = stages[-1][2]
-    cert = cert_true = certify(spec, path, tol=params.tol_zero, H=final_H)
-    which = "true"
+    if cert is None:
+        cert = certify(spec, path, tol=params.tol_zero, H=final_H)
+    cert_true, which = cert, "true"
     if final_H is not spec.hamiltonian:
         which = "final_stage"
         try:  # raises when the true pair does not exist
             cert_true = certify(spec, path, tol=params.tol_zero)
         except (NotCoerciveError, ValueError):
             cert_true = None
+    # the last stage ended at the returned path, so cert_true holds its true action
+    history = [_stage_record(spec, *run) for run in runs[:-1]]
+    history += [_stage_record(spec, *run, cert_true=cert_true) for run in runs[-1:]]
     if not proceed:
         status = SolveStatus.HYPOTHESIS_FAILED
     elif cert.action_value <= params.tol_zero:

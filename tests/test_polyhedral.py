@@ -17,7 +17,7 @@ from hampath.convex import (
     simplify_sum,
 )
 from hampath.legendre import GridFn
-from hampath.polyhedral import facet_argmin
+from hampath.polyhedral import MidpointStep, _affine, facet_argmin, midpoint_march
 from hampath.regularize import EpsPerturbed, InfConvolved, _InfConvFn
 
 from conftest import grid_hamiltonian
@@ -224,6 +224,144 @@ class TestSubgradient:
         res = f.subgradient(np.array([0.6, 1.0]))  # a node off the origin
         assert not res.is_unique
         assert np.allclose(res.value, [0.5, 0.9], atol=1e-12)
+
+
+def old_subgradient(f, x):
+    """The per-row subgradient as it was before rows were batched: the reference."""
+    x = np.clip(np.asarray(x, dtype=float).reshape(1, f.dim), f.box.lo, f.box.hi)
+    planes = _affine(x, f.facets.grad, f.facets.offset)[0]
+    top = planes.max()
+    P = f.facets.grad[planes >= top - 1e-12 * (1.0 + abs(top))]
+    spread = float(np.max(P.max(axis=0) - P.min(axis=0)))
+    unique = spread <= 1e-9 * (1.0 + float(np.abs(P).max()))
+    i, j = np.triu_indices(P.shape[0], 1)
+    A, E = P[i], P[j] - P[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.sum(A * E, axis=1) / np.sum(E * E, axis=1), 0.0, 1.0)
+    cand = np.concatenate([P, A + np.nan_to_num(t)[:, None] * E])
+    best = cand[np.argmin(np.sum(cand * cand, axis=1))]
+    if P.shape[1] == 2 and np.any(best):
+        ang = np.sort(np.arctan2(P[:, 1], P[:, 0]))
+        gaps = np.diff(np.concatenate([ang, ang[:1] + 2 * np.pi]))
+        if gaps.max() < np.pi:
+            return np.zeros(2), unique
+    return best, unique
+
+
+class TestBatchedSubgradients:
+    @pytest.mark.parametrize("case", list(CASES) + ["kinked"])
+    def test_rows_match_the_per_row_reference_bitwise(self, case, rng):
+        f = kinked(lambda X, Y: np.abs(X) + 0.5 * Y**2) if case == "kinked" else CASES[case]()
+        nodes = np.meshgrid(*(f.grid.axis_nodes(k) for k in range(f.dim)), indexing="ij")
+        nodes = np.column_stack([c.ravel() for c in nodes])
+        # random points, grid nodes (kinks: several facets active) and, in 2-D, the p = 0
+        # kink line of the kinked data
+        x = np.concatenate([f.box.sample(rng, 300), nodes[::7]])
+        if f.dim == 2:
+            x = np.concatenate([x, np.column_stack([np.zeros(20), rng.uniform(-1, 1, 20)])])
+        vals, unique = f._subgradients(x)
+        for k in range(x.shape[0]):
+            want, want_unique = old_subgradient(f, x[k])
+            assert vals[k].tobytes() == want.tobytes() and unique[k] == want_unique
+            got = f.subgradient(x[k])
+            assert got.value.tobytes() == want.tobytes() and got.is_unique == want_unique
+        assert np.any(unique) and not np.all(unique)
+
+    def test_inclusion_residuals_match_the_per_row_loop(self):
+        from hampath.action import Cauchy, pairing
+        from hampath.certify import _subgradient_inclusions
+        from hampath.convex import Hamiltonian
+        from hampath.grid import PathGrid
+
+        f = kinked(lambda X, Y: np.abs(X) + 0.5 * Y**2)
+        t = np.linspace(0.0, 2.0, 41)
+        p = 0.6 * np.cos(3 * t) - 0.02
+        p[1::5] = -p[::5][:8]  # every fifth interval has its midpoint on the kink p = 0
+        g = PathGrid(2.0, p, 0.7 * np.sin(2 * t))
+        got = _subgradient_inclusions(Hamiltonian(f, 1), Cauchy([p[0]], [0.0]), g)
+        _, x, y = pairing(g)
+        want = []
+        for xk, yk in zip(x, y):
+            v, unique = old_subgradient(f, xk)
+            want.append(np.sqrt(np.sum((yk - v) ** 2)) if unique else np.nan)
+        assert np.array(want).tobytes() == got.tobytes()
+        assert np.all(np.isnan(got[::5])) and not np.any(np.isnan(got[1::5]))
+
+
+def kinked(fn, half=2.0, n=21):
+    """Tabulated fn(p, q) on an n x n grid over [-half, half]^2."""
+    x = np.linspace(-half, half, n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return GridSampled(GridFn([-half, -half], [half, half], fn(X, Y)))
+
+
+def inclusion_gaps(form, nodes, h):
+    """Per interval, env(x) + env*(s) - x.s for the slope s = y - a x - b that the step
+    needs at the midpoint x (zero exactly when s is a subgradient there), and its scale."""
+    env, a, b = form
+    P, D = env.conjugate_pair()
+    x = 0.5 * (nodes[1:] + nodes[:-1])
+    dz = (nodes[1:] - nodes[:-1]) / h
+    s = np.column_stack([-dz[:, 1], dz[:, 0]]) - a * x - b
+    fx, fs, xs = P.value(x), D.value(s), np.sum(x * s, axis=1)
+    return fx + fs - xs, 1.0 + np.abs(fx) + np.abs(fs) + np.abs(xs)
+
+
+MARCHES = {
+    # the equilibrium of |p| + q^2/2: no facet-interior candidate lies on its facet, and
+    # every midpoint is the vertex at the origin
+    "equilibrium": (lambda X, Y: np.abs(X) + 0.5 * Y**2, (0.0, 0.0), (0.0, 0.0), 4.0,
+                    {"facet": 0, "vertex": 40}),
+    # the path crosses the kink p = 0 twice, each time with a vertex as the midpoint
+    "vertex": (lambda X, Y: np.abs(X) + 0.5 * Y**2, (0.0, 0.0), (0.5, 0.3), 4.0,
+               {"facet": 38, "vertex": 2}),
+    # with a quadratic part the edge systems are regular, and one midpoint lies inside a
+    # kink edge
+    "edge": (lambda X, Y: np.abs(X) + np.abs(Y), (1.0, 1.0), (0.3, -0.2), 2.0,
+             {"facet": 39, "edge": 1}),
+    # an orbit larger than the box runs along its faces
+    "box_face": (lambda X, Y: np.abs(X) + np.abs(Y), (1.0, 1.0), (1.5, 1.5), 2.0,
+                 {"facet": 5, "vertex": 22, "box_face": 13}),
+}
+
+
+class TestMidpointMarch:
+    @pytest.mark.parametrize("case", list(MARCHES))
+    def test_every_step_solves_the_inclusion(self, monkeypatch, case):
+        fn, a, z0, T, branches = MARCHES[case]
+        form = (kinked(fn), np.array(a), np.zeros(2))
+        hits = {"facet": 0, "edge": 0, "vertex": 0, "box_face": 0}
+        facet, edge, vertex = MidpointStep.facet, MidpointStep.edge, MidpointStep.vertex
+
+        def counted(name, fn):
+            def run(*args):
+                x = fn(*args)
+                hits[name] += x is not None
+                return x
+            return run
+        monkeypatch.setattr(MidpointStep, "facet", counted("facet", facet))
+        monkeypatch.setattr(MidpointStep, "vertex", counted("vertex", vertex))
+        monkeypatch.setattr(MidpointStep, "edge", staticmethod(
+            lambda system, cap, w: counted("edge" if cap == 1.0 else "box_face", edge)(
+                system, cap, w)))
+        nodes = midpoint_march(form, np.array(z0), T / 40, 40)
+        assert hits == {**dict.fromkeys(hits, 0), **branches}
+        gap, scale = inclusion_gaps(form, nodes, T / 40)
+        assert np.all(np.abs(gap) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("case", list(MARCHES))
+    def test_reruns_are_bitwise_equal(self, case):
+        fn, a, z0, T, _ = MARCHES[case]
+        runs = [midpoint_march((kinked(fn), np.array(a), np.zeros(2)), np.array(z0), T / 40, 40)
+                for _ in range(2)]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_the_quadratic_table_is_marched_inside_its_facets(self, monkeypatch):
+        f = grid_hamiltonian(41).fn
+        monkeypatch.setattr(MidpointStep, "vertex", lambda self, w: pytest.fail("vertex"))
+        nodes = midpoint_march(f.envelope_form(), np.array([0.5, 0.0]), 0.05, 10)
+        gap, scale = inclusion_gaps(f.envelope_form(), nodes, 0.05)
+        assert np.all(np.abs(gap) <= 1e-12 * scale)
 
 
 def test_building_the_pair_imports_no_scipy():

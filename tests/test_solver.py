@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hampath.solver
 from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex, action_gradient
 from hampath.conditions import GrowthCert
 from hampath.convex import Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
@@ -20,6 +21,7 @@ from hampath.solver import (
 )
 
 from conftest import (
+    decline_march,
     harmonic_cauchy_spec,
     harmonic_hamiltonian,
     mixed_hamiltonian,
@@ -200,7 +202,8 @@ class TestGridBackedHamiltonian:
 
 
     def test_inner_solves_use_no_scipy_optimizer(self, monkeypatch):
-        # the tabulated pair's inner solves enumerate facets
+        # the tabulated pair's inner solves enumerate facets; the march is declined so
+        # that the smoothed stages run
         import scipy.optimize
 
         from hampath.config import load_config
@@ -208,9 +211,102 @@ class TestGridBackedHamiltonian:
         def refuse(*args, **kwargs):
             raise AssertionError("scipy.optimize.minimize called")
         monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(hampath.solver, "midpoint_march", decline_march)
         cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
         res = solve(cfg.spec, replace(cfg.params, max_iters=3))
         assert res.stage_history[-1].iterations == 3
+
+
+class TestPolyhedralMarch:
+    """A Cauchy problem over a tabulated H is marched under its exact pair."""
+
+    @pytest.mark.parametrize("name, M", [("grid_cauchy", 10), ("grid_cauchy", 40),
+                                         ("grid_kinked", 40)])
+    def test_certifies_under_the_true_pair(self, monkeypatch, name, M):
+        from hampath.config import load_config
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a smoothed stage ran")
+        monkeypatch.setattr(hampath.solver, "lbfgs", refuse)
+        monkeypatch.setattr(hampath.solver, "newton_stage", refuse)
+        cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+        res = solve(cfg.spec, replace(cfg.params, M=M))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certified_hamiltonian == "true" and res.certificate_true is res.certificate
+        assert res.certificate.action_value <= 1e-12
+        assert np.all(res.certificate.interior_residuals <= 1e-12 * res.path.scale())
+        [st] = res.stage_history
+        assert (st.eps, st.lam, st.iterations, st.reason) == (0.0, 0.0, M, "ftarget")
+        assert st.objective == st.action_true == res.certificate.action_value
+
+    def test_reruns_are_bitwise_equal(self):
+        from hampath.config import load_config
+
+        cfg = load_config(str(CONFIG_DIR / "grid_kinked.yaml"))
+        a, b = (solve(cfg.spec, cfg.params) for _ in range(2))
+        assert a.path.p_nodes.tobytes() == b.path.p_nodes.tobytes()
+        assert a.path.q_nodes.tobytes() == b.path.q_nodes.tobytes()
+        assert a.certificate.to_text() == b.certificate.to_text()
+
+    @pytest.mark.parametrize("change", [
+        {"params": {"tol_zero": 1e-20}},  # the marched action, about 1e-16, misses 1e-23
+        {"boundary": Cauchy([3.5], [3.5])},  # the orbit leaves the table's box [-4, 4]^2
+    ])
+    def test_a_declined_march_hands_over_bitwise(self, monkeypatch, change):
+        from hampath.config import load_config
+
+        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+        spec = replace(cfg.spec, **{k: v for k, v in change.items() if k != "params"})
+        params = replace(cfg.params, **change.get("params", {}))
+        marches = []
+        real = hampath.solver.midpoint_march
+
+        def recorded(*args):
+            marches.append(real(*args))
+            return marches[-1]
+        monkeypatch.setattr(hampath.solver, "midpoint_march", recorded)
+        got = solve(spec, params)
+        assert len(marches) == 1 and marches[0] is not None
+        assert [(st.eps, st.lam) for st in got.stage_history] == [(0.05, 0.3)]
+        monkeypatch.setattr(hampath.solver, "midpoint_march", decline_march)
+        want = solve(spec, params)
+        assert got.path.p_nodes.tobytes() == want.path.p_nodes.tobytes()
+        assert got.path.q_nodes.tobytes() == want.path.q_nodes.tobytes()
+        assert got.stage_history == want.stage_history
+        assert got.certificate.to_text() == want.certificate.to_text()
+
+    def test_sweep_rows_without_polish_are_not_marched(self, monkeypatch):
+        from hampath.config import load_config
+
+        monkeypatch.setattr(hampath.solver, "midpoint_march",
+                            lambda *args: pytest.fail("marched a row without polish"))
+        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+        res = solve(cfg.spec, replace(cfg.params, polish=False))
+        assert [(st.eps, st.lam) for st in res.stage_history] == [(0.05, 0.3)]
+
+
+class TestTrueActionEvaluations:
+    def test_the_final_stage_reads_its_true_action_from_the_certificate(self, monkeypatch):
+        # a lambda sweep row: one smoothed stage, certified under its own pair and the true
+        import sys
+
+        from hampath.action import action_for
+        from hampath.config import load_config
+
+        cfg = load_config(str(CONFIG_DIR / "lambda_sweep.yaml"))
+        spec = cfg.spec
+        calls = []
+
+        def counted(spec_, g, H=None, **kwargs):
+            calls.append(H is None or H is spec.hamiltonian)
+            return action_for(spec_, g, H=H, **kwargs)
+        monkeypatch.setattr(hampath.solver, "action_for", counted)
+        monkeypatch.setattr(sys.modules["hampath.certify"], "action_for", counted)
+        params = replace(cfg.params, lambda_schedule=(0.2,), eps_schedule=(), polish=False)
+        res = solve(spec, params)
+        assert res.certified_hamiltonian == "final_stage"
+        assert calls.count(True) == 1
+        assert res.stage_history[-1].action_true == res.certificate_true.action_value
 
 
 class TestSolveParams:
@@ -241,9 +337,10 @@ class TestStageReasons:
         res = solve(harmonic_cauchy_spec(), SolveParams(M=50))
         assert [st.reason for st in res.stage_history] == ["ftarget"]
 
-    def test_one_iteration_grid_stage_stops_at_the_cap(self):
+    def test_one_iteration_grid_stage_stops_at_the_cap(self, monkeypatch):
         from hampath.config import load_config
 
+        monkeypatch.setattr(hampath.solver, "midpoint_march", decline_march)
         cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
         assert cfg.params.max_iters == 1
         res = solve(cfg.spec, cfg.params)
