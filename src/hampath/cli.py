@@ -1,6 +1,6 @@
 """Command-line front end: check, solve, sweep.
 
-Exit codes are a contract: 0 success, 1 config or command-line fault,
+Exit codes are a contract: 0 success, 1 config, command-line or output fault,
 2 hypothesis failure, 3 solver stall; ``main`` is the one place that turns a
 fault into an exit code.  All file writes are whole-file atomic and rendered
 with 17 significant digits, so identical config and seed reproduce
@@ -33,6 +33,10 @@ class UsageError(ValueError):
     """Command-line fault: an unparsable invocation or ``--values`` list."""
 
 
+class OutputError(ValueError):
+    """An output directory that is not one, or an artifact that cannot be written."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would exit 2, which this CLI reserves for hypothesis failures
@@ -52,6 +56,22 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _output_dir(path: str) -> str:
+    """``path``, refused before any solve runs when it exists and is not a directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise OutputError(f"{path} exists and is not a directory")
+    return path
+
+
+def _write_artifacts(outdir: str, files) -> None:
+    """Writes each (name, text) of ``files`` into ``outdir``."""
+    try:
+        for name, text in files:
+            _atomic_write(os.path.join(outdir, name), text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {outdir}: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -125,13 +145,13 @@ def cmd_solve(args) -> int:
             params = replace(params, seed=args.seed)
         except ParamError as exc:
             raise UsageError(f"--seed: {exc}") from None
+    outdir = _output_dir(args.out or cfg.output.get("dir", "."))
     result = solve(cfg.spec, params, init=cfg.init_path,
                    proceed_on_check_failure=bool(cfg.output.get("proceed_on_check_failure", False)))
-    outdir = args.out or cfg.output.get("dir", ".")
     report = _solve_report(result, cfg)
-    _atomic_write(os.path.join(outdir, "trajectory.csv"), result.path.csv_text())
-    _atomic_write(os.path.join(outdir, "report.txt"), report)
-    _atomic_write(os.path.join(outdir, "residuals.csv"), _residual_csv(result.certificate))
+    _write_artifacts(outdir, [("trajectory.csv", result.path.csv_text()),
+                              ("report.txt", report),
+                              ("residuals.csv", _residual_csv(result.certificate))])
     print(report)
     if result.status is SolveStatus.HYPOTHESIS_FAILED:
         return EXIT_HYPOTHESIS
@@ -218,6 +238,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty sweep value list")
     if args.param == "M" and not all(v.is_integer() and v > 0 for v in values):
         raise UsageError("--values for M must be positive integers")
+    if not all(np.isfinite(values)):
+        raise UsageError("--values must be finite numbers")
+    if args.out:
+        _output_dir(args.out)
 
     rows = [_sweep_value(cfg, args.param, v) for v in values]
     _refinement_differences(rows)
@@ -236,7 +260,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(cells))
     table = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(os.path.join(args.out, "sweep.csv"), table)
+        _write_artifacts(args.out, [("sweep.csv", table)])
     print(table, end="")
     # the table is printed either way; a sweep that solved none of its values was given
     # no usable value
@@ -277,6 +301,9 @@ def main(argv=None) -> int:
         return cmd_sweep(args)
     except (ConfigError, ScheduleError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

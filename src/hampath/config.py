@@ -8,6 +8,7 @@ are reported with the path of the offending key.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -69,7 +70,13 @@ def _num(v, path: str) -> float:
                           "exponent, as in 1.0e-6 or 1.0e+8")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {v}")
+    return x
 
 
 def _posint(v, path: str) -> int:
@@ -171,6 +178,8 @@ def _build_fn(cfg, dim: int, box: Box, path: str, base_dir: str) -> ConvexFn:
                 A = np.array(cfg["matrix"], dtype=float)
                 if A.shape != (dim, dim):
                     raise ValueError(f"must be {dim}x{dim}")
+                if not np.all(np.isfinite(A)):
+                    raise ValueError("entries must be finite")
                 return Quadratic(A, b, offset, box=box)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}.matrix", str(exc)) from exc

@@ -35,7 +35,7 @@ class PathGrid:
         object.__setattr__(self, "q_nodes", q)
         if p.shape != q.shape or p.shape[0] < 2:
             raise ValueError("p and q need matching shapes (M+1, N) with M >= 1")
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError("horizon must be positive")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise ValueError("path nodes must be finite")

@@ -6,28 +6,28 @@ is needed.  Each continuation stage minimizes the action of a regularized
 Hamiltonian, warm-starting from the previous stage; a final polish stage runs
 on the unregularized problem whenever its Fenchel pair is smooth.
 
-A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
-closed-form quadratic pairs is exact: its action is an exactly convex
-quadratic function of the nodes, and Newton's method on the block-tridiagonal
-node system (the implicit midpoint rule) minimizes it in one step from any
-start.  The node Hessian is factored once, and the step is refined once by a
-back-substitution on the same factorization.  When the final stage is exact
-it runs alone.
+One rule selects the engine.  The final stage first runs alone from the
+initial path: marched when the true pair is polyhedral in 2-D (Cauchy mode),
+otherwise, or when the march misses, under Newton's method on the
+block-tridiagonal node system (the implicit midpoint rule).  When that misses
+the final target, the whole schedule runs from the initial path under a
+limited-memory quasi-Newton method, as if nothing had been tried.
 
-When the final stage is not exact but its pair has Hessians, it first runs
-alone from the initial path under the same engine with the Gauss-Newton
-matrix, reassembled at every accepted path.  For a smooth pair each interval
-gap is the Bregman divergence D_{H*}(y, grad H(x)), so near a solution the
-action is a zero-residual least-squares problem and Newton converges
-quadratically.  When Newton stops short of the target, the schedule runs from
-the initial path as if Newton had not been tried.  Every stage of the
-schedule that is not exact runs a limited-memory quasi-Newton method.
+A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
+closed-form quadratic pairs is exact: its action is a convex quadratic in the
+nodes, which one Newton step on a once-factored Hessian minimizes from any
+start, refined once by a back-substitution.  When the final stage is not
+exact, no stage is.  On any other pair with Hessians Newton reassembles the
+Gauss-Newton matrix at every accepted path: each interval gap is the Bregman
+divergence D_{H*}(y, grad H(x)), so near a solution the action is a
+zero-residual least-squares problem and Newton converges quadratically.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +107,16 @@ class SolveParams:
         for name in ("eps_schedule", "lambda_schedule"):
             sched = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, sched)
-            if any(v <= 0 for v in sched):
+            if not all(map(math.isfinite, sched)):
+                raise ParamError(name, f"{name} entries must be finite")
+            if any(not v > 0 for v in sched):
                 raise ParamError(name, f"{name} entries must be positive")
             if any(b >= a for a, b in zip(sched, sched[1:])) and len(sched) > 1:
                 raise ParamError(name, f"{name} must be strictly decreasing")
-        if self.tol_zero <= 0:
+        for name in ("r", "tol_zero"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamError(name, f"{name} must be finite")
+        if not self.tol_zero > 0:
             raise ParamError("tol_zero", "tol_zero must be positive")
         if not self.r > 2:
             raise ParamError("r", "inf-convolution exponent must exceed 2")
@@ -367,11 +372,12 @@ def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
 
 
 def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: int,
-                 ftarget: float, exact: bool = True):
+                 ftarget: float):
     """Minimize a stage action by Newton steps on the block-tridiagonal node system.
 
     The right-hand side is the exact node gradient from ``action_for``, and a
-    step is kept only when ``action_for`` confirms a decrease.
+    step is kept only when ``action_for`` confirms a decrease.  Whether the
+    stage is exact is decided once, by ``_quadratic_stage``.
 
     On an exact (quadratic) stage the node Hessian does not depend on the
     path, so it is assembled and factored once, at the first step.  The step
@@ -394,6 +400,7 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
     solve fails.  The gradient covers the free nodes.
     """
     free = slice(1, None) if isinstance(spec.boundary, Cauchy) else slice(None)
+    exact = _quadratic_stage(spec, H)
 
     def evaluate(g):
         # an exact stage reads its constant Hessians once, at the first path
@@ -502,15 +509,15 @@ class _PathObjective:
 
 
 def _schedule(spec: ProblemSpec, params: SolveParams):
-    """Pre-flight: the stages to run, as (eps, lam, hamiltonian, exact) tuples, and the
+    """Pre-flight: the stages of the schedule, as (eps, lam, hamiltonian) tuples, and the
     envelope form of the march (None when there is none).
 
     Builds every stage (H perturbed by eps, then inf-convolved at lam; the polish
     stage when the true pair is smooth), conjugates both boundary potentials and
     checks that they and every stage pair are smooth, raising ``ScheduleError``
-    at the first fault.  An exact final stage runs alone.  A Cauchy problem
-    whose true pair is polyhedral in 2-D (its primal has an ``envelope_form``)
-    has no smooth polish stage; the march takes its place.
+    at the first fault.  A Cauchy problem whose true pair is polyhedral in 2-D
+    (its primal has an ``envelope_form``) has no smooth polish stage; the march
+    takes its place.
     """
     b = spec.boundary
     if isinstance(b, SemiConvex):
@@ -567,14 +574,7 @@ def _schedule(spec: ProblemSpec, params: SolveParams):
             "closed-form nor a coordinatewise separable conjugate), and a tabulated "
             "conjugate needs both schedules nonempty"
         )
-
-    if _quadratic_stage(spec, stages[-1][2]):
-        if len(stages) > 1:
-            logger.info("final stage is exactly quadratic: skipping %d smoothing stage(s)",
-                        len(stages) - 1)
-        return [(*stages[-1], True)], march
-    return ([(*st, _quadratic_stage(spec, st[2])) for st in stages[:-1]]
-            + [(*stages[-1], False)], march)
+    return stages, march
 
 
 def _initial_path(spec: ProblemSpec, M: int, init: PathGrid | None) -> PathGrid:
@@ -635,22 +635,42 @@ def march_stage(spec: ProblemSpec, form, params: SolveParams):
     return (path, cert) if cert.action_value <= params.tol_zero * 1e-3 else None
 
 
+def _final_stage_alone(spec: ProblemSpec, params: SolveParams, final, march,
+                       path: PathGrid):
+    """The ``final`` stage run alone from ``path``: marched when ``march`` is an envelope form,
+    otherwise, or when the march misses, under ``newton_stage``.  Returns (run, the
+    march's certificate or None) when it meets the final target, tol_zero * 1e-3, and
+    None otherwise; ``run`` is (eps, lam, H, path, action, gradient, iters, reason)."""
+    if march is not None:
+        marched = march_stage(spec, march, params)
+        if marched is not None:
+            path, cert = marched
+            run = (0.0, 0.0, spec.hamiltonian, path, cert.action_value, None, params.M,
+                   "ftarget")
+            return run, cert
+    eps, lam, H = final
+    try:
+        out = newton_stage(spec, H, path, params.max_iters, params.tol_zero * 1e-3)
+    except NotImplementedError:  # a side of the final pair has no Hessian
+        return None
+    return ((eps, lam, H, *out), None) if out[4] == "ftarget" else None
+
+
 def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool = False,
           init: PathGrid | None = None) -> SolveResult:
-    """Minimize the discrete action through the continuation schedule.
+    """Minimize the discrete action: the final stage alone, else the continuation schedule.
 
     Three steps, in this order: the schedule (``_schedule``; an unusable one
     raises ``ScheduleError`` before anything runs), the hypothesis checks when
-    the spec carries a growth certificate, and the stages, each warm-started
-    from the last; none run when the checks fail and ``proceed_on_check_failure``
-    is not set, and the initial path is returned as ``HypothesisFailed``.  A
-    Cauchy problem whose true pair is polyhedral is first marched
-    (``march_stage``); otherwise, or when the march finds no path that meets the
-    final target, a final stage that is not exact but whose pair has Hessians is
-    first tried alone under Newton.  Either is the only stage recorded when it
-    meets its target, and otherwise the stages run from the initial path.  The
-    certificate is recomputed from scratch under the true Hamiltonian whenever
-    its Fenchel pair exists, otherwise under the final stage's smoothing.
+    the spec carries a growth certificate, and the solve; nothing runs when the
+    checks fail and ``proceed_on_check_failure`` is not set, and the initial
+    path is returned as ``HypothesisFailed``.  The solve follows one rule: the
+    final stage first runs alone from the initial path (``_final_stage_alone``:
+    the march, else Newton), and is the only stage recorded when it meets the
+    final target; otherwise every stage of the schedule runs from the initial
+    path under L-BFGS, each warm-started from the last.  The certificate is
+    recomputed from scratch under the true Hamiltonian whenever its Fenchel
+    pair exists, otherwise under the final stage's smoothing.
     """
     stages, march = _schedule(spec, params)
     checks = None
@@ -661,45 +681,22 @@ def solve(spec: ProblemSpec, params: SolveParams, proceed_on_check_failure: bool
     proceed = checks is None or checks.passed or proceed_on_check_failure
 
     path = _initial_path(spec, params.M, init)
-    runs, todo = [], (stages if proceed else [])
-    eps, lam, final_H, exact = stages[-1]
-    cert = None
-    if todo and march is not None:
-        marched = march_stage(spec, march, params)
-        if marched is not None:
-            logger.info("the march met the final target: skipping %d smoothing stage(s)",
-                        len(stages))
-            (path, cert), final_H, todo = marched, spec.hamiltonian, []
-            runs.append((0.0, 0.0, final_H, path, cert.action_value, None, params.M,
-                         "ftarget"))
-    if todo and not exact:
-        # a final stage whose pair has Hessians first runs alone under Newton; when
-        # Newton stops short of its target, the schedule runs from the initial path
-        try:
-            out = newton_stage(spec, final_H, path, params.max_iters,
-                               params.tol_zero * 1e-3, exact=False)
-        except NotImplementedError:  # a side of the final pair has no Hessian
-            out = None
-        if out is not None and out[4] == "ftarget":
-            if len(stages) > 1:
-                logger.info("Newton met the final stage's target: skipping %d smoothing "
-                            "stage(s)", len(stages) - 1)
-            path, todo = out[0], []
-            runs.append((eps, lam, final_H, *out))
-    for snum, (eps, lam, H, exact) in enumerate(todo):
-        final = snum == len(todo) - 1
-        ftarget = params.tol_zero * 1e-3 if final else max(10.0 * params.tol_zero, 1e-8)
-        iters, reason = 0, None
-        if exact:
-            path, f, g, iters, reason = newton_stage(spec, H, path, params.max_iters, ftarget)
-        if reason in (None, "no_decrease"):
-            # every other stage, and a Newton stage that stopped decreasing, runs L-BFGS
+    final_H, cert, runs = stages[-1][2], None, []
+    alone = _final_stage_alone(spec, params, stages[-1], march, path) if proceed else None
+    if alone is not None:
+        logger.info("the final stage met its target alone: the schedule does not run")
+        run, cert = alone
+        runs, final_H, path = [run], run[2], run[3]
+    elif proceed:
+        for snum, (eps, lam, H) in enumerate(stages, 1):
+            ftarget = (params.tol_zero * 1e-3 if snum == len(stages)
+                       else max(10.0 * params.tol_zero, 1e-8))
             obj = _PathObjective(spec, H, params.M)
-            z, f, g, more, reason = lbfgs(
-                obj.fun_grad, obj.pack(path), max_iters=params.max_iters - iters,
-                gtol=GTOL * path.scale(), ftarget=ftarget)
-            path, iters = obj.unpack(z), iters + more
-        runs.append((eps, lam, H, path, f, g, iters, reason))
+            z, f, g, iters, reason = lbfgs(obj.fun_grad, obj.pack(path),
+                                           max_iters=params.max_iters,
+                                           gtol=GTOL * path.scale(), ftarget=ftarget)
+            path = obj.unpack(z)
+            runs.append((eps, lam, H, path, f, g, iters, reason))
 
     if cert is None:
         cert = certify(spec, path, tol=params.tol_zero, H=final_H)

@@ -238,6 +238,7 @@ class TestSolveCommand:
         "asymmetric_matrix": "hamiltonian.terms[0].matrix: A must be square symmetric",
         "indefinite_matrix": "hamiltonian.terms[0].matrix: A must be positive semidefinite",
         "string_matrix": "hamiltonian.terms[0].matrix: could not convert",
+        "infinite_matrix": "hamiltonian.terms[0].matrix: entries must be finite",
         "infconv_exponent_2": "solver.r: inf-convolution exponent must exceed 2",
         "zero_halfwidth": "box.halfwidth: must be positive",
         "coupled_two_dof": "conjugate is unavailable: no closed-form conjugate",
@@ -255,6 +256,8 @@ class TestSolveCommand:
             term.update(kind="quadratic", matrix=[[1.0, 2.0], [2.0, 1.0]])
         elif fault == "string_matrix":
             term.update(kind="quadratic", matrix=[["a", 0.0], [0.0, 1.0]])
+        elif fault == "infinite_matrix":
+            term.update(kind="quadratic", matrix=[[float("inf"), 0.0], [0.0, 1.0]])
         elif fault == "infconv_exponent_2":
             cfg["solver"].update(r=2, lambda_schedule=[0.1])
         elif fault == "zero_halfwidth":
@@ -390,6 +393,16 @@ class TestSweepCommand:
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].split(",")[1].startswith("error") and "Converged" in rows[2]
 
+    @pytest.mark.parametrize("param, values", [
+        ("lambda", "nan"), ("eps", "nan"), ("T", "inf"), ("lambda", "0.1,-inf")])
+    def test_non_finite_values_exit_1(self, capsys, param, values):
+        # a NaN lambda once solved the unsmoothed problem and printed a Converged row
+        assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"),
+                     "--param", param, "--values", values]) == 1
+        cap = capsys.readouterr()
+        assert cap.err == "config error: --values must be finite numbers\n"
+        assert cap.out == ""
+
     @pytest.mark.parametrize("values", ["2.5", "100,2.5", "0", "-50", "inf"])
     def test_M_values_must_be_positive_integers(self, capsys, values):
         # int() would truncate 2.5 to 2 and report the row as 2.5
@@ -398,6 +411,63 @@ class TestSweepCommand:
         cap = capsys.readouterr()
         assert cap.err == "config error: --values for M must be positive integers\n"
         assert cap.out == ""
+
+
+class TestOutputFaults:
+    """An output path that cannot take the artifacts exits 1 with one line, and the file in
+    its way is left as it was."""
+
+    @staticmethod
+    def _taken(tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        return target
+
+    @staticmethod
+    def _check(capsys, target, message):
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and message in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert target.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("where", ["--out", "output.dir"])
+    def test_solve_into_a_file_is_refused_before_solving(self, tmp_path, capsys,
+                                                         monkeypatch, where):
+        import hampath.cli
+
+        target = self._taken(tmp_path)
+        monkeypatch.setattr(hampath.cli, "solve", _refuse_solve)
+        cfg = base_config()
+        out = ["--out", str(target)] if where == "--out" else []
+        if where == "output.dir":
+            cfg["output"] = {"dir": str(target)}
+        assert main(["solve", write_config(tmp_path, cfg), *out]) == 1
+        self._check(capsys, target, f"{target} exists and is not a directory")
+
+    def test_sweep_into_a_file_is_refused_before_solving(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import hampath.cli
+
+        target = self._taken(tmp_path)
+        monkeypatch.setattr(hampath.cli, "solve", _refuse_solve)
+        assert main(["sweep", str(CONFIG_DIR / "lambda_sweep.yaml"), "--param", "lambda",
+                     "--values", "0.1", "--out", str(target)]) == 1
+        self._check(capsys, target, f"{target} exists and is not a directory")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_failed_write_exit_1(self, tmp_path, capsys, command):
+        # a directory below a file: nothing exists there to refuse up front
+        target = self._taken(tmp_path)
+        argv = [command, str(CONFIG_DIR / "harmonic_cauchy.yaml"), "--out",
+                str(target / "sub")]
+        if command == "sweep":
+            argv += ["--param", "eps", "--values", "0.1"]
+        assert main(argv) == 1
+        self._check(capsys, target, f"cannot write {target / 'sub'}: ")
+
+
+def _refuse_solve(*args, **kwargs):
+    raise AssertionError("solve ran")
 
 
 class TestConfigErrors:
@@ -509,6 +579,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: solver.gtol: unknown key; expected one of M,")
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    NON_FINITE = {
+        "boundary.p0[0]": lambda cfg: cfg["boundary"].update(p0=[float("nan")]),
+        "hamiltonian.terms[0].scale": lambda cfg: cfg["hamiltonian"]["terms"][0].update(
+            scale=float("inf")),
+        "problem.T": lambda cfg: cfg["problem"].update(T=float("nan")),
+        "solver.eps_schedule[0]": lambda cfg: cfg["solver"].update(
+            eps_schedule=[float("nan")]),
+        "solver.tol_zero": lambda cfg: cfg["solver"].update(tol_zero=-float("inf")),
+        "box.halfwidth": lambda cfg: cfg.update(box={"halfwidth": 10**400}),  # beyond float
+    }
+
+    @pytest.mark.parametrize("path", list(NON_FINITE))
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, path):
+        # YAML reads .nan and .inf as floats, which pass every range check written as v <= 0
+        cfg = base_config()
+        self.NON_FINITE[path](cfg)
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: expected a finite number, got ")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["1e-6", "1.0e8"])

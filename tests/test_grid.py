@@ -121,9 +121,10 @@ class TestCsv:
 
 
 class TestValidation:
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            PathGrid(0.0, np.zeros((3, 1)), np.zeros((3, 1)))
+    @pytest.mark.parametrize("T", [0.0, float("nan")])
+    def test_bad_horizon(self, T):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            PathGrid(T, np.zeros((3, 1)), np.zeros((3, 1)))
 
     def test_mismatched_shapes(self):
         with pytest.raises(ValueError):

@@ -186,6 +186,8 @@ class TestNewtonStages:
         assert np.abs(grad).max() <= 1e-9
 
     def test_step_without_decrease_hands_the_stage_to_lbfgs(self, monkeypatch):
+        """A refused exact step hands the whole schedule over, from the initial path,
+        exactly as when no Newton attempt is made."""
         cfg = load_config(str(CONFIG_DIR / "harmonic_cauchy.yaml"))
         runs = []
         lbfgs = hampath.solver.lbfgs
@@ -193,14 +195,19 @@ class TestNewtonStages:
         def counted(*args, **kwargs):
             runs.append(1)
             return lbfgs(*args, **kwargs)
-        # a zero step leaves the action where it was
-        monkeypatch.setattr(hampath.solver.BlockTridiagonalFactor, "solve",
-                            lambda self, r: np.zeros_like(r))
         monkeypatch.setattr(hampath.solver, "lbfgs", counted)
-        res = solve(cfg.spec, cfg.params)
-        assert res.status.value == "Converged"
-        # a stage that starts at its target takes no step and needs no hand-over
-        assert len(runs) == sum(st.iterations > 0 for st in res.stage_history) > 0
+        # a zero step leaves the action where it was
+        with monkeypatch.context() as m:
+            m.setattr(hampath.solver.BlockTridiagonalFactor, "solve",
+                      lambda self, r: np.zeros_like(r))
+            got = solve(cfg.spec, cfg.params)
+        assert got.status.value == "Converged"
+        assert len(runs) == len(got.stage_history) == 5
+        monkeypatch.setattr(hampath.solver, "newton_stage", _decline)
+        want = solve(cfg.spec, cfg.params)
+        assert got.path.p_nodes.tobytes() == want.path.p_nodes.tobytes()
+        assert got.path.q_nodes.tobytes() == want.path.q_nodes.tobytes()
+        assert got.stage_history == want.stage_history
 
     def test_sweep_over_M_prints_nonnegative_actions(self, capsys):
         code = main(["sweep", str(CONFIG_DIR / "harmonic_cauchy.yaml"), "--param", "M",
@@ -296,13 +303,15 @@ class TestExactFinalStage:
 
     @pytest.mark.parametrize("name, stages", [("harmonic_cauchy", 1), ("separable_mixed", 5)])
     def test_exactness_is_decided_once_per_stage(self, monkeypatch, name, stages):
+        # only the final stage's Newton attempt asks, once per solve, also when its
+        # miss hands the schedule to L-BFGS
         decided = []
         real = hampath.solver._quadratic_stage
         monkeypatch.setattr(hampath.solver, "_quadratic_stage",
                             lambda spec, H: decided.append(H) or real(spec, H))
         cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
         res = solve(cfg.spec, replace(cfg.params, max_iters=2))
-        assert len(decided) == len(set(map(id, decided))) == stages
+        assert len(decided) == 1
         assert len(res.stage_history) == stages
 
 
@@ -389,6 +398,39 @@ def _config(name):
     return cfg.spec, cfg.params
 
 
+@pytest.mark.parametrize("case", sorted({p.stem for p in CONFIG_DIR.glob("*.yaml")}
+                                        | set(NON_QUADRATIC)))
+def test_lbfgs_runs_only_when_the_final_stage_alone_misses(monkeypatch, case):
+    """Every solve makes at most one Newton attempt, and runs L-BFGS, once per stage of
+    the schedule, only when neither the march nor Newton met the final target."""
+    spec, params = NON_QUADRATIC[case]() if case in NON_QUADRATIC else _config(case)
+    calls = []
+
+    def recorded(name):
+        real = getattr(hampath.solver, name)
+
+        def wrapped(*args, **kwargs):
+            out = None  # a declined Newton attempt raises
+            try:
+                out = real(*args, **kwargs)
+                return out
+            finally:
+                calls.append((name, out))
+        monkeypatch.setattr(hampath.solver, name, wrapped)
+    for name in ("march_stage", "newton_stage", "lbfgs"):
+        recorded(name)
+    res = solve(spec, params)
+    newton = [out for name, out in calls if name == "newton_stage"]
+    met = any(out is not None and (name == "march_stage"
+                                   or name == "newton_stage" and out[4] == "ftarget")
+              for name, out in calls)
+    runs = sum(name == "lbfgs" for name, _ in calls)
+    assert len(newton) <= 1
+    assert runs == (0 if met else len(res.stage_history)) and len(res.stage_history) >= 1
+    if met:
+        assert len(res.stage_history) == 1
+
+
 @pytest.mark.parametrize("case", ["grid_cauchy", "powernorm_r4"])
 def test_where_newton_declines_the_solve_is_the_lbfgs_continuation(monkeypatch, case):
     """A tabulated pair has no Hessian, and PowerNorm's dual curvature is unbounded at
@@ -452,7 +494,7 @@ def test_trial_point_whose_inner_solve_fails_hands_over(monkeypatch):
             raise RootFindError("inner minimization stalled")
         return action_for(*args, **kwargs)
     monkeypatch.setattr(hampath.solver, "action_for", failing)
-    path, f, _, iters, reason = newton_stage(spec, spec.hamiltonian, g, 10, 0.0, exact=False)
+    path, f, _, iters, reason = newton_stage(spec, spec.hamiltonian, g, 10, 0.0)
     assert (iters, reason, len(calls)) == (0, "no_decrease", 2)
     assert path is g and f == action_for(spec, g).total
 
@@ -531,6 +573,6 @@ class TestHessians:
         monkeypatch.setattr(hampath.solver, "action_for",
                             lambda *a, **k: evals.append(k) or action_for(*a, **k))
         g = PathGrid.constant(spec.T, [1.0], [0.0], 50)
-        newton_stage(spec, H, g, 3, 0.0, exact=False)
+        newton_stage(spec, H, g, 3, 0.0)
         assert evals and all(k["hessians"] for k in evals)
         assert len(calls) == sides * len(evals)

@@ -331,6 +331,20 @@ class TestSolveParams:
         assert "seed must be a non-negative integer" in str(err.value)
         assert SolveParams(seed=0).seed == 0 and SolveParams(seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("eps_schedule", (0.1, float("nan")), "eps_schedule entries must be finite"),
+        ("lambda_schedule", (float("inf"),), "lambda_schedule entries must be finite"),
+        ("tol_zero", float("nan"), "tol_zero must be finite"),
+        ("tol_zero", float("inf"), "tol_zero must be finite"),
+        ("r", float("inf"), "r must be finite"),
+    ])
+    def test_non_finite_numbers_are_refused(self, field, value, message):
+        # NaN passes every `<= 0` range check, and inf passes every `> 0` one
+        with pytest.raises(ParamError) as err:
+            SolveParams(**{field: value})
+        assert err.value.field == field
+        assert str(err.value) == message
+
 
 class TestStageReasons:
     def test_quadratic_newton_stage_meets_its_target(self):
