@@ -101,11 +101,6 @@ def certify(spec: ProblemSpec, g: PathGrid, tol: float | None = None,
     )
 
 
-def worst_interval(cert: Certificate) -> int:
-    """Index of the interval carrying the largest Fenchel gap."""
-    return int(np.argmax(cert.interior_residuals))
-
-
 def fitted_order(M_values, errors) -> float:
     """Slope of -log(error) against log(M) by least squares."""
     M = np.asarray(M_values, dtype=float)

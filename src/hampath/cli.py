@@ -59,9 +59,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _output_dir(path: str) -> str:
-    """``path``, refused before any solve runs when it exists and is not a directory."""
+    """``path``, refused before any solve runs when it, or the nearest of its ancestors
+    that exists, is not a directory."""
     if os.path.exists(path) and not os.path.isdir(path):
         raise OutputError(f"{path} exists and is not a directory")
+    up = os.path.abspath(path)
+    while not os.path.exists(up):
+        up = os.path.dirname(up)
+    if not os.path.isdir(up):
+        raise OutputError(f"cannot write {path}: {up} is not a directory")
     return path
 
 

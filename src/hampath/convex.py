@@ -138,16 +138,15 @@ class ConvexFn:
         return g[0] if lead == () else g.reshape(lead + (self.dim,))
 
     def subgradient(self, x) -> SubgradientResult:
-        if self.smooth:
-            return SubgradientResult(self.grad(np.asarray(x, dtype=float).reshape(self.dim)), True)
-        raise NotImplementedError
+        vals, unique = self._subgradients(np.asarray(x, dtype=float).reshape(1, self.dim))
+        return SubgradientResult(vals[0], bool(unique[0]))
 
     def _subgradients(self, pts):
-        """``subgradient`` at every row of pts: the values (K, dim) and the uniqueness flags
-        (K,)."""
-        res = [self.subgradient(x) for x in pts]
-        return (np.array([r.value for r in res]).reshape(pts.shape),
-                np.array([r.is_unique for r in res], dtype=bool))
+        """Subgradients at the rows of pts, minimal-norm at kinks: the values (K, dim) and
+        whether each is the only one (K,).  A smooth kind's is its gradient."""
+        if not self.smooth:
+            raise NotImplementedError(f"{type(self).__name__} has no subgradients")
+        return self._grad(pts), np.ones(pts.shape[0], dtype=bool)
 
     # -- conjugation ---------------------------------------------------
     def conjugate(self) -> "ConvexFn":
@@ -160,13 +159,8 @@ class ConvexFn:
         return self._pair_cache
 
     def _pair(self):
-        """This kind's (primal, dual); by default both are tabulated on the box."""
-        if not self.coercive:
-            raise NotCoerciveError(
-                f"{type(self).__name__} is not coercive, so its conjugate is infinite "
-                "somewhere; add a quadratic perturbation before conjugating"
-            )
-        return _sampled_pair(self)
+        """This kind's (primal, dual)."""
+        raise NotImplementedError
 
     # -- proximal map ----------------------------------------------------
     def prox(self, x, step):
@@ -228,8 +222,9 @@ class ConvexFn:
 
         ``guess``, shaped like pts, is a guess of the gradients.  Only a kind that
         solves for its gradient reads it, as the start of that solve; it changes how
-        many iterations the solve takes, never what counts as a solution.  A sum
-        does not hand it on: a guess of a sum's gradient is none of its parts'.
+        many iterations the solve takes, never what counts as a solution.  A ``Sum``
+        does not hand it on: a guess of a sum's gradient is none of its parts'.  A
+        ``SeparableSum`` does: a block's gradient is the block of the gradient.
         """
         return self._value(pts), self._grad(pts)
 
@@ -445,33 +440,40 @@ class SeparableSum(ConvexFn):
     def coercive_axes(self):
         return np.concatenate([p.coercive_axes for p in self.parts])
 
+    def _blocks(self, hook, pts, *args, guess=None):
+        """Each part's ``hook`` on its own columns of pts, and of ``guess`` when one is
+        given: the one place where a separable sum is its blocks."""
+        return [getattr(p, hook)(pts[:, sl], *args,
+                                 **({} if guess is None else {"guess": guess[:, sl]}))
+                for p, sl in zip(self.parts, self.slices)]
+
     def _value(self, pts):
-        return sum(p._value(pts[:, sl]) for p, sl in zip(self.parts, self.slices))
+        return sum(self._blocks("_value", pts))
 
     def _grad(self, pts):
-        g = np.empty_like(pts)
-        for p, sl in zip(self.parts, self.slices):
-            g[:, sl] = p._grad(pts[:, sl])
-        return g
+        return np.concatenate(self._blocks("_grad", pts), axis=1)
 
     def _curvature(self, pts):
-        c = np.empty_like(pts)
-        for p, sl in zip(self.parts, self.slices):
-            c[:, sl] = p._curvature(pts[:, sl])
-        return c
+        return np.concatenate(self._blocks("_curvature", pts), axis=1)
 
     def _value_grad(self, pts, guess=None):
-        vg = [p._value_grad(pts[:, sl]) for p, sl in zip(self.parts, self.slices)]
-        return sum(v for v, _ in vg), np.concatenate([g for _, g in vg], axis=1)
+        vals, grads = zip(*self._blocks("_value_grad", pts, guess=guess))
+        return sum(vals), np.concatenate(grads, axis=1)
 
-    def subgradient(self, x):
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        vals, uniq = [], True
-        for p, sl in zip(self.parts, self.slices):
-            res = p.subgradient(x[sl])
-            vals.append(np.atleast_1d(res.value))
-            uniq = uniq and res.is_unique
-        return SubgradientResult(np.concatenate(vals), uniq)
+    def _hess(self, pts):
+        return self._value_grad_hess(pts)[2]
+
+    def _value_grad_hess(self, pts, guess=None):
+        # block diagonal; a part's constant (1, d, d) Hessian holds on every row
+        vals, grads, hess = zip(*self._blocks("_value_grad_hess", pts, guess=guess))
+        out = np.zeros((pts.shape[0], self.dim, self.dim))
+        for h, sl in zip(hess, self.slices):
+            out[:, sl, sl] = h
+        return sum(vals), np.concatenate(grads, axis=1), out
+
+    def _subgradients(self, pts):
+        vals, unique = zip(*self._blocks("_subgradients", pts))
+        return np.concatenate(vals, axis=1), np.logical_and.reduce(unique)
 
     def _pair(self):
         primals, duals = zip(*(p.conjugate_pair() for p in self.parts))
@@ -480,10 +482,7 @@ class SeparableSum(ConvexFn):
         return SeparableSum(primals), SeparableSum(duals)
 
     def _prox(self, pts, step):
-        u = np.empty_like(pts)
-        for p, sl in zip(self.parts, self.slices):
-            u[:, sl] = p._prox(pts[:, sl], step)
-        return u
+        return np.concatenate(self._blocks("_prox", pts, step), axis=1)
 
 
 class Sum(ConvexFn):
@@ -551,15 +550,9 @@ class Sum(ConvexFn):
             b += p.b
         return env, a, b
 
-    def subgradient(self, x):
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        total = np.zeros(self.dim)
-        uniq = True
-        for p in self.parts:
-            res = p.subgradient(x)
-            total += res.value
-            uniq = uniq and res.is_unique
-        return SubgradientResult(total, uniq)
+    def _subgradients(self, pts):
+        vals, unique = zip(*(p._subgradients(pts) for p in self.parts))
+        return sum(vals), np.logical_and.reduce(unique)
 
     def _pair(self):
         merged = simplify_sum(self.parts, self.box)
@@ -695,13 +688,9 @@ class GridSampled(ConvexFn):
     def _pair(self):
         return self, GridConjugate(self)
 
-    def subgradient(self, x):
-        """Least-norm element of the hull of the facet gradients active at x; unique only
-        when every active facet has the same gradient (off the kinks)."""
-        vals, unique = self._subgradients(np.asarray(x, dtype=float).reshape(1, self.dim))
-        return SubgradientResult(vals[0], bool(unique[0]))
-
     def _subgradients(self, pts):
+        """Least-norm elements of the hulls of the facet gradients active at the rows; unique
+        only where every active facet has the same gradient (off the kinks)."""
         # the planes of all rows at once; rows with the same number of active facets
         # search their hulls together
         pts = _locate(self.box, pts)

@@ -455,15 +455,36 @@ class TestOutputFaults:
         self._check(capsys, target, f"{target} exists and is not a directory")
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_failed_write_exit_1(self, tmp_path, capsys, command):
-        # a directory below a file: nothing exists there to refuse up front
+    def test_below_a_file_is_refused_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        import hampath.cli
+
+        # a directory below a file: its nearest existing ancestor is no directory
         target = self._taken(tmp_path)
+        monkeypatch.setattr(hampath.cli, "solve", _refuse_solve)
         argv = [command, str(CONFIG_DIR / "harmonic_cauchy.yaml"), "--out",
-                str(target / "sub")]
+                str(target / "sub" / "deeper")]
         if command == "sweep":
             argv += ["--param", "eps", "--values", "0.1"]
         assert main(argv) == 1
-        self._check(capsys, target, f"cannot write {target / 'sub'}: ")
+        self._check(capsys, target, f"cannot write {target / 'sub' / 'deeper'}: {target} "
+                                    "is not a directory")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_failed_write_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        import hampath.cli
+
+        def full(path, text):
+            raise OSError(28, "No space left on device")
+
+        target = self._taken(tmp_path)
+        monkeypatch.setattr(hampath.cli, "_atomic_write", full)
+        out = tmp_path / "out"
+        argv = [command, str(CONFIG_DIR / "harmonic_cauchy.yaml"), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "eps", "--values", "0.1"]
+        assert main(argv) == 1
+        self._check(capsys, target, f"cannot write {out}: [Errno 28] No space left on device")
 
 
 def _refuse_solve(*args, **kwargs):

@@ -374,6 +374,27 @@ class TestGradientGuess:
         fenchel_young(primal, dual, x, primal._grad(x))
         assert len(evals) == 1
 
+    def test_separable_sum_hands_each_block_its_guess(self, rng):
+        _, dual = _config("separable_split")[0].hamiltonian.pair()
+        assert isinstance(dual, SeparableSum) and isinstance(dual.parts[0], ScalarConjugate)
+        y, guess = rng.uniform(-3.0, 3.0, size=(2, 100, 2))
+        value, grad = dual._value_grad(y, guess)
+        parts = [p._value_grad(y[:, sl], guess[:, sl])
+                 for p, sl in zip(dual.parts, dual.slices)]
+        assert value.tobytes() == (parts[0][0] + parts[1][0]).tobytes()
+        assert grad.tobytes() == np.concatenate([g for _, g in parts], axis=1).tobytes()
+
+
+def test_separable_split_reaches_separable_mixed_path():
+    """The same H written as p and q terms builds a separable sum, whose pair has Hessians
+    block by block, so Newton reaches separable_mixed's path."""
+    spec, params = _config("separable_split")
+    assert isinstance(spec.hamiltonian.fn, SeparableSum)
+    res = solve(spec, params)
+    want = solve(*_config("separable_mixed")).path
+    assert np.abs(res.path.p_nodes - want.p_nodes).max() <= 1e-9
+    assert np.abs(res.path.q_nodes - want.q_nodes).max() <= 1e-9
+
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a non-quadratic stage entered the Newton engine")
@@ -387,6 +408,7 @@ NON_QUADRATIC = {
     "mixed": lambda: (ProblemSpec(mixed_hamiltonian(), 1.0, Cauchy([1.0], [0.0]), None),
                       SolveParams(M=100)),
     "separable_mixed": lambda: _config("separable_mixed"),
+    "separable_split": lambda: _config("separable_split"),
     "grid_cauchy": lambda: _config("grid_cauchy"),
     "powernorm_r4": lambda: (ProblemSpec(Hamiltonian(PowerNorm(4.0, 1.0, dim=2), 1), 1.0,
                                          Cauchy([1.5], [0.0]), None), SolveParams(M=20)),
@@ -447,7 +469,7 @@ def test_where_newton_declines_the_solve_is_the_lbfgs_continuation(monkeypatch, 
     assert got.q_nodes.tobytes() == want.q_nodes.tobytes()
 
 
-@pytest.mark.parametrize("case", ["mixed", "separable_mixed"])
+@pytest.mark.parametrize("case", ["mixed", "separable_mixed", "separable_split"])
 def test_smooth_final_stage_converges_in_one_newton_stage(monkeypatch, case):
     spec, params = NON_QUADRATIC[case]()
     monkeypatch.setattr(hampath.solver, "lbfgs", _refuse)
@@ -512,6 +534,10 @@ HESSIAN_KINDS = {
         SeparableSum([Sum([Quadratic(np.diag([0.25])), PowerNorm(4.0, 0.1)]),
                       Quadratic(np.zeros((1, 1)))])]),
     "scalar_conjugate": lambda: ScalarConjugate(_sum_quartic()),
+    # a block that is no coordinatewise separable kind: the Hessian is block diagonal
+    "separable_sum_of_blocks": lambda: SeparableSum([
+        ScalarConjugate(Sum([Quadratic(np.diag([1.5])), PowerNorm(4.0, 0.1)])),
+        Quadratic(np.eye(1))]),
     "infconv_0.4": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.4).fn,
     "infconv_0.1": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.1).fn,
 }

@@ -13,7 +13,10 @@ from hampath.convex import (
     GridConjugate,
     GridSampled,
     MoreauEnvelope,
+    PowerNorm,
     Quadratic,
+    SeparableSum,
+    Sum,
     simplify_sum,
 )
 from hampath.legendre import GridFn
@@ -286,6 +289,77 @@ class TestBatchedSubgradients:
             want.append(np.sqrt(np.sum((yk - v) ** 2)) if unique else np.nan)
         assert np.array(want).tobytes() == got.tobytes()
         assert np.all(np.isnan(got[::5])) and not np.any(np.isnan(got[1::5]))
+
+
+def old_sum_subgradient(f, x):
+    """A sum's subgradient at one point as the per-point code computed it, part by part:
+    the reference."""
+    x = np.asarray(x, dtype=float).reshape(f.dim)
+    if isinstance(f, GridSampled):
+        return old_subgradient(f, x)
+    if isinstance(f, SeparableSum):
+        vals, uniq = [], True
+        for p, sl in zip(f.parts, f.slices):
+            v, u = old_sum_subgradient(p, x[sl])
+            vals.append(np.atleast_1d(v))
+            uniq = uniq and u
+        return np.concatenate(vals), uniq
+    if isinstance(f, Sum):
+        total, uniq = np.zeros(f.dim), True
+        for p in f.parts:
+            v, u = old_sum_subgradient(p, x)
+            total += v
+            uniq = uniq and u
+        return total, uniq
+    return f.grad(x), True
+
+
+def abs_1d(n=81):
+    """Tabulated |x| on [-2, 2]: one kink, at 0."""
+    x = np.linspace(-2.0, 2.0, n)
+    return GridSampled(GridFn([-2.0], [2.0], np.abs(x)))
+
+
+SUM_CASES = {
+    "grid_on_p": lambda: SeparableSum([abs_1d(), Quadratic(np.eye(1))]),
+    "grid_on_q": lambda: SeparableSum([PowerNorm(4.0, 0.1), abs_1d()]),
+    "grid_plus_power_on_p": lambda: SeparableSum([Sum([abs_1d(), PowerNorm(4.0, 0.1)]),
+                                                  Quadratic(np.eye(1))]),
+    "grid_2d_plus_quadratic": lambda: Sum([kinked(lambda X, Y: np.abs(X) + 0.5 * Y**2),
+                                           Quadratic(np.diag([0.5, 0.25]))]),
+}
+
+
+class TestSumSubgradients:
+    @pytest.mark.parametrize("case", list(SUM_CASES))
+    def test_rows_match_the_per_point_reference_bitwise(self, case, rng):
+        f = SUM_CASES[case]()
+        # random rows, and rows whose tabulated coordinates sit on the kink at 0
+        x = f.box.sample(rng, 200)
+        kinks = f.box.sample(rng, 40)
+        kinks[:, 0 if case != "grid_on_q" else 1] = 0.0
+        x = np.concatenate([x, kinks])
+        vals, unique = f._subgradients(x)
+        for k in range(x.shape[0]):
+            want, want_unique = old_sum_subgradient(f, x[k])
+            assert vals[k].tobytes() == want.tobytes() and unique[k] == want_unique
+            got = f.subgradient(x[k])
+            assert got.value.tobytes() == want.tobytes() and got.is_unique == want_unique
+        assert np.all(unique[:200]) and not np.any(unique[200:])
+
+    def test_smooth_kinds_answer_with_the_gradient(self, rng):
+        f = SeparableSum([PowerNorm(4.0, 0.1), Quadratic(np.eye(1))])
+        x = f.box.sample(rng, 20)
+        vals, unique = f._subgradients(x)
+        assert vals.tobytes() == f._grad(x).tobytes() and np.all(unique)
+
+    def test_a_nonsmooth_kind_without_the_hook_raises(self):
+        dual = abs_1d().conjugate()
+        assert isinstance(dual, GridConjugate)
+        with pytest.raises(NotImplementedError):
+            dual.subgradient(np.array([0.5]))
+        with pytest.raises(NotImplementedError):
+            SeparableSum([Quadratic(np.eye(1)), dual])._subgradients(np.zeros((3, 2)))
 
 
 def kinked(fn, half=2.0, n=21):
