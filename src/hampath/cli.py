@@ -49,6 +49,10 @@ def _atomic_write(path: str, text: str) -> None:
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
     try:
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -85,13 +89,15 @@ def _fmt(v) -> str:
 
 
 def _residual_csv(cert) -> str:
+    from hampath.csvfmt import csv_text  # loaded by the first write, not by import
+
     gaps = cert.interior_residuals
     incl = cert.inclusion_residuals
     if incl is None:
         incl = np.full(gaps.shape, np.nan)
-    rows = zip(range(gaps.size), gaps.tolist(), incl.tolist())
-    lines = ["interval,fenchel_gap,inclusion_residual"] + ["%d,%.17g,%.17g" % r for r in rows]
-    return "\n".join(lines) + "\n"
+    # the interval index as floats: '%.17g' % float(k) == '%d' % k
+    table = np.column_stack([np.arange(gaps.size, dtype=float), gaps, incl])
+    return csv_text(["interval", "fenchel_gap", "inclusion_residual"], table)
 
 
 def _solve_report(result, cfg: ProblemConfig) -> str:

@@ -72,18 +72,23 @@ class PathGrid:
 
     def csv_text(self) -> str:
         """Columns t, p_1..p_N, q_1..q_N with 17 significant digits, one row per node."""
+        from hampath.csvfmt import csv_text  # loaded by the first write, not by import
+
         N = self.N
-        header = ",".join(["t"] + [f"p_{i+1}" for i in range(N)] + [f"q_{i+1}" for i in range(N)])
-        rows = np.column_stack([self.times, self.p_nodes, self.q_nodes])
-        fmt = ",".join(["%.17g"] * rows.shape[1])
-        return "\n".join([header] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
+        header = ["t"] + [f"p_{i+1}" for i in range(N)] + [f"q_{i+1}" for i in range(N)]
+        return csv_text(header, np.column_stack([self.times, self.p_nodes, self.q_nodes]))
 
     @staticmethod
     def from_csv(path) -> "PathGrid":
+        """The path a ``csv_text`` file holds; its ``t`` column must start at 0 and
+        step uniformly, since a grid has no other times."""
         raw = np.genfromtxt(path, delimiter=",", names=True)
         names = raw.dtype.names
         N = sum(1 for n in names if n.startswith("p_"))
         t = raw["t"]
+        steps = np.diff(t)
+        if t[0] != 0 or not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
+            raise ValueError(f"{path}: the t column does not step uniformly from 0")
         p = np.column_stack([raw[f"p_{i+1}"] for i in range(N)])
         q = np.column_stack([raw[f"q_{i+1}"] for i in range(N)])
         return PathGrid(float(t[-1]), p, q)

@@ -1,3 +1,5 @@
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +338,22 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_artifacts_get_the_mode_the_umask_gives(tmp_path, capsys):
+    # written through a temporary file, yet 0644 under umask 022 as open(path, "w")
+    # would make them, also when they overwrite a file that is there
+    cfg = str(CONFIG_DIR / "harmonic_cauchy.yaml")
+    old = os.umask(0o022)
+    try:
+        for _ in range(2):
+            assert main(["solve", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["sweep", cfg, "--param", "eps", "--values", "0.1",
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("trajectory.csv", "report.txt", "residuals.csv", "sweep.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+
 class TestSweepCommand:
     def test_lambda_sweep_table(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -663,7 +681,8 @@ class TestConfigErrors:
         t = np.linspace(0.0, T, M + 1)
         (tmp_path / "warm.csv").write_text(PathGrid(T, np.cos(t), -np.sin(t)).csv_text())
 
-    @pytest.mark.parametrize("fault", ["horizon", "dimension", "not_a_path"])
+    @pytest.mark.parametrize("fault", ["horizon", "dimension", "not_a_path", "nonuniform_t",
+                                       "shifted_t"])
     def test_init_file_that_does_not_fit_exit_1(self, tmp_path, capsys, fault):
         cfg = base_config()
         cfg["solver"]["init_file"] = "warm.csv"
@@ -674,8 +693,14 @@ class TestConfigErrors:
         elif fault == "dimension":
             TestSolveCommand.coupled_two_dof(cfg)
             cfg["hamiltonian"]["terms"].pop()
-        else:
+        elif fault == "not_a_path":
             (tmp_path / "warm.csv").write_text("t,p_1\n0,1\n1,0\n")
+        elif fault == "nonuniform_t":
+            # would load with nodes at 0, 0.5, 1
+            (tmp_path / "warm.csv").write_text("t,p_1,q_1\n0,1,0\n0.9,0.5,0.5\n1,0,1\n")
+        else:
+            # would load as a path over [0, 1]
+            (tmp_path / "warm.csv").write_text("t,p_1,q_1\n0.2,1,0\n0.6,0.5,0.5\n1,0,1\n")
         out = tmp_path / "o"
         assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -731,8 +756,9 @@ SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-310,
 
 
 class TestCsvWriters:
-    """The writers format whole rows with one %-string; the bytes are those of the
-    per-value f-string formatting they replace."""
+    """trajectory.csv and residuals.csv come from one vectorized writer,
+    ``hampath.csvfmt.csv_text``; the bytes are those of per-value ``.17g``
+    formatting (tests/test_csvfmt.py checks the writer cell by cell)."""
 
     def test_percent_format_matches_format_spec(self):
         for v in SPECIAL:
