@@ -79,6 +79,20 @@ def _phase_box(H: Hamiltonian, box: Box | None) -> Box:
     return box if box is not None else H.fn.box
 
 
+def _sampled_bounds(name: str, pts, vals, upper, alpha: float, verified) -> CheckItem:
+    """Check -alpha <= vals <= upper on the sampled pts.  The first violated side fails
+    with its worst point as the witness; else the item reads ``verified(up, low)`` of
+    the worst upper and lower margins."""
+    margins = {"upper": upper - vals, "lower": vals + alpha}
+    values = {f"worst_{side}_margin": float(m.min()) for side, m in margins.items()}
+    for side, m in margins.items():
+        if m.min() < 0:
+            return CheckItem(name, FAILED, f"{side} bound violated by {-m.min():.3e}",
+                             pts[np.argmin(m)], values)
+    return CheckItem(name, VERIFIED,
+                     verified(margins["upper"].min(), margins["lower"].min()), None, values)
+
+
 def check_subquadratic(H: Hamiltonian, cert: GrowthCert, box: Box | None = None,
                        samples: int = 2000, seed: int = 0) -> CheckItem:
     """Sample -alpha <= H <= (beta/2)(|p|^2 + |q|^2) + gamma over the box."""
@@ -87,23 +101,10 @@ def check_subquadratic(H: Hamiltonian, cert: GrowthCert, box: Box | None = None,
     box = _phase_box(H, box)
     rng = np.random.default_rng(seed)
     pts = box.sample(rng, samples)
-    vals = H.value(pts)
     upper = 0.5 * cert.beta * np.sum(pts**2, axis=1) + cert.gamma
-    up_margin = upper - vals
-    low_margin = vals + cert.alpha
-    values = {"worst_upper_margin": float(up_margin.min()),
-              "worst_lower_margin": float(low_margin.min())}
-    if up_margin.min() < 0:
-        w = pts[np.argmin(up_margin)]
-        return CheckItem("subquadratic_growth", FAILED,
-                         f"upper bound violated by {-up_margin.min():.3e}", w, values)
-    if low_margin.min() < 0:
-        w = pts[np.argmin(low_margin)]
-        return CheckItem("subquadratic_growth", FAILED,
-                         f"lower bound violated by {-low_margin.min():.3e}", w, values)
-    return CheckItem("subquadratic_growth", VERIFIED,
-                     f"margins {up_margin.min():.3e} (upper), {low_margin.min():.3e} (lower) "
-                     f"on {samples} samples", None, values)
+    return _sampled_bounds("subquadratic_growth", pts, H.value(pts), upper, cert.alpha,
+                           lambda up, low: f"margins {up:.3e} (upper), {low:.3e} (lower) "
+                                           f"on {samples} samples")
 
 
 def check_power_growth(H: Hamiltonian, cert: GrowthCert, box: Box | None = None,
@@ -112,26 +113,13 @@ def check_power_growth(H: Hamiltonian, cert: GrowthCert, box: Box | None = None,
     box = _phase_box(H, box)
     rng = np.random.default_rng(seed)
     pts = box.sample(rng, samples)
-    vals = H.value(pts)
     p, q = H.split(pts)
     pr = np.linalg.norm(p, axis=1) ** cert.r
     qr = np.linalg.norm(q, axis=1) ** cert.r
     upper = cert.beta * (pr + qr + 1.0)
-    up_margin = upper - vals
-    low_margin = vals + cert.alpha
-    values = {"worst_upper_margin": float(up_margin.min()),
-              "worst_lower_margin": float(low_margin.min())}
-    if up_margin.min() < 0:
-        return CheckItem("power_growth", FAILED,
-                         f"upper bound violated by {-up_margin.min():.3e}",
-                         pts[np.argmin(up_margin)], values)
-    if low_margin.min() < 0:
-        return CheckItem("power_growth", FAILED,
-                         f"lower bound violated by {-low_margin.min():.3e}",
-                         pts[np.argmin(low_margin)], values)
-    return CheckItem("power_growth", VERIFIED,
-                     f"r={cert.r:g}, margins {up_margin.min():.3e}/{low_margin.min():.3e} "
-                     f"on {samples} samples", None, values)
+    return _sampled_bounds("power_growth", pts, H.value(pts), upper, cert.alpha,
+                           lambda up, low: f"r={cert.r:g}, margins {up:.3e}/{low:.3e} "
+                                           f"on {samples} samples")
 
 
 def check_beta_smallness(cert: GrowthCert, T: float) -> CheckItem:

@@ -1,9 +1,10 @@
 """Closed convex functions with conjugates, subgradients and proximal maps.
 
 Every function carries a bounded working box: closed-form kinds evaluate
-anywhere, but numerical conjugation, sampling checks and generic proximal
-maps are confined to the box.  Conjugation of a non-coercive function is
-refused; apply a quadratic perturbation first.
+anywhere, but numerical conjugation and sampling checks are confined to the
+box.  Conjugation of a non-coercive function is refused; apply a quadratic
+perturbation first.  A proximal map exists for separable, tabulated and
+quadratic kinds and their conjugates; other kinds raise.
 
 Each kind conjugates through one hook, ``_pair()``, which returns a
 consistent (primal, dual) pair; ``conjugate_pair()`` caches it.  The primal is
@@ -42,10 +43,6 @@ class ConjugateUnavailableError(ValueError):
 
 class DomainError(ValueError):
     """Point outside the function's support (grid-backed kinds)."""
-
-
-class ProxError(RuntimeError):
-    """Inner minimization of a proximal map or an inf-convolution did not converge."""
 
 
 @dataclass(frozen=True)
@@ -184,9 +181,7 @@ class ConvexFn:
             lo = np.clip((-b - G) / a, env.box.lo, env.box.hi)
             hi = np.clip((-b + G) / a, env.box.lo, env.box.hi)
             return facet_argmin(env.facets, a, b, lo, hi)
-        return penalized_argmin(self, pts, lambda w: (w @ w / (2 * step), w / step),
-                                self.box.lo, self.box.hi, ftol=1e-12, gtol=1e-10,
-                                maxiter=500)
+        raise NotImplementedError(f"{type(self).__name__} has no proximal map")
 
     # -- structure hooks ------------------------------------------------
     @property
@@ -257,33 +252,6 @@ def _separable_prox(f, pts, step):
                                          lambda v: 1.0 + step * f._curvature(v),
                                          pts, 1.0 + np.abs(pts)),
                          scale=1.0 + np.abs(pts))
-
-
-def penalized_argmin(f, pts, penalty, lo, hi, ftol, gtol, maxiter):
-    """Per-row minimizers of f(u) + penalty(u - x) over the box [lo, hi], x a row of pts.
-
-    For kinds that are neither tabulated nor coordinatewise separable.
-    ``penalty(w) -> (value, gradient)`` at one displacement.  Each row is its
-    own L-BFGS-B solve on the exact gradient from ``f._value_grad``, so every
-    row stops by its own tolerances.
-    """
-    from scipy.optimize import minimize
-
-    options = {"ftol": ftol, "gtol": gtol, "maxiter": maxiter}
-    out = np.empty_like(pts)
-    for i, x in enumerate(pts):
-        def obj(u, x=x):
-            v, g = f._value_grad(u[None, :])
-            pv, pg = penalty(u - x)
-            return v[0] + pv, g[0] + pg
-
-        x0 = np.clip(x, lo, hi)
-        res = minimize(obj, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                       options=options)
-        if not res.success and res.fun > obj(x0)[0]:
-            raise ProxError(f"inner minimization failed: {res.message}")
-        out[i] = res.x
-    return out
 
 
 class Quadratic(ConvexFn):

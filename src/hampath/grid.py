@@ -82,7 +82,10 @@ class PathGrid:
     def from_csv(path) -> "PathGrid":
         """The path a ``csv_text`` file holds; its ``t`` column must start at 0 and
         step uniformly, since a grid has no other times."""
-        raw = np.genfromtxt(path, delimiter=",", names=True)
+        # one data row reads as a 0-d record
+        raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        if raw.size < 2:
+            raise ValueError(f"{path}: a trajectory needs at least two nodes")
         names = raw.dtype.names
         N = sum(1 for n in names if n.startswith("p_"))
         t = raw["t"]

@@ -15,24 +15,31 @@ from __future__ import annotations
 import numpy as np
 
 from hampath.convex import (
-    ConjugateUnavailableError,
     ConvexFn,
     Hamiltonian,
     MoreauEnvelope,
     PowerNorm,
     Quadratic,
+    SeparableSum,
     Sum,
     _diagonal,
-    penalized_argmin,
     simplify_sum,
 )
 from hampath.polyhedral import facet_argmin
-from hampath.rootfind import newton_bisect
+from hampath.rootfind import NEWTON_ITERS, RootFindError, newton_bisect
 
 # rounds of narrowing the facet-enumeration box of an inf-convolution inner solve; on
 # the 41 x 41 grid_cauchy data the first round leaves about 80 facets per row, the
 # second about 2, and later rounds change little
 NARROWING_ROUNDS = 3
+
+
+def _perturbed(fn: ConvexFn, eps: float) -> ConvexFn:
+    """fn + (eps/2)|x|^2, block by block over a separable sum, so that every block
+    keeps its own kind of conjugate."""
+    if isinstance(fn, SeparableSum):
+        return SeparableSum([_perturbed(p, eps) for p in fn.parts], box=fn.box)
+    return simplify_sum([fn, Quadratic(eps * np.eye(fn.dim), box=fn.box)])
 
 
 class EpsPerturbed(Hamiltonian):
@@ -43,39 +50,31 @@ class EpsPerturbed(Hamiltonian):
             raise ValueError("eps must be positive")
         self.base = base
         self.eps = float(eps)
-        bump = Quadratic(eps * np.eye(base.dim), box=base.fn.box)
-        fn = simplify_sum([base.fn, bump])
-        super().__init__(fn, base.N)
+        super().__init__(_perturbed(base.fn, self.eps), base.N)
 
     # bound on this class too, so instrumentation can wrap EpsPerturbed.pair by name
     pair = Hamiltonian.pair
 
     def _build_pair(self):
-        if not self.base.fn.coercive:
+        # a smooth base pair has smooth, exact blocks, and so has its perturbation
+        if not self.base.fn.coercive or all(f.smooth for f in self.base.pair()):
             return self.fn.conjugate_pair()
-        bp, bd = self.base.pair()
-        if bp.smooth and bd.smooth:
-            try:
-                pp, dd = self.fn.conjugate_pair()
-                if pp.smooth and dd.smooth:
-                    return pp, dd
-            except ConjugateUnavailableError:
-                pass
         # (f + eps/2 |.|^2)* is the Moreau envelope of f*, smooth even when the
         # base pair is tabulated; reading it off the cached base pair avoids
         # tabulating the perturbed function as well
-        bump = Quadratic(self.eps * np.eye(self.dim), box=bp.box)
-        return simplify_sum([bp, bump]), MoreauEnvelope(bd, self.eps)
+        bp, bd = self.base.pair()
+        return _perturbed(bp, self.eps), MoreauEnvelope(bd, self.eps)
 
 
 class _InfConvFn(ConvexFn):
     """Primal side of the inf-convolution; evaluated by inner minimization.
 
-    The inner solve is one root call over all coordinates for a separable
-    primal, on its own gradient and curvature, which also yields the Hessian,
-    and an enumeration of facets for a tabulated envelope plus a separable
-    quadratic (the eps stage of a grid-backed H); other kinds run one L-BFGS-B
-    solve per row and have no Hessian.
+    The penalty is coordinatewise, so the inner problem splits along the blocks
+    of a separable sum.  It is one root call over all coordinates for a
+    separable primal, on its own gradient and curvature, which also yields the
+    Hessian; an enumeration of facets for a tabulated envelope plus a separable
+    quadratic (the eps stage of a grid-backed H); and batched Newton in the dual
+    for a coupled quadratic.  Only a separable primal has a Hessian.
     """
 
     smooth = True
@@ -101,19 +100,26 @@ class _InfConvFn(ConvexFn):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
         return self._attain(pts)[0]
 
-    def _attain(self, pts):
-        """Attaining points u*(x) and the gradients of H_lam, both shaped like pts."""
-        if self.base_primal.separable:
-            u, v = self._attain_separable(pts)
+    def _attain(self, pts, f=None):
+        """Attaining points u*(x) and the gradients of H_lam, both shaped like pts, for
+        the primal ``f`` (the base primal, or one block of it)."""
+        f = self.base_primal if f is None else f
+        if f.separable:
+            u, v = self._attain_separable(pts, f)
             return u, -v / self.lam**self.power.r
-        form = self.base_primal.envelope_form()
-        if form is not None:
-            u = self._minimizers_facets(pts, *form)
-        else:
-            u = self._minimizers_generic(pts)
+        if isinstance(f, SeparableSum):
+            us, gs = zip(*(self._attain(pts[:, sl], p) for p, sl in zip(f.parts, f.slices)))
+            return np.concatenate(us, axis=1), np.concatenate(gs, axis=1)
+        if isinstance(f, Quadratic):
+            return self._attain_quadratic(pts, f)
+        form = f.envelope_form()
+        if form is None:
+            raise NotImplementedError(f"no inf-convolution inner solve over "
+                                      f"{type(f).__name__}")
+        u = self._minimizers_facets(pts, *form)
         return u, self.power._grad(pts - u)
 
-    def _attain_separable(self, pts):
+    def _attain_separable(self, pts, f):
         """Minimizers u and penalty slopes v at pts, all coordinates in one root call.
 
         The stationarity equation f_i'(u_i) + penalty'(u_i - x_i) = 0 is solved in
@@ -123,7 +129,7 @@ class _InfConvFn(ConvexFn):
         also at v = 0, where the slope in w is unbounded; the root lies between
         0 and -lam^s f'(x), and grad H_lam = -v / lam^s.
         """
-        f, r, c = self.base_primal, self.r, self.lam**self.power.r
+        r, c = self.r, self.lam**self.power.r
         g = f._grad(pts)
 
         def rho_drho(v):
@@ -163,12 +169,45 @@ class _InfConvFn(ConvexFn):
         return facet_argmin(env.facets, a, np.broadcast_to(b, pts.shape), lo, hi,
                             self.power, pts)
 
-    def _minimizers_generic(self, pts):
-        # room around the working box: the infimum of a finite primal can lie outside it
-        return penalized_argmin(self.base_primal, pts,
-                                lambda w: (self.penalty(w), self.power._grad(w)),
-                                self.box.lo - 10.0 * self.lam, self.box.hi + 10.0 * self.lam,
-                                ftol=1e-14, gtol=1e-11, maxiter=200)
+    def _attain_quadratic(self, pts, f):
+        """Attaining points and gradients over a coupled quadratic f, solved in the dual.
+
+        The gradient g of H_lam at x solves grad f*(g) + grad P*(g) = x, P* the dual
+        power term: the gradient of the strictly convex merit f*(g) + P*(g) - x.g,
+        whose Jacobian A^-1 + P*''(g) is positive definite.  Batched Newton starts
+        at g = grad f(x); a row stops once every |F| <= 1e-12 (1 + |x|), and a
+        halved step is kept when the merit or the largest residual falls (near the
+        root the merit's fall is below rounding).  Then u = x - grad P*(g).
+        """
+        fstar, P = f.conjugate_pair()[1], self.dual_term
+        tol = 1e-12 * (1.0 + np.abs(pts))
+
+        def merit(g, x):
+            # the merit, its gradient F and its Jacobian
+            (a, ga, ha), (b, gb, hb) = fstar._value_grad_hess(g), P._value_grad_hess(g)
+            return a + b - np.sum(x * g, axis=1), ga + gb - x, ha + hb
+
+        g = f._grad(pts)
+        live = np.arange(pts.shape[0])
+        for _ in range(NEWTON_ITERS):
+            phi, F, J = merit(g[live], pts[live])
+            left = ~np.all(np.abs(F) <= tol[live], axis=1)
+            if not left.any():
+                return pts - P._grad(g), g
+            live, phi, F, J = live[left], phi[left], F[left], J[left]
+            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+            worst = np.max(np.abs(F), axis=1)
+            t, pending = 1.0, np.ones(live.size, dtype=bool)
+            while pending.any() and t > 1e-12:
+                rows = np.flatnonzero(pending)
+                trial = g[live[rows]] + t * step[rows]
+                phi_t, F_t, _ = merit(trial, pts[live[rows]])
+                keep = (phi_t < phi[rows]) | (np.max(np.abs(F_t), axis=1) < worst[rows])
+                g[live[rows[keep]]] = trial[keep]
+                pending[rows[keep]] = False
+                t *= 0.5
+        raise RootFindError(f"inf-convolution inner solve over a quadratic stalled after "
+                            f"{NEWTON_ITERS} Newton iterations")
 
     def _value(self, pts):
         return self._value_grad(pts)[0]
@@ -192,7 +231,7 @@ class _InfConvFn(ConvexFn):
             raise NotImplementedError("an inf-convolution has a Hessian only over a "
                                       "separable primal")
         c, r = self.lam**self.power.r, self.r
-        u, v = self._attain_separable(pts)
+        u, v = self._attain_separable(pts, f)
         with np.errstate(divide="ignore"):
             curv = 1.0 / (1.0 / f._curvature(u) + c * (r - 1.0) * np.abs(v) ** (r - 2.0))
         return f._value(u) + self.penalty(pts - u), -v / c, _diagonal(curv)

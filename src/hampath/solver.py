@@ -46,7 +46,6 @@ from hampath.convex import (
     DomainError,
     Hamiltonian,
     NotCoerciveError,
-    ProxError,
 )
 from hampath.grid import PathGrid
 from hampath.polyhedral import midpoint_march
@@ -437,7 +436,7 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 ft, gt, ht = evaluate(trial)
-        except (RootFindError, ProxError, DomainError):
+        except (RootFindError, DomainError):
             return path, f, grad, it, "no_decrease"
         if not ft < f:
             return path, f, grad, it, "no_decrease"

@@ -682,7 +682,7 @@ class TestConfigErrors:
         (tmp_path / "warm.csv").write_text(PathGrid(T, np.cos(t), -np.sin(t)).csv_text())
 
     @pytest.mark.parametrize("fault", ["horizon", "dimension", "not_a_path", "nonuniform_t",
-                                       "shifted_t"])
+                                       "shifted_t", "one_node", "no_nodes"])
     def test_init_file_that_does_not_fit_exit_1(self, tmp_path, capsys, fault):
         cfg = base_config()
         cfg["solver"]["init_file"] = "warm.csv"
@@ -695,6 +695,9 @@ class TestConfigErrors:
             cfg["hamiltonian"]["terms"].pop()
         elif fault == "not_a_path":
             (tmp_path / "warm.csv").write_text("t,p_1\n0,1\n1,0\n")
+        elif fault in ("one_node", "no_nodes"):
+            rows = "0,1,0\n" if fault == "one_node" else ""
+            (tmp_path / "warm.csv").write_text("t,p_1,q_1\n" + rows)
         elif fault == "nonuniform_t":
             # would load with nodes at 0, 0.5, 1
             (tmp_path / "warm.csv").write_text("t,p_1,q_1\n0,1,0\n0.9,0.5,0.5\n1,0,1\n")
@@ -707,6 +710,8 @@ class TestConfigErrors:
         assert err.startswith("config error: solver.init_file: ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+        if fault in ("one_node", "no_nodes"):
+            assert err.rstrip().endswith("a trajectory needs at least two nodes")
 
     def test_cauchy_init_file_starting_elsewhere(self, tmp_path, capsys):
         # node 0 of the warm start is pinned to (p0, q0); the rest is kept

@@ -10,6 +10,7 @@ from hampath.convex import (
     SeparableSum,
     Sum,
 )
+from hampath.legendre import GridFn
 from hampath.regularize import EpsPerturbed, InfConvolved
 
 from conftest import (
@@ -23,6 +24,13 @@ from oracles import grid_argmin
 
 def zero_hamiltonian():
     return Hamiltonian(Quadratic(np.zeros((2, 2))), 1)
+
+
+def grid_on_p_hamiltonian():
+    """81 nodes of 0.5 p^2 + 0.3 |p| on [-4, 4] on p, 0.5 q^2 on q."""
+    x = np.linspace(-4.0, 4.0, 81)
+    grid = GridSampled(GridFn([-4.0], [4.0], 0.5 * x**2 + 0.3 * np.abs(x)))
+    return Hamiltonian(SeparableSum([grid, Quadratic([[1.0]], box=grid.box)]), 1)
 
 
 def subquadratic_power():
@@ -270,8 +278,12 @@ class TestInnerSolveAccuracy:
             return f.value(u) + np.sum((u - x) ** 2) / (2 * step)
         assert worst_relative_drop(objective, zip(u, x), STENCIL) <= 1e-12
 
-    def test_grid_infconv_rows(self, rng):
-        fn = InfConvolved(EpsPerturbed(grid_hamiltonian(), 0.05), 0.3, 4.0).fn
+    # a 2-D grid, and a grid term on p with a quadratic on q, whose blocks take their
+    # own inner solves: facets on p and a root on q
+    @pytest.mark.parametrize("make", [grid_hamiltonian, grid_on_p_hamiltonian],
+                             ids=["grid", "grid_on_p"])
+    def test_grid_infconv_rows(self, rng, make):
+        fn = InfConvolved(EpsPerturbed(make(), 0.05), 0.3, 4.0).fn
         assert not fn.base_primal.separable
         x = rng.uniform(-3, 3, (20, 2))
         u = fn.minimizers(x)
@@ -291,6 +303,42 @@ class TestInnerSolveAccuracy:
         def objective(u, x):
             return fn.base_primal.value(u) + fn.penalty(u - x)
         assert worst_relative_drop(objective, zip(u, x), dirs) <= 1e-12
+
+
+def test_eps_stage_of_a_grid_block_perturbs_each_block():
+    H = grid_on_p_hamiltonian()
+    primal, dual = EpsPerturbed(H, 0.05).pair()
+    assert isinstance(primal, SeparableSum)
+    grid_block, q_block = primal.parts
+    assert grid_block.envelope_form() is not None
+    assert isinstance(q_block, Quadratic) and q_block.A[0, 0] == 1.05
+    assert isinstance(dual, MoreauEnvelope) and dual.inner is H.pair()[1]
+
+
+class TestCoupledQuadraticInnerSolve:
+    """A coupled quadratic's inf-convolution, solved by batched Newton in the dual."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 50.0, 1e3])
+    @pytest.mark.parametrize("lam, r", [(0.4, 4.0), (1.0, 6.0), (0.1, 3.0)])
+    def test_dual_residual_meets_the_stop_rule(self, rng, scale, lam, r):
+        fn = InfConvolved(coupled_hamiltonian(), lam, r).fn
+        fstar = fn.base_primal.conjugate_pair()[1]
+        x = rng.uniform(-scale, scale, (100, 4))
+        u, g = fn._attain(x)
+        F = fstar._grad(g) + fn.dual_term._grad(g) - x
+        assert np.all(np.abs(F) <= 1e-12 * (1.0 + np.abs(x)))
+        assert np.array_equal(u, x - fn.dual_term._grad(g))
+        np.testing.assert_allclose(fn.base_primal._grad(u), g, rtol=1e-9, atol=1e-9)
+
+    def test_stall_raises_root_find_error(self, monkeypatch, rng):
+        import hampath.regularize
+
+        from hampath.rootfind import RootFindError
+
+        fn = InfConvolved(coupled_hamiltonian(), 0.4, 4.0).fn
+        monkeypatch.setattr(hampath.regularize, "NEWTON_ITERS", 1)
+        with pytest.raises(RootFindError, match="over a quadratic stalled"):
+            fn._value_grad(rng.uniform(-2, 2, (10, 4)))
 
 
 # 1-D pieces of a separable primal, each with the point where its derivative vanishes

@@ -21,6 +21,7 @@ from hampath.solver import (
 )
 
 from conftest import (
+    coupled_hamiltonian,
     decline_march,
     harmonic_cauchy_spec,
     harmonic_hamiltonian,
@@ -201,20 +202,48 @@ class TestGridBackedHamiltonian:
         assert res.stage_history[-1].objective < start
 
 
-    def test_inner_solves_use_no_scipy_optimizer(self, monkeypatch):
-        # the tabulated pair's inner solves enumerate facets; the march is declined so
-        # that the smoothed stages run
+    @pytest.mark.parametrize("case", ["grid_cauchy", "grid_on_p", "coupled_lambda"])
+    def test_inner_solves_use_no_scipy_optimizer(self, monkeypatch, tmp_path, case):
+        # a tabulated block's inner solves enumerate facets (on grid_cauchy the march is
+        # declined so that the smoothed stages run), a quadratic block's take their
+        # roots, and a coupled quadratic's inf-convolution is solved in the dual
         import scipy.optimize
 
-        from hampath.config import load_config
+        from hampath.config import build_config, load_config
 
         def refuse(*args, **kwargs):
             raise AssertionError("scipy.optimize.minimize called")
         monkeypatch.setattr(scipy.optimize, "minimize", refuse)
-        monkeypatch.setattr(hampath.solver, "midpoint_march", decline_march)
-        cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
-        res = solve(cfg.spec, replace(cfg.params, max_iters=3))
-        assert res.stage_history[-1].iterations == 3
+        if case == "grid_cauchy":
+            monkeypatch.setattr(hampath.solver, "midpoint_march", decline_march)
+            cfg = load_config(str(CONFIG_DIR / "grid_cauchy.yaml"))
+            res = solve(cfg.spec, replace(cfg.params, max_iters=3))
+            assert res.stage_history[-1].iterations == 3
+            return
+        if case == "grid_on_p":
+            x = np.linspace(-4.0, 4.0, 81)
+            np.savetxt(tmp_path / "p.csv", np.column_stack([x, 0.5 * x**2 + 0.3 * np.abs(x)]),
+                       delimiter=",")
+            cfg = build_config({
+                "problem": {"N": 1, "T": 0.5},
+                "box": {"halfwidth": 4.0},
+                "hamiltonian": {"terms": [{"kind": "grid", "file": "p.csv", "apply": "p"},
+                                          {"kind": "quadratic", "scale": 0.5, "apply": "q"}]},
+                "boundary": {"mode": "cauchy", "p0": [0.5], "q0": [0.2]},
+                "growth": {"alpha": 0.01, "beta": 1.0, "gamma": 0.5},
+                "solver": {"M": 10, "eps_schedule": [0.05], "lambda_schedule": [0.3],
+                           "max_iters": 200},
+            }, base_dir=str(tmp_path))
+            spec, params = cfg.spec, cfg.params
+        else:
+            spec = ProblemSpec(coupled_hamiltonian(), 1.0, Cauchy([1.0, -0.5], [0.2, 0.4]),
+                               GrowthCert(0.01, 0.7, 0.01, r=2.0))
+            params = SolveParams(M=20, eps_schedule=(), lambda_schedule=(0.3,),
+                                 polish=False, max_iters=200)
+        res = solve(spec, params)
+        assert res.status is SolveStatus.CONVERGED
+        assert [(st.eps, st.lam) for st in res.stage_history] == [
+            (params.eps_schedule[-1] if params.eps_schedule else 0.0, 0.3)]
 
 
 class TestPolyhedralMarch:
@@ -487,16 +516,20 @@ class TestSeparableConfigSolve:
         assert res.status is SolveStatus.CONVERGED
 
     def test_two_dof_coupled_p_block_power_q(self):
-        # per-component terms with N = 2: the base pair is closed part by part,
-        # the eps-perturbed 4-D sum is not separable, so the eps stages take
-        # the Moreau envelope of the base dual, whose prox of the power
-        # conjugate needs newton_bisect's bisection fallback
-        from hampath.convex import MoreauEnvelope
+        # per-component terms with N = 2: the base pair is closed part by part, and
+        # the eps stage perturbs block by block, so its dual is a separable sum of
+        # exact block conjugates: a closed-form quadratic on p and an inverted
+        # gradient on q
+        from hampath.convex import ScalarConjugate, SeparableSum
         from hampath.regularize import EpsPerturbed
 
         cfg = self._two_dof_config({"kind": "power", "r": 4, "scale": 0.25})
         H = cfg.spec.hamiltonian
-        assert isinstance(EpsPerturbed(H, 0.1).pair()[1], MoreauEnvelope)
+        primal, dual = EpsPerturbed(H, 0.1).pair()
+        assert isinstance(primal, SeparableSum) and isinstance(dual, SeparableSum)
+        p_dual, q_dual = dual.parts
+        assert isinstance(p_dual, Quadratic) and isinstance(q_dual, ScalarConjugate)
+        assert all(f.smooth for f in (primal, dual))
         res = solve(cfg.spec, cfg.params)
         assert res.status is SolveStatus.CONVERGED
         assert res.certified_hamiltonian == "true"
@@ -516,8 +549,6 @@ class TestSeparableConfigSolve:
 
 class TestCoupledCauchySolve:
     def test_two_dof_matches_rk4(self):
-        from conftest import coupled_hamiltonian
-
         H = coupled_hamiltonian()
         A = H.fn.A
         p0 = np.array([1.0, -0.5])
