@@ -108,17 +108,6 @@ def pairing(g: PathGrid, delta1: float = 0.0, delta2: float = 0.0):
     return iv, x, np.concatenate([yu, yv], axis=1)
 
 
-def _evaluate(fn: ConvexFn, pts, hess: bool = False, guess=None):
-    """Values at pts, with gradients from the same inner solve when fn is smooth, and
-    Hessians from it too when asked (None otherwise).  ``guess`` guesses the gradients
-    (see ``ConvexFn._value_grad``)."""
-    if hess:
-        return fn._value_grad_hess(pts, guess)
-    if fn.smooth:
-        return (*fn._value_grad(pts, guess), None)
-    return fn._value(pts), None, None
-
-
 def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y, hess: bool = False):
     """Rowwise gaps primal(x) + dual(y) - x.y, with the gradients of both sides (None when
     a side is nonsmooth) and, when asked, the pair (primal Hessians at x, dual Hessians at
@@ -128,17 +117,21 @@ def fenchel_young(primal: ConvexFn, dual: ConvexFn, x, y, hess: bool = False):
     |(y - grad primal(x)) L|^2 / 2 with L L' = A^-1: the same quantity, read from
     gradients alone, and never negative in floating point.
 
-    Every other pair evaluates the dual side with x as the guess of its gradient:
-    at zero gap grad dual(y) = x, so a dual that solves for its gradient
-    (``ScalarConjugate``) starts there.  The primal side gets no guess.
+    Every other pair reads each side from one ``_eval``, values alone from a
+    nonsmooth side unless Hessians are asked (which a nonsmooth kind refuses), and
+    evaluates the dual side with x as the guess of its gradient: at zero gap
+    grad dual(y) = x, so a dual that solves for its gradient (``ScalarConjugate``)
+    starts there.  The primal side gets no guess.
     """
     L = primal.gap_factor(dual)
     if L is not None:
         dx, dy = primal._grad(x), dual._grad(y)
-        hessians = (primal._hess(x), dual._hess(y)) if hess else None
+        # a quadratic pair's Hessians are constant, so one row reads them
+        hessians = (primal._eval(x[:1], True)[2], dual._eval(y[:1], True)[2]) if hess else None
         return 0.5 * np.sum(((y - dx) @ L) ** 2, axis=1), dx, dy, hessians
-    fx, dx, hx = _evaluate(primal, x, hess)
-    fy, dy, hy = _evaluate(dual, y, hess, guess=x)
+    (fx, dx, hx), (fy, dy, hy) = (
+        fn._eval(pts, hess, guess) if hess or fn.smooth else (fn._value(pts), None, None)
+        for fn, pts, guess in ((primal, x, None), (dual, y, x)))
     return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
 

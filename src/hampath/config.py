@@ -21,6 +21,7 @@ from hampath.conditions import GrowthCert
 from hampath.convex import (
     Box,
     ConvexFn,
+    DomainError,
     GridSampled,
     Hamiltonian,
     PowerNorm,
@@ -245,19 +246,22 @@ def _build_hamiltonian(cfg, N: int, phase_box: Box, base_dir: str) -> Hamiltonia
         else:
             raise ConfigError(f"{path}.apply", "must be one of p, q, both")
     zero = lambda: Quadratic(np.zeros((N, N)), box=comp_box)  # noqa: E731
-    if p_parts or q_parts:
-        p_fn = simplify_sum(p_parts) if p_parts else zero()
-        q_fn = simplify_sum(q_parts) if q_parts else zero()
-        if isinstance(p_fn, Quadratic) and isinstance(q_fn, Quadratic):
-            # one block-diagonal quadratic keeps the closed-form pair (and Newton stages)
-            A = np.zeros((2 * N, 2 * N))
-            A[:N, :N], A[N:, N:] = p_fn.A, q_fn.A
-            split = Quadratic(A, np.concatenate([p_fn.b, q_fn.b]), p_fn.c + q_fn.c,
-                              box=phase_box)
-        else:
-            split = SeparableSum([p_fn, q_fn], box=phase_box)
-        joint_parts.append(split)
-    fn = simplify_sum(joint_parts, box=phase_box) if len(joint_parts) > 1 else joint_parts[0]
+    try:  # a sum lives on the overlap of its terms' boxes
+        if p_parts or q_parts:
+            p_fn = simplify_sum(p_parts) if p_parts else zero()
+            q_fn = simplify_sum(q_parts) if q_parts else zero()
+            if isinstance(p_fn, Quadratic) and isinstance(q_fn, Quadratic):
+                # one block-diagonal quadratic keeps the closed-form pair (and Newton stages)
+                A = np.zeros((2 * N, 2 * N))
+                A[:N, :N], A[N:, N:] = p_fn.A, q_fn.A
+                split = Quadratic(A, np.concatenate([p_fn.b, q_fn.b]), p_fn.c + q_fn.c,
+                                  box=phase_box)
+            else:
+                split = SeparableSum([p_fn, q_fn])
+            joint_parts.append(split)
+        fn = simplify_sum(joint_parts, box=phase_box) if len(joint_parts) > 1 else joint_parts[0]
+    except DomainError as exc:
+        raise ConfigError("hamiltonian.terms", "the terms' boxes do not overlap") from exc
     return Hamiltonian(fn, N)
 
 

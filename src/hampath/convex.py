@@ -107,7 +107,7 @@ def _as_points(x, dim):
 
 
 class ConvexFn:
-    """Base class; subclasses implement batched _value / _grad / _prox."""
+    """Base class; a kind defines ``_eval``, or ``_value`` and ``_grad``, and ``_prox``."""
 
     smooth = False
     coercive = False
@@ -190,18 +190,10 @@ class ConvexFn:
         return np.full(self.dim, self.coercive)
 
     def _value(self, pts):
-        raise NotImplementedError
+        return self._eval(pts)[0]
 
     def _grad(self, pts):
-        raise NotImplementedError
-
-    def _hess(self, pts):
-        """Hessians at the K rows of pts, shape (K, dim, dim), or (1, dim, dim) when the
-        Hessian is constant: the diagonal of ``_curvature`` for a separable kind; other
-        kinds without one raise."""
-        if not self.separable:
-            raise NotImplementedError(f"{type(self).__name__} has no Hessian")
-        return _diagonal(self._curvature(pts))
+        return self._eval(pts)[1]
 
     def _curvature(self, pts):
         """Second derivatives f_i''(x_i) of a separable kind, shaped like pts."""
@@ -212,8 +204,13 @@ class ConvexFn:
         function's closed-form quadratic conjugate; None for every other pair."""
         return None
 
-    def _value_grad(self, pts, guess=None):
-        """Values and gradients at the same points; one inner solve where kinds need one.
+    def _eval(self, pts, hess=False, guess=None):
+        """Values (K,) and gradients (K, dim) at the K rows of pts and, with ``hess``,
+        Hessians (K, dim, dim), or (1, dim, dim) when constant (None without ``hess``).
+        A kind that needs an inner solve returns all three from one; a nonsmooth kind's
+        gradient is an element of its subdifferential.  A kind without Hessians raises
+        ``NotImplementedError`` when asked, before it evaluates anything; here, a
+        separable kind's is the diagonal of its ``_curvature``.
 
         ``guess``, shaped like pts, is a guess of the gradients.  Only a kind that
         solves for its gradient reads it, as the start of that solve; it changes how
@@ -221,15 +218,10 @@ class ConvexFn:
         does not hand it on: a guess of a sum's gradient is none of its parts'.  A
         ``SeparableSum`` does: a block's gradient is the block of the gradient.
         """
-        return self._value(pts), self._grad(pts)
-
-    def _value_grad_hess(self, pts, guess=None):
-        """Values, gradients and Hessians at the same points; kinds whose Hessian comes out
-        of an inner solve return all three from one solve.  The Hessian comes first, so a
-        kind without one raises before it evaluates anything.  ``guess`` as in
-        ``_value_grad``."""
-        hess = self._hess(pts)
-        return (*self._value_grad(pts, guess), hess)
+        if not self.separable:
+            _no_hessian(self, hess)
+        return (self._value(pts), self._grad(pts),
+                _diagonal(self._curvature(pts)) if hess else None)
 
     def envelope_form(self):
         """``(envelope, a, b)`` when this function is a tabulated ``GridSampled`` plus
@@ -238,11 +230,24 @@ class ConvexFn:
         return None
 
 
+def _no_hessian(fn, hess):
+    if hess:
+        raise NotImplementedError(f"{type(fn).__name__} has no Hessian")
+
+
 def _diagonal(c):
     """Diagonal matrices, shape (K, d, d), with the rows of c (K, d) on their diagonals."""
     out = np.zeros(c.shape + c.shape[-1:])
     i = np.arange(c.shape[-1])
     out[:, i, i] = c
+    return out
+
+
+def _block_diagonal(blocks, slices, rows):
+    """(rows, d, d) matrices with blocks[i] on slices[i]; a (1, d_i, d_i) one on every row."""
+    out = np.zeros((rows, slices[-1].stop, slices[-1].stop))
+    for h, sl in zip(blocks, slices):
+        out[:, sl, sl] = h
     return out
 
 
@@ -297,11 +302,12 @@ class Quadratic(ConvexFn):
     def _grad(self, pts):
         return pts @ self.A + self.b
 
-    def _hess(self, pts):
-        return self.A[None]
-
     def _curvature(self, pts):
         return np.broadcast_to(np.diag(self.A), pts.shape)
+
+    def _eval(self, pts, hess=False, guess=None):
+        # the constant matrix, also where A is diagonal
+        return self._value(pts), self._grad(pts), (self.A[None] if hess else None)
 
     def gap_factor(self, dual):
         link = dual._conjugate_of if isinstance(dual, Quadratic) else None
@@ -379,14 +385,14 @@ class PowerNorm(ConvexFn):
 class SeparableSum(ConvexFn):
     """f(x) = sum over blocks f_b(x_b) for a partition of the coordinates."""
 
-    def __init__(self, parts, box: Box | None = None):
+    def __init__(self, parts):
         parts = list(parts)
         if not parts:
             raise ValueError("need at least one part")
         dims = [p.dim for p in parts]
-        if box is None:
-            box = Box(np.concatenate([p.box.lo for p in parts]),
-                      np.concatenate([p.box.hi for p in parts]))
+        # the blocks' boxes side by side: a block evaluates only inside its own
+        box = Box(np.concatenate([p.box.lo for p in parts]),
+                  np.concatenate([p.box.hi for p in parts]))
         super().__init__(sum(dims), box)
         self.parts = parts
         ends = np.cumsum(dims)
@@ -424,20 +430,10 @@ class SeparableSum(ConvexFn):
     def _curvature(self, pts):
         return np.concatenate(self._blocks("_curvature", pts), axis=1)
 
-    def _value_grad(self, pts, guess=None):
-        vals, grads = zip(*self._blocks("_value_grad", pts, guess=guess))
-        return sum(vals), np.concatenate(grads, axis=1)
-
-    def _hess(self, pts):
-        return self._value_grad_hess(pts)[2]
-
-    def _value_grad_hess(self, pts, guess=None):
-        # block diagonal; a part's constant (1, d, d) Hessian holds on every row
-        vals, grads, hess = zip(*self._blocks("_value_grad_hess", pts, guess=guess))
-        out = np.zeros((pts.shape[0], self.dim, self.dim))
-        for h, sl in zip(hess, self.slices):
-            out[:, sl, sl] = h
-        return sum(vals), np.concatenate(grads, axis=1), out
+    def _eval(self, pts, hess=False, guess=None):
+        vals, grads, blocks = zip(*self._blocks("_eval", pts, hess, guess=guess))
+        return (sum(vals), np.concatenate(grads, axis=1),
+                _block_diagonal(blocks, self.slices, pts.shape[0]) if hess else None)
 
     def _subgradients(self, pts):
         vals, unique = zip(*self._blocks("_subgradients", pts))
@@ -454,7 +450,8 @@ class SeparableSum(ConvexFn):
 
 
 class Sum(ConvexFn):
-    """Pointwise sum of convex functions on the same space."""
+    """Pointwise sum of convex functions on the same space, on the overlap of their boxes
+    (and of ``box``, when given)."""
 
     def __init__(self, parts, box: Box | None = None):
         parts = list(parts)
@@ -463,7 +460,11 @@ class Sum(ConvexFn):
         dim = parts[0].dim
         if any(p.dim != dim for p in parts):
             raise ValueError("all parts must share the same dimension")
-        super().__init__(dim, box if box is not None else parts[0].box)
+        boxes = [p.box for p in parts] + ([] if box is None else [box])
+        lo, hi = np.max([b.lo for b in boxes], axis=0), np.min([b.hi for b in boxes], axis=0)
+        if not np.all(hi > lo):
+            raise DomainError("the parts' boxes do not overlap")
+        super().__init__(dim, Box(lo, hi))
         self.parts = parts
 
     @property
@@ -491,16 +492,9 @@ class Sum(ConvexFn):
     def _curvature(self, pts):
         return sum(p._curvature(pts) for p in self.parts)
 
-    def _value_grad(self, pts, guess=None):
-        vals, grads = zip(*(p._value_grad(pts) for p in self.parts))
-        return sum(vals), sum(grads)
-
-    def _hess(self, pts):
-        return sum(p._hess(pts) for p in self.parts)
-
-    def _value_grad_hess(self, pts, guess=None):
-        vals, grads, hess = zip(*(p._value_grad_hess(pts) for p in self.parts))
-        return sum(vals), sum(grads), sum(hess)
+    def _eval(self, pts, hess=False, guess=None):
+        vals, grads, hessians = zip(*(p._eval(pts, hess) for p in self.parts))
+        return sum(vals), sum(grads), (sum(hessians) if hess else None)
 
     def envelope_form(self):
         # one envelope plus quadratics with diagonal curvature (affine parts have none)
@@ -643,12 +637,10 @@ class GridSampled(ConvexFn):
             self._facets = FacetTable.of_grid(self.grid)
         return self._facets
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _value_grad(self, pts, guess=None):
+    def _eval(self, pts, hess=False, guess=None):
+        _no_hessian(self, hess)
         vals, idx = self.facets.envelope(_locate(self.box, pts))
-        return vals, self.facets.grad[idx]
+        return vals, self.facets.grad[idx], None
 
     def envelope_form(self):
         return self, np.zeros(self.dim), np.zeros(self.dim)
@@ -719,10 +711,8 @@ class GridConjugate(ConvexFn):
     def _scores(self, pts):
         return _affine(pts, self.nodes, -self.node_values)
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _value_grad(self, pts, guess=None):
+    def _eval(self, pts, hess=False, guess=None):
+        _no_hessian(self, hess)
         K = pts.shape[0]
         vals, grad = np.empty(K), np.empty_like(pts)
         for sl in _row_chunks(K, self.node_values.size):
@@ -730,7 +720,7 @@ class GridConjugate(ConvexFn):
             j = np.argmax(scores, axis=1)
             vals[sl] = scores[np.arange(j.size), j]
             grad[sl] = self.nodes[j]
-        return vals, grad
+        return vals, grad, None
 
     def _pair(self):
         return self, self.envelope
@@ -814,26 +804,15 @@ class ScalarConjugate(ConvexFn):
                                              np.zeros_like(y), 1.0 + np.abs(y)),
                              scale=1.0 + np.abs(y), start=start)
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _grad(self, pts):
-        return self._argsup(pts)
-
-    def _value_grad(self, pts, guess=None):
+    def _eval(self, pts, hess=False, guess=None):
         u = self._argsup(pts, guess)
-        return np.sum(u * pts, axis=1) - self.fn._value(u), u
-
-    def _hess(self, pts):
-        return self._value_grad_hess(pts)[2]
-
-    def _value_grad_hess(self, pts, guess=None):
+        value = np.sum(u * pts, axis=1) - self.fn._value(u)
+        if not hess:
+            return value, u, None
         # the Hessian of the conjugate inverts fn's at the attaining point: 1 / f_i''(u_i),
         # zero where f_i'' is unbounded
-        u = self._argsup(pts, guess)
         with np.errstate(divide="ignore"):
-            curv = 1.0 / self.fn._curvature(u)
-        return np.sum(u * pts, axis=1) - self.fn._value(u), u, _diagonal(curv)
+            return value, u, _diagonal(1.0 / self.fn._curvature(u))
 
     def _pair(self):
         return self, self.fn
@@ -863,16 +842,11 @@ class MoreauEnvelope(ConvexFn):
     def coercive(self):
         return self.inner.coercive
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _grad(self, pts):
-        return (pts - self.inner._prox(pts, self.step)) / self.step
-
-    def _value_grad(self, pts, guess=None):
+    def _eval(self, pts, hess=False, guess=None):
+        _no_hessian(self, hess)
         p = self.inner._prox(pts, self.step)
         return (self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step),
-                (pts - p) / self.step)
+                (pts - p) / self.step, None)
 
     def _pair(self):
         ip, idual = self.inner.conjugate_pair()
@@ -892,17 +866,6 @@ def _sampled_pair(fn: ConvexFn):
         )
     counts = AUTO_GRID_1D if fn.dim == 1 else AUTO_GRID_2D
     return GridSampled.from_samples(fn.value, fn.box.lo, fn.box.hi, counts).conjugate_pair()
-
-
-def convexity_violation(fn: ConvexFn, rng: np.random.Generator, samples: int = 200) -> float:
-    """Worst violation of the convexity inequality on random box segments."""
-    x = fn.box.sample(rng, samples)
-    y = fn.box.sample(rng, samples)
-    t = rng.uniform(0.0, 1.0, size=samples)[:, None]
-    mid = t * x + (1 - t) * y
-    lhs = fn.value(mid)
-    rhs = t[:, 0] * fn.value(x) + (1 - t[:, 0]) * fn.value(y)
-    return float(np.max(lhs - rhs))
 
 
 class Hamiltonian:

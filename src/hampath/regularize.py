@@ -22,6 +22,7 @@ from hampath.convex import (
     Quadratic,
     SeparableSum,
     Sum,
+    _block_diagonal,
     _diagonal,
     simplify_sum,
 )
@@ -38,7 +39,7 @@ def _perturbed(fn: ConvexFn, eps: float) -> ConvexFn:
     """fn + (eps/2)|x|^2, block by block over a separable sum, so that every block
     keeps its own kind of conjugate."""
     if isinstance(fn, SeparableSum):
-        return SeparableSum([_perturbed(p, eps) for p in fn.parts], box=fn.box)
+        return SeparableSum([_perturbed(p, eps) for p in fn.parts])
     return simplify_sum([fn, Quadratic(eps * np.eye(fn.dim), box=fn.box)])
 
 
@@ -71,10 +72,11 @@ class _InfConvFn(ConvexFn):
 
     The penalty is coordinatewise, so the inner problem splits along the blocks
     of a separable sum.  It is one root call over all coordinates for a
-    separable primal, on its own gradient and curvature, which also yields the
-    Hessian; an enumeration of facets for a tabulated envelope plus a separable
-    quadratic (the eps stage of a grid-backed H); and batched Newton in the dual
-    for a coupled quadratic.  Only a separable primal has a Hessian.
+    separable primal, on its own gradient and curvature; an enumeration of
+    facets for a tabulated envelope plus a separable quadratic (the eps stage of
+    a grid-backed H); and batched Newton in the dual for a coupled quadratic.
+    The separable and the quadratic solves also yield the Hessian of H_lam, and a
+    separable sum of them a block-diagonal one; the facet enumeration yields none.
     """
 
     smooth = True
@@ -98,36 +100,48 @@ class _InfConvFn(ConvexFn):
 
     def minimizers(self, pts):
         """Attaining points u*(x) of the inner minimization, shape like pts."""
-        return self._attain(pts)[0]
+        return self._attain(self.base_primal)(pts)[0]
 
-    def _attain(self, pts, f=None):
-        """Attaining points u*(x) and the gradients of H_lam, both shaped like pts, for
-        the primal ``f`` (the base primal, or one block of it)."""
-        f = self.base_primal if f is None else f
+    def _attain(self, f, hess=False):
+        """The inner solve over the primal ``f`` (the base primal, or one block of it): a
+        map from points to the attaining points u*(x) and the gradients of H_lam, both
+        shaped like the points, and with ``hess`` the Hessians of H_lam (else None).
+        A primal without an inner solve, or without Hessians when they are asked,
+        raises ``NotImplementedError`` here, before any solve runs."""
         if f.separable:
-            u, v = self._attain_separable(pts, f)
-            return u, -v / self.lam**self.power.r
+            return lambda pts: self._attain_separable(pts, f, hess)
         if isinstance(f, SeparableSum):
-            us, gs = zip(*(self._attain(pts[:, sl], p) for p, sl in zip(f.parts, f.slices)))
-            return np.concatenate(us, axis=1), np.concatenate(gs, axis=1)
+            solves = [self._attain(p, hess) for p in f.parts]
+
+            def blocks(pts):
+                us, gs, hs = zip(*(s(pts[:, sl]) for s, sl in zip(solves, f.slices)))
+                return (np.concatenate(us, axis=1), np.concatenate(gs, axis=1),
+                        _block_diagonal(hs, f.slices, pts.shape[0]) if hess else None)
+            return blocks
         if isinstance(f, Quadratic):
-            return self._attain_quadratic(pts, f)
+            return lambda pts: self._attain_quadratic(pts, f, hess)
         form = f.envelope_form()
         if form is None:
             raise NotImplementedError(f"no inf-convolution inner solve over "
                                       f"{type(f).__name__}")
-        u = self._minimizers_facets(pts, *form)
-        return u, self.power._grad(pts - u)
+        if hess:
+            raise NotImplementedError("an inf-convolution over a tabulated function has "
+                                      "no Hessian")
+        return lambda pts: self._attain_facets(pts, *form)
 
-    def _attain_separable(self, pts, f):
-        """Minimizers u and penalty slopes v at pts, all coordinates in one root call.
+    def _attain_separable(self, pts, f, hess):
+        """Minimizers, gradients of H_lam and, with ``hess``, its Hessians at pts, all
+        coordinates in one root call.
 
         The stationarity equation f_i'(u_i) + penalty'(u_i - x_i) = 0 is solved in
         the penalty slope v = sign(w)|w|^(s-1) of w = u - x, in which
         w = sign(v)|v|^(r-1) and penalty'(w) = v / lam^s.  Its residual
         rho(v) = f'(x + w) + v / lam^s increases with slope at least 1/lam^s,
         also at v = 0, where the slope in w is unbounded; the root lies between
-        0 and -lam^s f'(x), and grad H_lam = -v / lam^s.
+        0 and -lam^s f'(x), and grad H_lam = -v / lam^s.  The Hessian is the parallel
+        sum of the primal's and the penalty's at u: per coordinate
+        1 / (1/f''(u) + lam^s (r-1) |v|^(r-2)), which stays finite at v = 0 and where
+        f'' is unbounded.
         """
         r, c = self.r, self.lam**self.power.r
         g = f._grad(pts)
@@ -144,10 +158,16 @@ class _InfConvFn(ConvexFn):
         end = -c * g
         v = newton_bisect(rho_drho, np.minimum(end, 0.0), np.maximum(end, 0.0),
                           scale=1.0 + np.abs(g))
-        return pts + np.sign(v) * np.abs(v) ** (r - 1.0), v
+        u = pts + np.sign(v) * np.abs(v) ** (r - 1.0)
+        if not hess:
+            return u, -v / c, None
+        with np.errstate(divide="ignore"):
+            curv = 1.0 / (1.0 / f._curvature(u) + c * (r - 1.0) * np.abs(v) ** (r - 2.0))
+        return u, -v / c, _diagonal(curv)
 
-    def _minimizers_facets(self, pts, env, a, b):
-        """Facet enumeration for envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i.
+    def _attain_facets(self, pts, env, a, b):
+        """Minimizers and gradients of H_lam at pts, by facet enumeration for
+        envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i, and no Hessians.
 
         At the minimizer, |penalty'(u_i - x_i)| = |g_i + a_i u_i + b_i| for a g in
         the envelope's subdifferential, so |u_i - x_i| <= lam^r G_i^(r-1) with G_i
@@ -166,34 +186,41 @@ class _InfConvFn(ConvexFn):
             w = self.dual_term._grad(bound * (1.0 + 1e-9)) + 1e-12 * (env.box.hi - env.box.lo)
             lo = np.maximum(lo, np.clip(pts - w, env.box.lo, env.box.hi))
             hi = np.minimum(hi, np.clip(pts + w, env.box.lo, env.box.hi))
-        return facet_argmin(env.facets, a, np.broadcast_to(b, pts.shape), lo, hi,
-                            self.power, pts)
+        u = facet_argmin(env.facets, a, np.broadcast_to(b, pts.shape), lo, hi, self.power, pts)
+        return u, self.power._grad(pts - u), None
 
-    def _attain_quadratic(self, pts, f):
-        """Attaining points and gradients over a coupled quadratic f, solved in the dual.
+    def _attain_quadratic(self, pts, f, hess):
+        """Attaining points and gradients over a coupled quadratic f, solved in the dual,
+        and with ``hess`` the Hessians of H_lam.
 
         The gradient g of H_lam at x solves grad f*(g) + grad P*(g) = x, P* the dual
         power term: the gradient of the strictly convex merit f*(g) + P*(g) - x.g,
-        whose Jacobian A^-1 + P*''(g) is positive definite.  Batched Newton starts
+        whose Jacobian J = A^-1 + P*''(g) is positive definite.  Batched Newton starts
         at g = grad f(x); a row stops once every |F| <= 1e-12 (1 + |x|), and a
         halved step is kept when the merit or the largest residual falls (near the
-        root the merit's fall is below rounding).  Then u = x - grad P*(g).
+        root the merit's fall is below rounding).  Then u = x - grad P*(g), and the
+        Hessian of H_lam, the Jacobian of g in x, is J^-1 at the accepted g: H_lam* is
+        f* + P* (the conjugate of an inf-convolution is the sum of the conjugates).
         """
         fstar, P = f.conjugate_pair()[1], self.dual_term
         tol = 1e-12 * (1.0 + np.abs(pts))
 
         def merit(g, x):
             # the merit, its gradient F and its Jacobian
-            (a, ga, ha), (b, gb, hb) = fstar._value_grad_hess(g), P._value_grad_hess(g)
+            (a, ga, ha), (b, gb, hb) = fstar._eval(g, True), P._eval(g, True)
             return a + b - np.sum(x * g, axis=1), ga + gb - x, ha + hb
 
         g = f._grad(pts)
+        # each row's last Jacobian is the one at its accepted g
+        jac = np.empty(pts.shape + pts.shape[-1:]) if hess else None
         live = np.arange(pts.shape[0])
         for _ in range(NEWTON_ITERS):
             phi, F, J = merit(g[live], pts[live])
+            if hess:
+                jac[live] = J
             left = ~np.all(np.abs(F) <= tol[live], axis=1)
             if not left.any():
-                return pts - P._grad(g), g
+                return pts - P._grad(g), g, (np.linalg.inv(jac) if hess else None)
             live, phi, F, J = live[left], phi[left], F[left], J[left]
             step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             worst = np.max(np.abs(F), axis=1)
@@ -209,32 +236,9 @@ class _InfConvFn(ConvexFn):
         raise RootFindError(f"inf-convolution inner solve over a quadratic stalled after "
                             f"{NEWTON_ITERS} Newton iterations")
 
-    def _value(self, pts):
-        return self._value_grad(pts)[0]
-
-    def _grad(self, pts):
-        return self._attain(pts)[1]
-
-    def _value_grad(self, pts, guess=None):
-        u, g = self._attain(pts)
-        return self.base_primal._value(u) + self.penalty(pts - u), g
-
-    def _hess(self, pts):
-        return self._value_grad_hess(pts)[2]
-
-    def _value_grad_hess(self, pts, guess=None):
-        """Over a separable primal, the Hessian is the parallel sum of the primal's and the
-        penalty's at u: per coordinate 1 / (1/f''(u) + lam^s (r-1) |v|^(r-2)), which stays
-        finite at v = 0 and where f'' is unbounded."""
-        f = self.base_primal
-        if not f.separable:
-            raise NotImplementedError("an inf-convolution has a Hessian only over a "
-                                      "separable primal")
-        c, r = self.lam**self.power.r, self.r
-        u, v = self._attain_separable(pts, f)
-        with np.errstate(divide="ignore"):
-            curv = 1.0 / (1.0 / f._curvature(u) + c * (r - 1.0) * np.abs(v) ** (r - 2.0))
-        return f._value(u) + self.penalty(pts - u), -v / c, _diagonal(curv)
+    def _eval(self, pts, hess=False, guess=None):
+        u, g, hessians = self._attain(self.base_primal, hess)(pts)
+        return self.base_primal._value(u) + self.penalty(pts - u), g, hessians
 
     def _pair(self):
         return self, Sum([self.base_dual, self.dual_term])
@@ -267,15 +271,4 @@ class InfConvolved(Hamiltonian):
         xy = np.concatenate([p, q], axis=-1)
         u = self.fn.minimizers(np.atleast_2d(xy)).reshape(xy.shape)
         return u[..., : self.N], u[..., self.N:]
-
-    def attainment_residual(self, p, q) -> float:
-        """|H_lam(p,q) - H(i_p,j_q) - penalty|; zero when the inner solve is exact."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        xy = np.concatenate([p, q])
-        ip, jq = self.attaining_points(p, q)
-        u = np.concatenate([ip, jq])
-        lhs = self.value(xy)
-        rhs = self.fn.base_primal.value(u) + float(self.fn.penalty(xy - u))
-        return abs(lhs - rhs)
 

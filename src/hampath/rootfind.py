@@ -29,7 +29,7 @@ tolerance, the bisection fallback and the stall check are the same with and
 without it.
 
 Elements stop independently: an element is done once its residual meets
-``tol * scale`` or its bracket has shrunk to rounding, and from then on its
+``TOL * scale`` or its bracket has shrunk to rounding, and from then on its
 iterate is left unchanged while the others keep iterating.  A batch of
 coordinates therefore returns bitwise what one call per coordinate would.
 """
@@ -47,6 +47,12 @@ import numpy as np
 # at most in the benchmark's lambda sweep), so they never reach it.
 NEWTON_ITERS = 100
 
+# A ``newton_bisect`` call's iterations and its residual tolerance relative to each
+# element's scale; ``bracket_root``'s doublings
+MAX_ITERS = 200
+TOL = 1e-12
+MAX_DOUBLINGS = 80
+
 
 class RootFindError(RuntimeError):
     def __init__(self, message, residual=None):
@@ -54,7 +60,7 @@ class RootFindError(RuntimeError):
         self.residual = residual
 
 
-def bracket_root(rho, center, init_width=1.0, max_doublings=80):
+def bracket_root(rho, center, init_width=1.0):
     """Expand symmetric brackets around ``center`` until rho changes sign.
 
     ``rho`` maps arrays to arrays elementwise and is nondecreasing per element.
@@ -65,7 +71,7 @@ def bracket_root(rho, center, init_width=1.0, max_doublings=80):
     w = np.broadcast_to(np.asarray(init_width, dtype=float), center.shape).copy()
     lo = center - w
     hi = center + w
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         need_lo = rho(lo) > 0
         need_hi = rho(hi) < 0
         if not (need_lo.any() or need_hi.any()):
@@ -76,7 +82,7 @@ def bracket_root(rho, center, init_width=1.0, max_doublings=80):
     raise RootFindError("failed to bracket root after doubling cap")
 
 
-def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None, start=None):
+def newton_bisect(rho_drho, lo, hi, scale=None, start=None):
     """Root of an increasing residual, bracketed in [lo, hi], elementwise.
 
     ``rho_drho(u) -> (rho, drho)``.  The first iterate is ``start`` (one per
@@ -84,10 +90,10 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None, start=
     midpoint elsewhere.  Newton steps are taken when they stay inside the
     bracket, otherwise, and after ``NEWTON_ITERS`` iterations, the bracket is
     bisected; the bracket is updated from the residual sign each iteration.
-    An element whose residual meets ``tol * scale``, or whose bracket is below
+    An element whose residual meets ``TOL * scale``, or whose bracket is below
     rounding, is frozen at its current iterate; the call returns once every
-    element is.  Raises if at the cap any element's residual exceeds 1e-6
-    times its own scale.
+    element is.  Raises if after ``MAX_ITERS`` iterations any element's residual
+    exceeds 1e-6 times its own scale.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -99,11 +105,11 @@ def newton_bisect(rho_drho, lo, hi, max_iters=200, tol=1e-12, scale=None, start=
     if scale is None:
         scale = 1.0
     r = None
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         r, dr = rho_drho(u)
         lo = np.where(r <= 0, u, lo)
         hi = np.where(r > 0, u, hi)
-        done = (np.abs(r) <= tol * scale) | (hi - lo <= 1e-15 * (1.0 + np.abs(u)))
+        done = (np.abs(r) <= TOL * scale) | (hi - lo <= 1e-15 * (1.0 + np.abs(u)))
         if np.all(done):
             return u
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -325,6 +325,43 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def grid_on_p_config(tmp_path, lo=-4.0, hi=4.0):
+        """81 nodes of 0.5 p^2 + 0.3 |p| on [lo, hi] applied to p and 0.5 q^2 on q, in the
+        default box (halfwidth 10), which is wider than the table."""
+        x = np.linspace(lo, hi, 81)
+        np.savetxt(tmp_path / "p.csv", np.column_stack([x, 0.5 * x**2 + 0.3 * np.abs(x)]),
+                   delimiter=",")
+        return {
+            "problem": {"N": 1, "T": 0.5},
+            "hamiltonian": {"terms": [{"kind": "grid", "file": "p.csv", "apply": "p"},
+                                      {"kind": "quadratic", "scale": 0.5, "apply": "q"}]},
+            "boundary": {"mode": "cauchy", "p0": [0.5], "q0": [0.2]},
+            "growth": {"alpha": 0.01, "beta": 1.0, "gamma": 0.5},
+            "solver": {"M": 10, "eps_schedule": [0.05], "lambda_schedule": [0.3],
+                       "max_iters": 200},
+        }
+
+    def test_table_narrower_than_the_box_exit_0(self, tmp_path, capsys):
+        # the hypothesis checks sample the separable sum's box, its blocks' boxes side by
+        # side, and so stay on the table
+        cfg = self.grid_on_p_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "status: Converged" in (out / "report.txt").read_text()
+
+    def test_terms_without_a_common_box_exit_1(self, tmp_path, capsys):
+        cfg = self.grid_on_p_config(tmp_path)
+        x = np.linspace(5.0, 9.0, 41)
+        np.savetxt(tmp_path / "p2.csv", np.column_stack([x, 0.5 * x**2]), delimiter=",")
+        cfg["hamiltonian"]["terms"].append({"kind": "grid", "file": "p2.csv", "apply": "p"})
+        out = tmp_path / "o"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: hamiltonian.terms: the terms' boxes do not overlap\n"
+        assert not out.exists()
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["problem"]["T"] = 1.0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hampath.convex import (
     Box,
+    DomainError,
     GridConjugate,
     GridSampled,
     Hamiltonian,
@@ -16,7 +17,6 @@ from hampath.convex import (
     SeparableSum,
     Sum,
     affine,
-    convexity_violation,
     simplify_sum,
     squared_norm,
 )
@@ -300,6 +300,18 @@ class TestSeparableStructure:
         assert fn.separable and fn.coercive_axes.tolist() == [True, True]
         assert isinstance(fn.conjugate_pair()[1], ScalarConjugate)
 
+    def test_a_sum_lives_in_the_boxes_of_its_parts(self):
+        # a separable sum's box is its blocks' side by side; a sum's is the overlap of
+        # its parts' and the given one
+        table = abs_grid(-1.0, 3.0, 41)
+        split = SeparableSum([table, PowerNorm(4.0, 1.0, box=Box.cube(1, 5.0))])
+        assert split.box.lo.tolist() == [-1.0, -5.0] and split.box.hi.tolist() == [3.0, 5.0]
+        fn = Sum([Quadratic(np.eye(2)), split], box=Box.cube(2, 2.0))
+        assert fn.box.lo.tolist() == [-1.0, -2.0] and fn.box.hi.tolist() == [2.0, 2.0]
+        assert simplify_sum([Quadratic(np.eye(2)), split]).box.lo.tolist() == [-1.0, -5.0]
+        with pytest.raises(DomainError):
+            Sum([table, abs_grid(4.0, 5.0, 11)])
+
 
 class TestPairCache:
     def test_conjugate_is_the_cached_pair_dual(self, monkeypatch):
@@ -335,6 +347,17 @@ class TestPairCache:
         assert np.array_equal(H.value(x), H.pair()[0].value(x))
         # between the nodes (0, 0) and (0.5, -0.5) the envelope is the true value 0
         assert H.value(np.array([0.25, -0.25])) == pytest.approx(0.0, abs=1e-12)
+
+
+def convexity_violation(fn, rng, samples=200):
+    """Worst violation of the convexity inequality on random box segments."""
+    x = fn.box.sample(rng, samples)
+    y = fn.box.sample(rng, samples)
+    t = rng.uniform(0.0, 1.0, size=samples)[:, None]
+    mid = t * x + (1 - t) * y
+    lhs = fn.value(mid)
+    rhs = t[:, 0] * fn.value(x) + (1 - t[:, 0]) * fn.value(y)
+    return float(np.max(lhs - rhs))
 
 
 class TestInvariants:
@@ -427,7 +450,7 @@ class TestValueGrad:
     """One evaluation returns exactly what separate _value and _grad calls return."""
 
     def assert_fused(self, f, pts):
-        v, g = f._value_grad(pts)
+        v, g, _ = f._eval(pts)
         assert np.array_equal(v, f._value(pts))
         assert np.array_equal(g, f._grad(pts))
 
@@ -482,7 +505,7 @@ class TestGridValueGrad:
     def test_values_bitwise_1d(self, rng):
         f = self.grid_1d()
         pts = np.concatenate([f.box.sample(rng, 50), f.grid.axis_nodes(0)[:, None]])
-        v, g = f._value_grad(pts)
+        v, g, _ = f._eval(pts)
         assert np.array_equal(v, f._value(pts))
         assert np.allclose(v[50:], f.grid.values, rtol=0.0, atol=1e-12)
         assert g.shape == pts.shape
@@ -492,7 +515,7 @@ class TestGridValueGrad:
         X1, X2 = np.meshgrid(f.grid.axis_nodes(0), f.grid.axis_nodes(1), indexing="ij")
         nodes = np.column_stack([X1.ravel(), X2.ravel()])
         pts = np.concatenate([f.box.sample(rng, 50), nodes])
-        v, g = f._value_grad(pts)
+        v, g, _ = f._eval(pts)
         assert np.array_equal(v, f._value(pts))
         assert np.allclose(v[50:], f.grid.values.ravel(), rtol=0.0, atol=1e-12)
         assert g.shape == pts.shape
@@ -501,7 +524,7 @@ class TestGridValueGrad:
     def test_gradient_matches_central_differences(self, rng, dim):
         f = self.grid_1d() if dim == 1 else grid_hamiltonian().fn
         pts = self.interior(rng, f, 40)
-        _, g = f._value_grad(pts)
+        _, g, _ = f._eval(pts)
         assert np.max(np.abs(g - self.central_differences(f, pts))) < 1e-7
 
     def test_cell_gradient_of_tabulated_quadratic(self, rng):
@@ -509,7 +532,7 @@ class TestGridValueGrad:
         # cell's midpoint on that axis: (x_{i+1}^2 - x_i^2) / (2h) = x_i + h/2
         f = grid_hamiltonian().fn
         pts = self.interior(rng, f, 40)
-        _, g = f._value_grad(pts)
+        _, g, _ = f._eval(pts)
         for k in range(2):
             nodes, h = f.grid.axis_nodes(k), f.grid.spacing(k)
             i = np.clip(((pts[:, k] - nodes[0]) / h).astype(int), 0, nodes.size - 2)
@@ -520,8 +543,8 @@ class TestGridValueGrad:
         quad = Quadratic(np.array([[0.3, 0.1], [0.1, 0.2]]), [0.1, -0.2])
         f = Sum([quad, grid])
         pts = self.interior(rng, grid, 20)
-        v, g = f._value_grad(pts)
-        vg, gg = grid._value_grad(pts)
+        v, g, _ = f._eval(pts)
+        vg, gg, _ = grid._eval(pts)
         assert np.array_equal(v, f._value(pts))
         assert np.array_equal(v, quad._value(pts) + vg)
         assert np.array_equal(g, quad._grad(pts) + gg)
@@ -532,7 +555,7 @@ class TestGridValueGrad:
         f = SeparableSum([a, b])
         pts = self.interior(rng, a, 20)
         pts = np.column_stack([pts[:, 0], rng.uniform(-1.9, 1.9, len(pts))])
-        v, g = f._value_grad(pts)
+        v, g, _ = f._eval(pts)
         assert np.array_equal(v, f._value(pts))
-        assert np.array_equal(g[:, :1], a._value_grad(pts[:, :1])[1])
-        assert np.array_equal(g[:, 1:], b._value_grad(pts[:, 1:])[1])
+        assert np.array_equal(g[:, :1], a._eval(pts[:, :1])[1])
+        assert np.array_equal(g[:, 1:], b._eval(pts[:, 1:])[1])

@@ -16,11 +16,12 @@ import hampath.action
 import hampath.convex
 import hampath.regularize
 import hampath.solver
-from hampath.action import Cauchy, ProblemSpec, _evaluate, action_for, fenchel_young
+from hampath.action import Cauchy, ProblemSpec, action_for, fenchel_young
 from hampath.certify import certify
 from hampath.cli import main
 from hampath.config import load_config
 from hampath.convex import (
+    GridSampled,
     Hamiltonian,
     PowerNorm,
     Quadratic,
@@ -30,6 +31,7 @@ from hampath.convex import (
     affine,
 )
 from hampath.grid import PathGrid, random_path
+from hampath.legendre import GridFn
 from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.rootfind import RootFindError
 from hampath.solver import (
@@ -40,7 +42,7 @@ from hampath.solver import (
     solve,
 )
 
-from conftest import decline_march, mixed_hamiltonian
+from conftest import coupled_hamiltonian, decline_march, mixed_hamiltonian
 
 ROOT = Path(__file__).parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -315,10 +317,16 @@ class TestExactFinalStage:
         assert len(res.stage_history) == stages
 
 
+def _side(fn, pts, hess, guess=None):
+    # one side of a gap as fenchel_young reads it: values alone from a nonsmooth side
+    # unless Hessians are asked
+    return fn._eval(pts, hess, guess) if hess or fn.smooth else (fn._value(pts), None, None)
+
+
 def _two_sided(primal, dual, x, y, hess=False):
     # the dual side gets the same guess of its gradient as in fenchel_young
-    fx, dx, hx = _evaluate(primal, x, hess)
-    fy, dy, hy = _evaluate(dual, y, hess, guess=x)
+    fx, dx, hx = _side(primal, x, hess)
+    fy, dy, hy = _side(dual, y, hess, guess=x)
     return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
 
@@ -335,8 +343,8 @@ class TestGradientGuess:
 
     @staticmethod
     def _cold(primal, dual, x, y, hess):
-        fx, dx, hx = _evaluate(primal, x, hess)
-        fy, dy, hy = _evaluate(dual, y, hess)
+        fx, dx, hx = _side(primal, x, hess)
+        fy, dy, hy = _side(dual, y, hess)
         return fx + fy - np.sum(x * y, axis=1), dx, dy, ((hx, hy) if hess else None)
 
     @pytest.mark.parametrize("hess", [False, True])
@@ -378,11 +386,11 @@ class TestGradientGuess:
         _, dual = _config("separable_split")[0].hamiltonian.pair()
         assert isinstance(dual, SeparableSum) and isinstance(dual.parts[0], ScalarConjugate)
         y, guess = rng.uniform(-3.0, 3.0, size=(2, 100, 2))
-        value, grad = dual._value_grad(y, guess)
-        parts = [p._value_grad(y[:, sl], guess[:, sl])
+        value, grad, _ = dual._eval(y, guess=guess)
+        parts = [p._eval(y[:, sl], guess=guess[:, sl])
                  for p, sl in zip(dual.parts, dual.slices)]
         assert value.tobytes() == (parts[0][0] + parts[1][0]).tobytes()
-        assert grad.tobytes() == np.concatenate([g for _, g in parts], axis=1).tobytes()
+        assert grad.tobytes() == np.concatenate([g for _, g, _ in parts], axis=1).tobytes()
 
 
 def test_separable_split_reaches_separable_mixed_path():
@@ -481,6 +489,19 @@ def test_smooth_final_stage_converges_in_one_newton_stage(monkeypatch, case):
     assert st.objective == res.certificate.action_value <= params.tol_zero * 1e-3
 
 
+@pytest.mark.parametrize("M", [20, 200])
+def test_coupled_lambda_stage_converges_in_one_newton_stage(monkeypatch, M):
+    """Over a coupled quadratic, the Hessian of H_lam is the inverse of the Jacobian that
+    the dual inner solve forms, so a lambda-only solve runs no L-BFGS stage."""
+    spec = ProblemSpec(coupled_hamiltonian(), 1.0, Cauchy([1.0, -0.5], [0.2, 0.4]), None)
+    params = SolveParams(M=M, eps_schedule=(), lambda_schedule=(0.3,), polish=False)
+    monkeypatch.setattr(hampath.solver, "lbfgs", _refuse)
+    res = solve(spec, params)
+    assert res.status.value == "Converged"
+    [st] = res.stage_history
+    assert (st.eps, st.lam, st.reason) == (0.0, 0.3, "ftarget")
+
+
 def test_newton_that_stops_short_hands_over_bitwise(monkeypatch):
     """At p0 = 50 the first full Newton step raises the action; the schedule then runs
     from the initial path exactly as when no Newton attempt is made."""
@@ -540,23 +561,27 @@ HESSIAN_KINDS = {
         Quadratic(np.eye(1))]),
     "infconv_0.4": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.4).fn,
     "infconv_0.1": lambda: InfConvolved(Hamiltonian(_sum_quartic(), 1), 0.1).fn,
+    # the inverse Jacobian of the dual inner solve, and block diagonal over blocks of it
+    "infconv_coupled": lambda: InfConvolved(coupled_hamiltonian(), 0.3).fn,
+    "infconv_coupled_blocks": lambda: InfConvolved(Hamiltonian(SeparableSum([
+        Quadratic([[1.0, 0.3], [0.3, 0.8]]), PowerNorm(4.0, 0.3, dim=2)]), 2), 0.3).fn,
 }
 
 
 class TestHessians:
     @staticmethod
-    def _points(rng):
+    def _points(rng, dim=2):
         # away from 0, where PowerNorm's curvature is unbounded or vanishes
-        return rng.uniform(0.3, 2.0, size=(40, 2)) * rng.choice([-1.0, 1.0], size=(40, 2))
+        return rng.uniform(0.3, 2.0, size=(40, dim)) * rng.choice([-1.0, 1.0], size=(40, dim))
 
     @pytest.mark.parametrize("kind", list(HESSIAN_KINDS))
     def test_matches_central_differences_of_the_gradient(self, rng, kind):
         f = HESSIAN_KINDS[kind]()
-        pts = self._points(rng)
-        hess = np.broadcast_to(f._hess(pts), (len(pts), 2, 2))
+        pts = self._points(rng, f.dim)
+        hess = np.broadcast_to(f._eval(pts, True)[2], (len(pts), f.dim, f.dim))
         delta = 1e-5
-        for j in range(2):
-            e = np.zeros(2)
+        for j in range(f.dim):
+            e = np.zeros(f.dim)
             e[j] = delta
             column = (f._grad(pts + e) - f._grad(pts - e)) / (2.0 * delta)
             assert np.abs(hess[:, :, j] - column).max() <= 1e-6 * (1.0 + np.abs(column).max())
@@ -564,16 +589,29 @@ class TestHessians:
     @pytest.mark.parametrize("kind", list(HESSIAN_KINDS))
     def test_hook_returns_value_gradient_and_hessian_bitwise(self, rng, kind):
         f = HESSIAN_KINDS[kind]()
-        pts = self._points(rng)
-        value, grad, hess = f._value_grad_hess(pts)
-        v, g = f._value_grad(pts)
+        pts = self._points(rng, f.dim)
+        value, grad, hess = f._eval(pts, True)
+        v, g, none = f._eval(pts)
         assert np.array_equal(value, v) and np.array_equal(grad, g)
-        assert np.array_equal(hess, f._hess(pts))
+        assert np.array_equal(value, f._value(pts)) and np.array_equal(grad, f._grad(pts))
+        assert none is None and hess.shape[1:] == (f.dim, f.dim) and np.all(np.isfinite(hess))
+
+    def test_a_tabulated_block_refuses_before_any_inner_solve(self, monkeypatch):
+        # the separable block comes first, and its root call does not run
+        x = np.linspace(-4.0, 4.0, 81)
+        grid = GridSampled(GridFn([-4.0], [4.0], 0.5 * x**2 + 0.3 * np.abs(x)))
+        f = InfConvolved(Hamiltonian(SeparableSum([PowerNorm(4.0, 0.3), grid]), 1), 0.3).fn
+        calls = []
+        monkeypatch.setattr(hampath.regularize, "newton_bisect",
+                            lambda *a, **k: calls.append(1))
+        with pytest.raises(NotImplementedError):
+            f._eval(np.zeros((5, 2)), True)
+        assert calls == []
 
     def test_hessians_where_the_curvature_is_unbounded(self):
         # the conjugate of |u|^1.5 + u^2/2 has zero curvature at y = 0
         f = ScalarConjugate(Sum([PowerNorm(1.5, 1.0), Quadratic(np.eye(1))]))
-        assert f._hess(np.zeros((1, 1)))[0, 0, 0] == 0.0
+        assert f._eval(np.zeros((1, 1)), True)[2][0, 0, 0] == 0.0
         # |u|^1.5 + b.u attains its inf-convolution at u = 0 from the x whose penalty
         # slope is v = -b lam^s; there the Hessian is the penalty's alone
         b, lam, r = np.array([0.3, -0.2]), 0.3, 4.0
@@ -584,7 +622,7 @@ class TestHessians:
         assert np.abs(g.minimizers(x[None])).max() <= 1e-12
         want = 1.0 / (c * (r - 1.0) * np.abs(v) ** (r - 2.0))
         # the computed u is off 0 by rounding, where 1/f'' is about 1e-6
-        assert np.allclose(np.diag(g._hess(x[None])[0]), want, rtol=1e-4)
+        assert np.allclose(np.diag(g._eval(x[None], True)[2][0]), want, rtol=1e-4)
 
     @pytest.mark.parametrize("lam, sides", [(None, 1), (0.2, 2)])
     def test_one_root_call_per_root_solved_side_per_evaluation(self, monkeypatch, lam, sides):

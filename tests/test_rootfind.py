@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hampath.rootfind
 from hampath.rootfind import RootFindError, bracket_root, newton_bisect
 
 
@@ -66,22 +67,24 @@ class TestNewtonBisect:
             u = f._prox(x, 0.1)
             assert np.all(np.abs(u - x + 0.1 * f._grad(u)) <= 1e-6 * (1.0 + np.abs(x)))
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # no usable derivative forces bisection, far too slow for four iterations
         def rho_drho(u):
             return u - 0.3, np.full_like(u, np.nan)
+        monkeypatch.setattr(hampath.rootfind, "MAX_ITERS", 4)
         with pytest.raises(RootFindError) as info:
-            newton_bisect(rho_drho, [-10.0], [10.0], max_iters=4)
+            newton_bisect(rho_drho, [-10.0], [10.0])
         assert info.value.residual > 1e-6
 
-    def test_small_scale_stall_beside_large_scale_raises(self):
+    def test_small_scale_stall_beside_large_scale_raises(self, monkeypatch):
         # at the cap both residuals are the same; that passes for the element
         # of scale 1e8 on its own, but not for its neighbour of scale 1
         def rho_drho(u):
             return u - 0.3, np.full_like(u, np.nan)
-        newton_bisect(rho_drho, [-10.0], [10.0], max_iters=4, scale=np.array([1e8]))
+        monkeypatch.setattr(hampath.rootfind, "MAX_ITERS", 4)
+        newton_bisect(rho_drho, [-10.0], [10.0], scale=np.array([1e8]))
         with pytest.raises(RootFindError) as info:
-            newton_bisect(rho_drho, [-10.0, -10.0], [10.0, 10.0], max_iters=4,
+            newton_bisect(rho_drho, [-10.0, -10.0], [10.0, 10.0],
                           scale=np.array([1e8, 1.0]))
         assert info.value.residual > 1e-6
 
@@ -135,9 +138,10 @@ class TestStart:
 
 
 class TestBracketRoot:
-    def test_doubling_cap_raises(self):
+    def test_doubling_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hampath.rootfind, "MAX_DOUBLINGS", 5)
         with pytest.raises(RootFindError):
-            bracket_root(lambda u: u - 1e30, np.zeros(3), max_doublings=5)
+            bracket_root(lambda u: u - 1e30, np.zeros(3))
 
     def test_per_element_widths(self):
         lo, hi = bracket_root(lambda u: u - np.array([0.5, 40.0]), np.zeros(2),
@@ -195,10 +199,10 @@ class TestColumnIndependence:
     def test_batched_conjugate(self):
         from hampath.convex import ScalarConjugate, SeparableSum
 
-        value, grad = ScalarConjugate(SeparableSum(self.pieces()))._value_grad(self.Y)
+        value, grad, _ = ScalarConjugate(SeparableSum(self.pieces()))._eval(self.Y)
         total = 0
         for i, piece in enumerate(self.pieces()):
-            v, g = ScalarConjugate(piece)._value_grad(self.Y[:, i:i + 1])
+            v, g, _ = ScalarConjugate(piece)._eval(self.Y[:, i:i + 1])
             assert grad[:, i].tobytes() == g[:, 0].tobytes()
             total = total + v
         # the value is <u, y> - f(u) of the whole function, summed in another order
