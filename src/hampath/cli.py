@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -281,7 +282,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built once per process; each parse returns a new
+    namespace, so one call leaves nothing behind for the next."""
     parser = _ArgumentParser(
         prog="hampath",
         description="check, solve and certify convex Hamiltonian boundary value problems",
@@ -303,9 +307,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--param", required=True, choices=["lambda", "eps", "M", "T"])
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_sweep.add_argument("--out", default=None)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "check":
             return cmd_check(args)
         if args.command == "solve":

@@ -8,6 +8,12 @@ tabulated functions pair their envelope with the max over their nodes
 (``hampath.polyhedral``), whose facets come from the lower hulls here
 (``_lower_hull`` in 1-D, ``lower_facets`` in 2-D).  In 2-D,
 ``convexity_defect`` evaluates the envelope through that same facet table.
+
+In 2-D the grid cells give the facets directly when every grid edge is a
+strict kink: each cell split along its lower diagonal is then a locally
+convex, hence convex, interpolant of the samples, which is their envelope.
+Samples with flat grid edges (planes, strips, |x| + |y|) or that are not
+convex go to qhull (``scipy.spatial``, imported only then).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DualBoxError(ValueError):
@@ -267,23 +274,83 @@ def lower_facets(f: GridFn):
     Returns ``(tri, grad, offset)``: ``tri`` (F, 3) indexes the row-major grid
     nodes, and on triangle t the convex envelope of the samples is
     ``grad[t] . x + offset[t]``, the plane through the triangle's three
-    samples.  The triangles tile the grid box.  Coplanar samples give the two
-    triangles of the box corners.
-    """
-    from scipy.spatial import ConvexHull, QhullError
+    samples.  The triangles tile the grid box.
 
-    x1 = f.axis_nodes(0)
-    x2 = f.axis_nodes(1)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    The grid's own cells are tried first: each cell is split along its lower
+    diagonal, a-d when f_a + f_d <= f_b + f_c, and the triangles are kept, two
+    per cell in row-major cell order, when every triangle's plane lies at or
+    below the corners of its cell (up to rounding) and strictly below the
+    other nodes of the 4 x 4 stencil around the cell.  The interpolant is
+    then locally convex across every triangle edge, so it is convex on the
+    box and, since it interpolates the samples, equals their envelope; and
+    the strict kink across every grid edge leaves each facet one cell or half
+    of one, so the count matches the hull's.  Otherwise (coplanar samples,
+    strips with flat grid edges such as |x| + |y|, nonconvex samples) the
+    facets come from qhull: coplanar samples give the two triangles of the box
+    corners, and a merged facet is triangulated as qhull returns it.
+    """
+    X1, X2 = np.meshgrid(f.axis_nodes(0), f.axis_nodes(1), indexing="ij")
     nodes = np.column_stack([X1.ravel(), X2.ravel()])
     vals = f.values.ravel()
+    tri, grad, offset = _planes(f, nodes, vals, _cell_triangles(f.values))
+    if _strictly_kinked(f, grad, offset):
+        return tri, grad, offset
+    return _planes(f, nodes, vals, _hull_triangles(f, nodes, vals))
+
+
+def _cell_triangles(v):
+    """Two triangles per grid cell, split along the cell's lower diagonal, in row-major
+    cell order: (a, b, d), (a, d, c) or (a, b, c), (b, d, c) with a = (i, j),
+    b = (i + 1, j), c = (i, j + 1), d = (i + 1, j + 1)."""
+    n1, n2 = v.shape
+    a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1)).ravel()
+    b, c, d = a + n2, a + 1, a + n2 + 1
+    ad = (v[:-1, :-1] + v[1:, 1:] <= v[1:, :-1] + v[:-1, 1:]).ravel()[:, None]
+    first = np.where(ad, np.column_stack([a, b, d]), np.column_stack([a, b, c]))
+    second = np.where(ad, np.column_stack([a, d, c]), np.column_stack([b, d, c]))
+    return np.stack([first, second], axis=1).reshape(-1, 3)
+
+
+def _strictly_kinked(f: GridFn, grad, offset) -> bool:
+    """Whether each cell triangle's plane (two per cell, row-major) lies at or below the
+    corners of its cell and strictly below every other node of the 4 x 4 stencil around
+    the cell, each beyond a rounding slack relative to the terms of the plane."""
+    n1, n2 = f.counts
+    # one more node on each side, with the value +inf, stands for no node at all
+    v = sliding_window_view(np.pad(f.values, 1, constant_values=np.inf), (4, 4))
+    x1, x2 = (sliding_window_view(np.pad(f.axis_nodes(a), 1, mode="reflect",
+                                         reflect_type="odd"), 4) for a in (0, 1))
+    # axes: cell row, cell column, triangle, stencil column
+    g = grad.reshape(n1 - 1, n2 - 1, 2, 2, 1)
+    c = offset.reshape(n1 - 1, n2 - 1, 2, 1)
+    t2 = g[..., 1, :] * x2[None, :, None, :]
+    corner = np.array([False, True, True, False])
+    for k in range(4):  # stencil row: node row i - 1 + k of cell row i
+        t1 = g[..., 0, :] * x1[:, None, None, k : k + 1]
+        resid = v[:, :, None, k, :] - (t1 + t2 + c)
+        slack = 1e-12 * (1.0 + np.abs(t1) + np.abs(t2) + np.abs(c))
+        if not np.where(corner & corner[k], resid >= -slack, resid > slack).all():
+            return False
+    return True
+
+
+def _hull_triangles(f: GridFn, nodes, vals):
+    """Lower-hull triangles of the lifted nodes from qhull; the two triangles of the box
+    corners when the samples are coplanar."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(np.column_stack([nodes, vals]))
-        tri = hull.simplices[hull.equations[:, 2] < 0]
+        return hull.simplices[hull.equations[:, 2] < 0]
     except QhullError:
         n1, n2 = f.counts
         c00, c01, c10, c11 = 0, n2 - 1, (n1 - 1) * n2, n1 * n2 - 1
-        tri = np.array([[c00, c10, c11], [c00, c11, c01]])
+        return np.array([[c00, c10, c11], [c00, c11, c01]])
+
+
+def _planes(f: GridFn, nodes, vals, tri):
+    """The triangles of ``tri`` that are not flat, with the plane through each one's
+    samples as ``(tri, grad, offset)``."""
     p, v = nodes[tri], vals[tri]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]

@@ -87,3 +87,33 @@ def shooting_connecting(grad_H, grad_psi1, grad_psi2, T, steps=4000):
 
 def resample(t_fine, vals, t_coarse):
     return np.interp(t_coarse, t_fine, vals)
+
+
+def qhull_lower_facets(f):
+    """``legendre.lower_facets`` as qhull alone computes it: the lower facets of the lifted
+    grid nodes, the two triangles of the box corners when the samples are coplanar, and
+    the plane through each triangle's samples, flat triangles dropped."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    x1 = f.axis_nodes(0)
+    x2 = f.axis_nodes(1)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    nodes = np.column_stack([X1.ravel(), X2.ravel()])
+    vals = f.values.ravel()
+    try:
+        hull = ConvexHull(np.column_stack([nodes, vals]))
+        tri = hull.simplices[hull.equations[:, 2] < 0]
+    except QhullError:
+        n1, n2 = f.counts
+        c00, c01, c10, c11 = 0, n2 - 1, (n1 - 1) * n2, n1 * n2 - 1
+        tri = np.array([[c00, c10, c11], [c00, c11, c01]])
+    p, v = nodes[tri], vals[tri]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    keep = np.abs(det) > 0.5 * f.spacing(0) * f.spacing(1)
+    tri, p, v, e1, e2, d1, d2, det = (a[keep] for a in (tri, p, v, e1, e2, d1, d2, det))
+    grad = np.column_stack([(e2[:, 1] * d1 - e1[:, 1] * d2) / det,
+                            (e1[:, 0] * d2 - e2[:, 0] * d1) / det])
+    offset = v[:, 0] - grad[:, 0] * p[:, 0, 0] - grad[:, 1] * p[:, 0, 1]
+    return tri, grad, offset

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hampath import cli
 from hampath.cli import main
 from hampath.config import ConfigError, build_config, load_config
 
@@ -73,6 +74,26 @@ class TestUsageFaults:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: hampath" in capsys.readouterr().out
+
+    def test_a_parse_keeps_nothing_of_the_one_before(self, monkeypatch, capsys):
+        # the parser is built once per process and serves every main call
+        seen = []
+        for name in ("cmd_check", "cmd_solve", "cmd_sweep"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        assert main(["solve", "a.yaml", "--out", "o", "--seed", "3", "-v"]) == 0
+        assert main(["sweep", "b.yaml", "--param", "foo", "--values", "1"]) == 1
+        assert main(["sweep", "b.yaml", "--param", "M", "--values", "10,20"]) == 0
+        assert main(["solve", "c.yaml"]) == 0
+        assert main(["check", "d.yaml"]) == 0
+        assert seen == [
+            {"command": "solve", "config": "a.yaml", "out": "o", "seed": 3, "verbose": True},
+            {"command": "sweep", "config": "b.yaml", "param": "M", "values": "10,20",
+             "out": None},
+            {"command": "solve", "config": "c.yaml", "out": None, "seed": None,
+             "verbose": False},
+            {"command": "check", "config": "d.yaml"},
+        ]
+        assert cli._parser() is cli._parser()
 
 
 class TestSolveCommand:

@@ -1,15 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial
 
+from hampath.convex import GridSampled
 from hampath.legendre import (
     DualBoxError,
     GridFn,
     convexity_defect,
     discrete_conjugate,
+    lower_facets,
     slope_range,
 )
 
-from oracles import brute_conjugate_1d
+from oracles import brute_conjugate_1d, qhull_lower_facets
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def sample_1d(fn, lo, hi, n):
@@ -190,3 +197,94 @@ class TestValidation:
     def test_bad_corners(self):
         with pytest.raises(ValueError):
             GridFn([1], [0], np.zeros(5))
+
+
+def sample_2d(fn, lo=(-4.0, -4.0), hi=(4.0, 4.0), counts=(41, 41)):
+    X1, X2 = np.meshgrid(np.linspace(lo[0], hi[0], counts[0]),
+                         np.linspace(lo[1], hi[1], counts[1]), indexing="ij")
+    return GridFn(list(lo), list(hi), fn(X1, X2))
+
+
+def table(name):
+    return GridSampled.from_csv(CONFIG_DIR / name).grid
+
+
+def nudged(f, dv):
+    # one interior node moved by dv
+    vals = f.values.copy()
+    vals[17, 23] += dv
+    return GridFn(f.lo, f.hi, vals)
+
+
+# every grid edge a strict kink: the facets are the grid's half-cells
+KINKED = {
+    "half_square": lambda: sample_2d(lambda x, y: 0.5 * (x * x + y * y)),
+    "grid_cauchy": lambda: table("grid_cauchy_H.csv"),
+    "coupled_0.2": lambda: sample_2d(lambda x, y: x * x + 0.2 * x * y + y * y),
+    "coupled_1.9": lambda: sample_2d(lambda x, y: x * x + 1.9 * x * y + y * y),
+    "anisotropic": lambda: sample_2d(lambda x, y: 0.5 * (x * x + y * y), (-4.0, -1.0),
+                                     (4.0, 1.0), (41, 21)),
+    # 1e-6 is far below the curvature margin h^2 = 0.04, so every kink stays strict
+    "grid_cauchy_lowered": lambda: nudged(table("grid_cauchy_H.csv"), -1e-6),
+}
+
+# a flat grid edge or a nonconvex stencil somewhere: the facets come from qhull
+FALLBACK = {
+    "grid_kinked": lambda: table("grid_kinked_H.csv"),
+    "flat": lambda: sample_2d(lambda x, y: 0.0 * x),
+    "affine": lambda: sample_2d(lambda x, y: 1.0 + 2.0 * x - 3.0 * y),
+    "abs_sum": lambda: sample_2d(lambda x, y: np.abs(x) + np.abs(y)),
+    "abs_max": lambda: sample_2d(lambda x, y: np.maximum(np.abs(x), np.abs(y))),
+    "saddle": lambda: sample_2d(lambda x, y: x * x - y * y),
+    "random": lambda: sample_2d(lambda x, y: np.random.default_rng(3).standard_normal(x.shape),
+                                counts=(21, 21)),
+    "quartic_coupled": lambda: sample_2d(lambda x, y: 0.5 * x * x + 0.25 * y**4 + 0.1 * x * y),
+    # 0.1 outweighs the curvature margin h^2 = 0.04: the raised node leaves the hull
+    "grid_cauchy_raised": lambda: nudged(table("grid_cauchy_H.csv"), 0.1),
+}
+
+
+def envelope(facets, pts):
+    _, grad, offset = facets
+    return np.max(pts[:, :1] * grad[:, 0] + pts[:, 1:] * grad[:, 1] + offset, axis=1)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("scipy.spatial.ConvexHull called")
+
+
+class TestLowerFacets:
+    @pytest.mark.parametrize("name", list(KINKED))
+    def test_kinked_tables_are_the_grid_cells_and_the_hull_envelope(self, name, rng,
+                                                                   monkeypatch):
+        f = KINKED[name]()
+        oracle = qhull_lower_facets(f)
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+        facets = lower_facets(f)
+        n1, n2 = f.counts
+        assert facets[0].shape == oracle[0].shape == (2 * (n1 - 1) * (n2 - 1), 3)
+        X1, X2 = np.meshgrid(f.axis_nodes(0), f.axis_nodes(1), indexing="ij")
+        pts = np.vstack([np.column_stack([X1.ravel(), X2.ravel()]),
+                         rng.uniform(f.lo, f.hi, size=(2000, 2))])
+        err = np.abs(envelope(facets, pts) - envelope(oracle, pts))
+        assert err.max() <= 1e-12 * (1.0 + np.abs(f.values).max())
+
+    @pytest.mark.parametrize("name", list(KINKED))
+    def test_every_interior_edge_is_shared_by_two_facets(self, name):
+        f = KINKED[name]()
+        tri = lower_facets(f)[0]
+        edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+                        axis=1)
+        pairs, count = np.unique(edges, axis=0, return_counts=True)
+        n1, n2 = f.counts
+        i, j = np.divmod(pairs, n2)
+        on_side = (((i == 0) | (i == n1 - 1)) & (i[:, 0] == i[:, 1])[:, None]).all(axis=1) \
+            | (((j == 0) | (j == n2 - 1)) & (j[:, 0] == j[:, 1])[:, None]).all(axis=1)
+        assert np.all(count[on_side] == 1)
+        assert np.all(count[~on_side] == 2)
+
+    @pytest.mark.parametrize("name", list(FALLBACK))
+    def test_other_tables_get_the_qhull_facets_bitwise(self, name):
+        f = FALLBACK[name]()
+        for got, want in zip(lower_facets(f), qhull_lower_facets(f)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)

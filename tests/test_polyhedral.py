@@ -439,7 +439,8 @@ class TestMidpointMarch:
 
 
 def test_building_the_pair_imports_no_scipy():
-    # the facet table, which needs scipy.spatial in 2-D, is built on first use
+    # the facet table, which needs scipy.spatial for a table that is not strictly kinked,
+    # is built on first use
     import os
     import subprocess
     import sys
@@ -457,3 +458,27 @@ def test_building_the_pair_imports_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "GridSampled []"
+
+
+def test_solving_the_grid_cauchy_config_imports_no_scipy(tmp_path):
+    # every grid edge of its table is a strict kink, so its facets are the grid's
+    # half-cells and qhull is never needed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        "from hampath.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['solve', {str(root / 'configs' / 'grid_cauchy.yaml')!r},\n"
+        f"                 '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert "status: Converged" in (tmp_path / "report.txt").read_text()
