@@ -8,10 +8,10 @@ optimality certificate.
 from hampath.convex import (
     Box,
     ConvexFn,
+    EnvelopeConjugate,
     GridConjugate,
     GridSampled,
     Hamiltonian,
-    MoreauEnvelope,
     PowerNorm,
     Quadratic,
     ScalarConjugate,
@@ -45,6 +45,7 @@ __all__ = [
     "Certificate",
     "Connecting",
     "ConvexFn",
+    "EnvelopeConjugate",
     "EpsPerturbed",
     "GridConjugate",
     "GridFn",
@@ -53,7 +54,6 @@ __all__ = [
     "Hamiltonian",
     "InfConvolved",
     "IntervalData",
-    "MoreauEnvelope",
     "PathGrid",
     "PowerNorm",
     "ProblemSpec",

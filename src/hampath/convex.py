@@ -1,17 +1,19 @@
-"""Closed convex functions with conjugates, subgradients and proximal maps.
+"""Closed convex functions with conjugates and subgradients.
 
 Every function carries a bounded working box: closed-form kinds evaluate
 anywhere, but numerical conjugation and sampling checks are confined to the
 box.  Conjugation of a non-coercive function is refused; apply a quadratic
-perturbation first.  A proximal map exists for separable, tabulated and
-quadratic kinds and their conjugates; other kinds raise.
+perturbation first.
 
 Each kind conjugates through one hook, ``_pair()``, which returns a
 consistent (primal, dual) pair; ``conjugate_pair()`` caches it.  The primal is
 the function itself wherever the dual is exact.  A tabulated function is the
 convex envelope of its samples and pairs with the maximum over its nodes;
-the two are exact conjugates.  This keeps the Fenchel-Young inequality exact
-for the pair, which downstream action assembly relies on.
+the two are exact conjugates.  The envelope plus a quadratic of positive
+diagonal curvature pairs with ``EnvelopeConjugate``, whose value is the
+infimal convolution of the node maximum with the quadratic's conjugate and
+whose gradient is one facet enumeration.  This keeps the Fenchel-Young
+inequality exact for the pair, which downstream action assembly relies on.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _as_points(x, dim):
 
 
 class ConvexFn:
-    """Base class; a kind defines ``_eval``, or ``_value`` and ``_grad``, and ``_prox``."""
+    """Base class; a kind defines ``_eval``, or ``_value`` and ``_grad``."""
 
     smooth = False
     coercive = False
@@ -159,30 +161,6 @@ class ConvexFn:
         """This kind's (primal, dual)."""
         raise NotImplementedError
 
-    # -- proximal map ----------------------------------------------------
-    def prox(self, x, step):
-        if step <= 0:
-            raise ValueError("step must be positive")
-        pts, lead = _as_points(x, self.dim)
-        u = self._prox(pts, float(step))
-        return u[0] if lead == () else u.reshape(lead + (self.dim,))
-
-    def _prox(self, pts, step):
-        if self.separable:
-            return _separable_prox(self, pts, step)
-        form = self.envelope_form()
-        if form is not None:
-            # envelope(u) + sum_i (a_i/2) u_i^2 + b_i u_i + |u - x|^2 / (2 step): each
-            # coordinate of the minimizer has |(a_i + 1/step) u_i + b_i - x_i/step| at most
-            # the envelope's gradient bound, clipped to the box
-            env, a, b = form
-            a, b = a + 1.0 / step, b - pts / step
-            G = env.facets.grad_bound * (1.0 + 1e-9)
-            lo = np.clip((-b - G) / a, env.box.lo, env.box.hi)
-            hi = np.clip((-b + G) / a, env.box.lo, env.box.hi)
-            return facet_argmin(env.facets, a, b, lo, hi)
-        raise NotImplementedError(f"{type(self).__name__} has no proximal map")
-
     # -- structure hooks ------------------------------------------------
     @property
     def coercive_axes(self):
@@ -224,8 +202,8 @@ class ConvexFn:
                 _diagonal(self._curvature(pts)) if hess else None)
 
     def envelope_form(self):
-        """``(envelope, a, b)`` when this function is a tabulated ``GridSampled`` plus
-        sum_i (a_i/2) u_i^2 + b_i u_i + const, whose inner minimizations enumerate the
+        """``(envelope, a, b, c)`` when this function is a tabulated ``GridSampled`` plus
+        sum_i (a_i/2) u_i^2 + b_i u_i + c, whose inner minimizations enumerate the
         envelope's facets; None for every other kind."""
         return None
 
@@ -249,14 +227,6 @@ def _block_diagonal(blocks, slices, rows):
     for h, sl in zip(blocks, slices):
         out[:, sl, sl] = h
     return out
-
-
-def _separable_prox(f, pts, step):
-    # u_i - x_i + step f_i'(u_i) = 0 for every coordinate, in one root call
-    return newton_bisect(*newton_bracket(lambda v: v - pts + step * f._grad(v),
-                                         lambda v: 1.0 + step * f._curvature(v),
-                                         pts, 1.0 + np.abs(pts)),
-                         scale=1.0 + np.abs(pts))
 
 
 class Quadratic(ConvexFn):
@@ -330,10 +300,6 @@ class Quadratic(ConvexFn):
         except np.linalg.LinAlgError:
             pass
         return self, dual
-
-    def _prox(self, pts, step):
-        M = np.eye(self.dim) + step * self.A
-        return np.linalg.solve(M, (pts - step * self.b).T).T
 
 
 def squared_norm(dim: int, weight: float = 0.5, center=None, box: Box | None = None) -> Quadratic:
@@ -445,9 +411,6 @@ class SeparableSum(ConvexFn):
             return self, SeparableSum(duals)
         return SeparableSum(primals), SeparableSum(duals)
 
-    def _prox(self, pts, step):
-        return np.concatenate(self._blocks("_prox", pts, step), axis=1)
-
 
 class Sum(ConvexFn):
     """Pointwise sum of convex functions on the same space, on the overlap of their boxes
@@ -501,7 +464,7 @@ class Sum(ConvexFn):
         forms = [p.envelope_form() for p in self.parts]
         if sum(f is not None for f in forms) != 1:
             return None
-        env, a, b = next(f for f in forms if f is not None)
+        env, a, b, c = next(f for f in forms if f is not None)
         a, b = a.copy(), b.copy()
         for p, f in zip(self.parts, forms):
             if f is not None:
@@ -510,7 +473,8 @@ class Sum(ConvexFn):
                 return None
             a += np.diag(p.A)
             b += p.b
-        return env, a, b
+            c += p.c
+        return env, a, b, c
 
     def _subgradients(self, pts):
         vals, unique = zip(*(p._subgradients(pts) for p in self.parts))
@@ -530,6 +494,11 @@ class Sum(ConvexFn):
             raise NotCoerciveError(
                 "sum is not coercive; add a quadratic perturbation before conjugating"
             )
+        # a table plus a quadratic of positive diagonal curvature (the eps stage of a
+        # tabulated H, or a joint grid + quadratic H) conjugates exactly
+        form = merged.envelope_form()
+        if form is not None and np.all(form[1] > 0):
+            return merged, EnvelopeConjugate(merged)
         return _sampled_pair(merged)
 
 
@@ -593,19 +562,6 @@ class GridSampled(ConvexFn):
         vals = fn(np.column_stack([a.ravel() for a in axes]))
         return cls(GridFn(lo, hi, np.asarray(vals, dtype=float).reshape(tuple(counts))))
 
-    def to_csv(self, path) -> None:
-        """Write a two-column CSV (1-D) or header+matrix CSV (2-D)."""
-        g = self.grid
-        with open(path, "w") as fh:
-            if self.dim == 1:
-                for x, v in zip(g.axis_nodes(0), g.values):
-                    fh.write(f"{x:.17g},{v:.17g}\n")
-                return
-            fh.write("x," + ",".join(f"{y:.17g}" for y in g.axis_nodes(1)) + "\n")
-            for i, x in enumerate(g.axis_nodes(0)):
-                fh.write(",".join([f"{x:.17g}"]
-                                  + [f"{v:.17g}" for v in g.values[i]]) + "\n")
-
     @classmethod
     def from_csv(cls, path):
         """Load a two-column CSV (1-D) or header+matrix CSV (2-D).
@@ -643,7 +599,7 @@ class GridSampled(ConvexFn):
         return vals, self.facets.grad[idx], None
 
     def envelope_form(self):
-        return self, np.zeros(self.dim), np.zeros(self.dim)
+        return self, np.zeros(self.dim), np.zeros(self.dim), 0.0
 
     def _pair(self):
         return self, GridConjugate(self)
@@ -725,37 +681,70 @@ class GridConjugate(ConvexFn):
     def _pair(self):
         return self, self.envelope
 
-    def _prox(self, pts, step):
-        """Moreau identity: the prox is y - step u, where u minimizes
-        envelope(u) + (step/2)|u|^2 - u . y over the envelope's facets."""
-        lo, hi = self._argmin_box(pts, step)
-        u = facet_argmin(self.envelope.facets, np.full(self.dim, step), -pts, lo, hi)
-        return pts - step * u
 
-    def _argmin_box(self, pts, step):
-        """Per row, the bounding box of the nodes that can be active at the prox point.
+class EnvelopeConjugate(ConvexFn):
+    """Exact conjugate of f = envelope + sum_i (a_i/2) u_i^2 + b . u + c with every
+    a_i > 0, as ``fn.envelope_form()`` gives it.
 
-        The minimizer u lies in the hull of the nodes active at p = y - step u.
-        Since |p_i - y_i| <= step U_i with U_i = max |box_i|, a node j active
-        at p satisfies D(y) - score_j(y) <= step sum_i |x_ji - x_*i| U_i, where
-        x_* is the node attaining D(y); only such nodes bound the box.
+    At y the supremum of y . u - f(u) is attained at the one u minimizing
+    envelope(u) + sum_i (a_i/2) u_i^2 + (b - y) . u, found by one
+    ``facet_argmin``; u is the gradient.  f* is the infimal convolution of
+    envelope*, the ``GridConjugate`` maximum over the nodes, with
+    sum_i w_i^2 / (2 a_i), taken at y - b, less c (Rockafellar, *Convex
+    Analysis*, Thm 16.4).  The value is read in that form, envelope*(p) +
+    sum_i a_i u_i^2 / 2 - c at p = y - b - a u: any u bounds the infimum from
+    above, so rounding in u can only raise the value, and Fenchel-Young gaps stay
+    nonnegative.  Smooth, without a Hessian.  The working box is the range of
+    f's slopes.
+    """
+
+    smooth = True
+    coercive = True  # conjugates exactly back to fn
+
+    def __init__(self, fn: ConvexFn):
+        env, self.a, self.b, self.c = fn.envelope_form()
+        self.nodes = env.conjugate()
+        super().__init__(fn.dim, Box(self.nodes.box.lo + self.b + self.a * env.box.lo,
+                                     self.nodes.box.hi + self.b + self.a * env.box.hi))
+        self.fn = fn
+        self.envelope = env
+
+    def _eval(self, pts, hess=False, guess=None):
+        _no_hessian(self, hess)
+        z = pts - self.b
+        u = facet_argmin(self.envelope.facets, self.a, -z, *self._argmin_box(z))
+        value = self.nodes._value(z - self.a * u) + 0.5 * np.sum(self.a * u * u, axis=1)
+        return value - self.c, u, None
+
+    def _pair(self):
+        return self, self.fn
+
+    def _argmin_box(self, z):
+        """Per row, the bounding box of the nodes that can be active at p = z - a u.
+
+        The minimizer u lies in the hull of the nodes active at p.  Since
+        |p_i - z_i| = a_i |u_i| <= a_i U_i with U_i = max |box_i|, a node j active
+        at p satisfies D(z) - score_j(z) <= sum_i |x_ji - x_*i| a_i U_i, where D is
+        the node maximum and x_* the node attaining D(z); only such nodes bound
+        the box.
         """
-        box = self.envelope.box
+        D, box = self.nodes, self.envelope.box
         U = np.maximum(np.abs(box.lo), np.abs(box.hi))
-        lo, hi = np.empty_like(pts), np.empty_like(pts)
-        for sl in _row_chunks(pts.shape[0], self.node_values.size):
-            scores = self._scores(pts[sl])
+        aU = self.a * U
+        lo, hi = np.empty_like(z), np.empty_like(z)
+        for sl in _row_chunks(z.shape[0], D.node_values.size):
+            scores = D._scores(z[sl])
             j = np.argmax(scores, axis=1)
             top = scores[np.arange(j.size), j]
             reach = np.zeros_like(scores)
             for i in range(self.dim):
-                reach += np.abs(self.nodes[None, :, i] - self.nodes[j, i][:, None]) * U[i]
-            slack = 1e-9 * (1.0 + np.abs(top) + np.abs(pts[sl]) @ U
-                            + np.abs(self.node_values).max())
-            near = (top[:, None] - scores) <= step * reach * (1.0 + 1e-9) + slack[:, None]
+                reach += np.abs(D.nodes[None, :, i] - D.nodes[j, i][:, None]) * aU[i]
+            slack = 1e-9 * (1.0 + np.abs(top) + np.abs(z[sl]) @ U
+                            + np.abs(D.node_values).max())
+            near = (top[:, None] - scores) <= reach * (1.0 + 1e-9) + slack[:, None]
             for i in range(self.dim):
-                lo[sl, i] = np.min(np.where(near, self.nodes[:, i], np.inf), axis=1)
-                hi[sl, i] = np.max(np.where(near, self.nodes[:, i], -np.inf), axis=1)
+                lo[sl, i] = np.min(np.where(near, D.nodes[:, i], np.inf), axis=1)
+                hi[sl, i] = np.max(np.where(near, D.nodes[:, i], -np.inf), axis=1)
         return lo, hi
 
 
@@ -816,46 +805,6 @@ class ScalarConjugate(ConvexFn):
 
     def _pair(self):
         return self, self.fn
-
-    def _prox(self, pts, step):
-        # Moreau decomposition: the prox of fn / step at pts / step, in one root call
-        inner = _separable_prox(self.fn, pts / step, 1.0 / step)
-        return pts - step * inner
-
-
-class MoreauEnvelope(ConvexFn):
-    """Smoothed reading of ``inner``: min_u inner(u) + |u - x|^2 / (2 step).
-
-    Always differentiable with a 1/step-Lipschitz gradient.
-    """
-
-    smooth = True
-
-    def __init__(self, inner: ConvexFn, step: float):
-        if step <= 0:
-            raise ValueError("step must be positive")
-        super().__init__(inner.dim, inner.box)
-        self.inner = inner
-        self.step = float(step)
-
-    @property
-    def coercive(self):
-        return self.inner.coercive
-
-    def _eval(self, pts, hess=False, guess=None):
-        _no_hessian(self, hess)
-        p = self.inner._prox(pts, self.step)
-        return (self.inner._value(p) + np.sum((pts - p) ** 2, axis=-1) / (2 * self.step),
-                (pts - p) / self.step, None)
-
-    def _pair(self):
-        ip, idual = self.inner.conjugate_pair()
-        dual = simplify_sum([idual, Quadratic(self.step * np.eye(self.dim), box=idual.box)])
-        return (self if ip is self.inner else MoreauEnvelope(ip, self.step)), dual
-
-    def _prox(self, pts, step):
-        inner_p = self.inner._prox(pts, step + self.step)
-        return pts + (step / (step + self.step)) * (inner_p - pts)
 
 
 def _sampled_pair(fn: ConvexFn):

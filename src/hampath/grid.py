@@ -144,39 +144,3 @@ def sobolev_norm(g: PathGrid) -> float:
     total = (_l2_nodes_sq(g.p_nodes, g.h) + _l2_intervals_sq(iv.dp, g.h)
              + _l2_nodes_sq(g.q_nodes, g.h) + _l2_intervals_sq(iv.dq, g.h))
     return float(np.sqrt(total))
-
-
-def poincare_margin(g: PathGrid) -> float:
-    """Slack in the discrete bound |p|_L2 <= T |dp|_L2 + sqrt(T) |p(0)|.
-
-    Positive values mean the bound holds with room; checked with a 1.01
-    slack factor in tests.  The margin is degree-1 homogeneous in p, so it is
-    evaluated on p divided by its largest node magnitude and scaled back: the
-    squares of tiny nodes would otherwise underflow.
-    """
-    top = float(np.abs(g.p_nodes).max())
-    if top == 0.0:
-        return 0.0
-    p, T = g.p_nodes / top, g.T
-    dp = np.diff(p, axis=0) / g.h
-    lhs = np.sqrt(_l2_nodes_sq(p, g.h))
-    rhs = T * np.sqrt(_l2_intervals_sq(dp, g.h)) + np.sqrt(T) * float(np.linalg.norm(p[0]))
-    return top * (1.01 * rhs - lhs)
-
-
-def random_path(rng: np.random.Generator, T: float, N: int, M: int,
-                amplitude: float = 2.0, smooth: bool = False) -> PathGrid:
-    """Random trajectory pair; smooth variant keeps difference quotients bounded."""
-    if not smooth:
-        p = rng.uniform(-amplitude, amplitude, size=(M + 1, N))
-        q = rng.uniform(-amplitude, amplitude, size=(M + 1, N))
-        return PathGrid(T, p, q)
-    t = np.linspace(0.0, T, M + 1)[:, None]
-    p = np.zeros((M + 1, N))
-    q = np.zeros((M + 1, N))
-    for k in range(1, 4):
-        w = k * np.pi / T
-        p += rng.uniform(-1, 1, N) * np.sin(w * t) + rng.uniform(-1, 1, N) * np.cos(w * t)
-        q += rng.uniform(-1, 1, N) * np.sin(w * t) + rng.uniform(-1, 1, N) * np.cos(w * t)
-    top = max(np.abs(p).max(), np.abs(q).max(), 1e-9)
-    return PathGrid(T, amplitude * p / top, amplitude * q / top)

@@ -312,7 +312,7 @@ class Mesh:
 
 def midpoint_march(form, z0, h, M):
     """Nodes (M + 1, 2) of the implicit midpoint rule from z0 for the Hamiltonian
-    env(u) + sum_i (a_i/2) u_i^2 + b_i u_i, with ``form = (env, a, b)`` as
+    env(u) + sum_i (a_i/2) u_i^2 + b_i u_i + c, with ``form = (env, a, b, c)`` as
     ``ConvexFn.envelope_form`` returns it and env a 2-D ``GridSampled``; None
     when a step finds no solution (see ``MidpointStep``).  Midpoints stay in the
     envelope's box, nodes need not.
@@ -330,7 +330,7 @@ def midpoint_march(form, z0, h, M):
 
 class MidpointStep:
     """One implicit midpoint step of length h: the midpoint x of the interval that starts
-    at node z, for the envelope form ``(env, a, b)`` of ``midpoint_march``.
+    at node z, for the envelope form ``(env, a, b, c)`` of ``midpoint_march``.
 
     x solves the inclusion y - a x - b in d(env + box indicator)(x), where
     y = (2/h) R (x - z) with R(u, v) = (-v, u) is the interval's slope pair
@@ -350,7 +350,7 @@ class MidpointStep:
     """
 
     def __init__(self, form, h):
-        env, a, self.b = form
+        env, a, self.b, _ = form
         self.fac = env.facets
         self.c = c = 2.0 / h
         self.P = np.array([[-a[0], -c], [c, -a[1]]])

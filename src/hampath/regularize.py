@@ -1,8 +1,10 @@
 """Two smoothing continuations for Hamiltonians.
 
 ``EpsPerturbed`` adds (eps/2)|x|^2, which makes the conjugate finite and
-1/eps-Lipschitz-smooth (it becomes the Moreau envelope of the original
-conjugate).  ``InfConvolved`` replaces H by an infimal convolution with the
+1/eps-Lipschitz-smooth: the infimal convolution of the original conjugate
+with |.|^2 / (2 eps), over a tabulated pair an ``EnvelopeConjugate`` that
+one facet enumeration evaluates.
+``InfConvolved`` replaces H by an infimal convolution with the
 penalty |.|_s^s / (s lambda^s), s = r/(r-1) in (1, 2).  The conjugate of an
 inf-convolution is the sum of the conjugates (Rockafellar, *Convex
 Analysis*, Thm 16.4), so the stage's dual is H* plus the power term
@@ -17,7 +19,6 @@ import numpy as np
 from hampath.convex import (
     ConvexFn,
     Hamiltonian,
-    MoreauEnvelope,
     PowerNorm,
     Quadratic,
     SeparableSum,
@@ -60,11 +61,9 @@ class EpsPerturbed(Hamiltonian):
         # a smooth base pair has smooth, exact blocks, and so has its perturbation
         if not self.base.fn.coercive or all(f.smooth for f in self.base.pair()):
             return self.fn.conjugate_pair()
-        # (f + eps/2 |.|^2)* is the Moreau envelope of f*, smooth even when the
-        # base pair is tabulated; reading it off the cached base pair avoids
-        # tabulating the perturbed function as well
-        bp, bd = self.base.pair()
-        return _perturbed(bp, self.eps), MoreauEnvelope(bd, self.eps)
+        # perturbing the cached base primal, a table or blocks of one, pairs it with its
+        # exact conjugate and tabulates nothing more
+        return _perturbed(self.base.pair()[0], self.eps).conjugate_pair()
 
 
 class _InfConvFn(ConvexFn):
@@ -127,7 +126,7 @@ class _InfConvFn(ConvexFn):
         if hess:
             raise NotImplementedError("an inf-convolution over a tabulated function has "
                                       "no Hessian")
-        return lambda pts: self._attain_facets(pts, *form)
+        return lambda pts: self._attain_facets(pts, *form[:3])
 
     def _attain_separable(self, pts, f, hess):
         """Minimizers, gradients of H_lam and, with ``hess``, its Hessians at pts, all

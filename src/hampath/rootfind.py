@@ -1,6 +1,6 @@
 """Vectorized safeguarded Newton for increasing scalar residuals.
 
-Three callers reduce a smooth inner problem over a coordinatewise separable
+Two callers reduce a smooth inner problem over a coordinatewise separable
 f(x) = sum_i f_i(x_i) to one strictly increasing scalar equation per
 element of a (K, d) array, reading f_i' and f_i'' column by column from the
 function's own ``_grad`` and ``_curvature``, and solve all of them in one
@@ -8,17 +8,14 @@ function's own ``_grad`` and ``_curvature``, and solve all of them in one
 
 * derivative inversion for scalar conjugates (``ScalarConjugate._argsup``
   solves f_i'(u_i) = y_i),
-* coordinatewise proximal maps (``convex._separable_prox``, behind the
-  ``_prox`` of a separable kind and of ``ScalarConjugate``, solves
-  u_i - x_i + step f_i'(u_i) = 0),
 * inf-convolution inner solves (``_InfConvFn._attain_separable`` solves
   f_i'(u_i) + penalty'(u_i - x_i) = 0 in the penalty slope v_i, with
   u_i = x_i + sign(v_i)|v_i|^(r-1): rho(v) = f'(x + sign(v)|v|^(r-1)) + v / lam^s).
 
-The first two bracket an element with ``newton_bracket`` from a half-width
-of its own, 1 + |center| or 1 + |y|, so that an element's result does not
-depend on the rest of its batch; the inf-convolution residual and facet
-enumeration (``polyhedral``) know their brackets in closed form.
+The first brackets an element with ``newton_bracket`` from a half-width of
+its own, 1 + |y|, so that an element's result does not depend on the rest
+of its batch; the inf-convolution residual and facet enumeration
+(``polyhedral``) know their brackets in closed form.
 
 Newton starts each element at its bracket's midpoint, or at a caller's
 per-element ``start`` where that lies strictly inside the bracket: the

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from hampath.grid import PathGrid
+
 
 def rk4(rhs, y0, T, steps):
     """Classical fourth-order integration of dy/dt = rhs(t, y)."""
@@ -19,19 +21,6 @@ def rk4(rhs, y0, T, steps):
         out[k + 1] = y
         t += h
     return out
-
-
-def bisection(f, lo, hi, iters=200):
-    flo = f(lo)
-    assert flo * f(hi) <= 0, "root not bracketed"
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = f(lo)
-    return 0.5 * (lo + hi)
 
 
 def brute_conjugate_1d(f, y, lo=-10.0, hi=10.0, n=1_000_000):
@@ -117,3 +106,42 @@ def qhull_lower_facets(f):
                             (e1[:, 0] * d2 - e2[:, 0] * d1) / det])
     offset = v[:, 0] - grad[:, 0] * p[:, 0, 0] - grad[:, 1] * p[:, 0, 1]
     return tri, grad, offset
+
+
+def poincare_margin(g: PathGrid) -> float:
+    """Slack in the discrete bound |p|_L2 <= T |dp|_L2 + sqrt(T) |p(0)|.
+
+    Positive values mean the bound holds with room; checked with a 1.01
+    slack factor in tests.  The margin is degree-1 homogeneous in p, so it is
+    evaluated on p divided by its largest node magnitude and scaled back: the
+    squares of tiny nodes would otherwise underflow.
+    """
+    top = float(np.abs(g.p_nodes).max())
+    if top == 0.0:
+        return 0.0
+    p, T, h = g.p_nodes / top, g.T, g.h
+    dp = np.diff(p, axis=0) / h
+    # trapezoid weights on the nodes, interval sums on the slopes
+    w = np.full(p.shape[0], h)
+    w[0] = w[-1] = 0.5 * h
+    lhs = np.sqrt(np.sum(w * np.sum(p**2, axis=1)))
+    rhs = T * np.sqrt(h * np.sum(dp**2)) + np.sqrt(T) * float(np.linalg.norm(p[0]))
+    return top * (1.01 * rhs - lhs)
+
+
+def random_path(rng: np.random.Generator, T: float, N: int, M: int,
+                amplitude: float = 2.0, smooth: bool = False) -> PathGrid:
+    """Random trajectory pair; smooth variant keeps difference quotients bounded."""
+    if not smooth:
+        p = rng.uniform(-amplitude, amplitude, size=(M + 1, N))
+        q = rng.uniform(-amplitude, amplitude, size=(M + 1, N))
+        return PathGrid(T, p, q)
+    t = np.linspace(0.0, T, M + 1)[:, None]
+    p = np.zeros((M + 1, N))
+    q = np.zeros((M + 1, N))
+    for k in range(1, 4):
+        w = k * np.pi / T
+        p += rng.uniform(-1, 1, N) * np.sin(w * t) + rng.uniform(-1, 1, N) * np.cos(w * t)
+        q += rng.uniform(-1, 1, N) * np.sin(w * t) + rng.uniform(-1, 1, N) * np.cos(w * t)
+    top = max(np.abs(p).max(), np.abs(q).max(), 1e-9)
+    return PathGrid(T, amplitude * p / top, amplitude * q / top)

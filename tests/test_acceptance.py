@@ -25,7 +25,7 @@ from hampath.action import (
 from hampath.certify import residual_order
 from hampath.conditions import GrowthCert, beta_threshold, check_subquadratic, semiconvex_thresholds
 from hampath.convex import Box, Hamiltonian, PowerNorm, Quadratic, squared_norm
-from hampath.grid import PathGrid, interval_data, random_path, sbp_residual
+from hampath.grid import PathGrid, interval_data, sbp_residual
 from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.solver import SolveParams, SolveStatus, solve, solve_linear_bvp
 
@@ -38,7 +38,7 @@ from conftest import (
     quartic_hamiltonian,
     scaled_hamiltonian,
 )
-from oracles import resample, rk4, shooting_connecting
+from oracles import random_path, resample, rk4, shooting_connecting
 
 
 def half_square(n=1):

@@ -12,7 +12,7 @@ from hampath.action import (
 )
 from hampath.convex import GridSampled, squared_norm
 from hampath.legendre import GridFn
-from hampath.grid import PathGrid, random_path
+from hampath.grid import PathGrid
 from hampath.regularize import EpsPerturbed
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     quartic_hamiltonian,
     scaled_hamiltonian,
 )
+from oracles import random_path
 
 
 def half_square(n=1):

@@ -60,7 +60,7 @@ class TestCertify:
         assert int(np.argmax(cert.interior_residuals)) in (119, 120)
 
     def test_residuals_nonnegative(self, rng):
-        from hampath.grid import random_path
+        from oracles import random_path
 
         spec = ProblemSpec(harmonic_hamiltonian(), 1.0,
                            Connecting(squared_norm(1, 0.5), squared_norm(1, 0.5), 1), None)

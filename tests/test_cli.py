@@ -118,6 +118,26 @@ class TestSolveCommand:
         assert main(["solve", write_config(tmp_path, cfg)]) == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_joint_grid_and_quadratic_terms_are_certified_under_h(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # a table plus a quadratic on the same coordinates pairs with its exact conjugate:
+        # the march runs over H itself, and nothing is resampled
+        from hampath.convex import GridSampled
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resampled the Hamiltonian")
+        monkeypatch.setattr(GridSampled, "from_samples", refuse)
+        with open(CONFIG_DIR / "grid_cauchy.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["hamiltonian"] = {"terms": [
+            {"kind": "grid", "file": str(CONFIG_DIR / "grid_cauchy_H.csv"), "apply": "both"},
+            {"kind": "quadratic", "scale": 0.1, "apply": "both"}]}
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = open(out / "report.txt").read().splitlines()
+        assert "status: Converged" in report
+        assert "certified_hamiltonian: true" in report
+
     def test_stall_exit_3_still_writes(self, tmp_path, capsys):
         # a quartic term keeps the stages on L-BFGS (a quadratic H converges in one
         # exact Newton step, which no iteration cap stalls); its growth is not the

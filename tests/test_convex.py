@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from hampath.convex import (
     Box,
     DomainError,
+    EnvelopeConjugate,
     GridConjugate,
     GridSampled,
     Hamiltonian,
-    MoreauEnvelope,
     NotCoerciveError,
     PowerNorm,
     Quadratic,
@@ -23,7 +23,6 @@ from hampath.convex import (
 from hampath.legendre import GridFn
 
 from conftest import grid_hamiltonian
-from oracles import bisection
 
 
 def abs_grid(lo=-2.0, hi=2.0, n=4001):
@@ -163,49 +162,6 @@ class TestSubgradient:
             assert abs(gap) < 1e-8
 
 
-class TestProx:
-    def test_quadratic_closed_form(self):
-        f = Quadratic(np.eye(1))
-        assert f.prox(np.array([2.0]), 1.0)[0] == pytest.approx(1.0)
-
-    def test_zero_function_identity(self, rng):
-        f = Quadratic(np.zeros((3, 3)))
-        x = rng.normal(size=3)
-        assert np.allclose(f.prox(x, 0.7), x)
-
-    def test_quartic_against_bisection(self):
-        f = PowerNorm(4.0, 0.25, dim=1)
-        u = f.prox(np.array([3.0]), 0.5)[0]
-        root = bisection(lambda t: t + 0.5 * t**3 - 3.0, 0.0, 3.0)
-        assert u == pytest.approx(root, abs=1e-8)
-        # several coordinates at once, each its own scalar equation
-        f3 = PowerNorm(4.0, 0.25, dim=3)
-        x = np.array([[3.0, -1.2, 0.0], [-0.4, 2.5, 7.0]])
-        u3 = f3.prox(x, 0.5)
-        for k, xk in enumerate(x.ravel()):
-            root = bisection(lambda t: t + 0.5 * t**3 - xk, -abs(xk) - 1.0, abs(xk) + 1.0)
-            assert u3.ravel()[k] == pytest.approx(root, abs=1e-8)
-
-    def test_prox_optimality(self, rng):
-        for f in catalog(rng):
-            x = rng.uniform(-2, 2, size=f.dim)
-            step = 0.5
-            u = f.prox(x, step)
-            res = f.subgradient(u)
-            if res.is_unique:
-                stat = res.value + (u - x) / step
-                assert np.max(np.abs(stat)) < 1e-7
-
-    def test_moreau_envelope_prox_composition(self, rng):
-        inner = PowerNorm(4.0, 0.25, dim=1)
-        env = MoreauEnvelope(inner, 0.3)
-        x = np.array([1.7])
-        u = env.prox(x, 0.5)
-        # optimality: grad env(u) + (u - x)/step = 0
-        stat = env.grad(u) + (u - x) / 0.5
-        assert np.max(np.abs(stat)) < 1e-8
-
-
 class TestScalarConjugate:
     def mixed_piece(self):
         return Sum([Quadratic([[1.0]]), PowerNorm(4.0, 0.1, dim=1)])
@@ -237,15 +193,6 @@ class TestScalarConjugate:
         back = dual.conjugate()
         x = rng.uniform(-2, 2, size=(20, 1))
         assert np.allclose(back.value(x), piece.value(x))
-
-    def test_prox_via_moreau_decomposition(self):
-        piece = self.mixed_piece()
-        dual = piece.conjugate_pair()[1]
-        x = np.array([1.1])
-        step = 0.4
-        u = dual.prox(x, step)
-        stat = dual.grad(u) + (u - x) / step
-        assert np.max(np.abs(stat)) < 1e-8
 
     def test_nested_sum_pieces(self, rng):
         # a joint quadratic plus a per-coordinate sum on p: the p piece is a
@@ -375,11 +322,13 @@ class TestInvariants:
         for f in catalog(rng) + [abs_grid(), coupled_grid()]:
             assert convexity_violation(f, rng) <= 1e-10
 
-    def test_moreau_envelope_below_function(self, rng):
-        f = PowerNorm(4.0, 0.25, dim=1)
-        env = MoreauEnvelope(f, 0.2)
-        x = rng.uniform(-2, 2, size=(50, 1))
-        assert np.all(env.value(x) <= f.value(x) + 1e-12)
+    def test_envelope_conjugate_below_the_node_maximum(self, rng):
+        # table + quadratic lies above the table, so its conjugate lies below the table's
+        table = abs_grid()
+        dual = Sum([table, squared_norm(1, 0.1)]).conjugate()
+        assert isinstance(dual, EnvelopeConjugate)
+        y = rng.uniform(-2, 2, size=(50, 1))
+        assert np.all(dual.value(y) <= table.conjugate().value(y) + 1e-12)
 
     def test_simplify_sum_merges_quadratics(self):
         merged = simplify_sum([Quadratic(np.eye(2)), affine([1.0, 0.0], 2.0),
@@ -422,12 +371,25 @@ class TestCsv:
         assert f.dim == 2
         assert f(np.array([0.5, -0.5])) == pytest.approx(0.25, abs=1e-2)
 
+    @staticmethod
+    def write_table(path, f):
+        """A two-column CSV (1-D) or header+matrix CSV (2-D) of the table's samples."""
+        g = f.grid
+        with open(path, "w") as fh:
+            if f.dim == 1:
+                for x, v in zip(g.axis_nodes(0), g.values):
+                    fh.write(f"{x:.17g},{v:.17g}\n")
+                return
+            fh.write("x," + ",".join(f"{y:.17g}" for y in g.axis_nodes(1)) + "\n")
+            for x, row in zip(g.axis_nodes(0), g.values):
+                fh.write(",".join(f"{v:.17g}" for v in [x, *row]) + "\n")
+
     def test_write_read_roundtrip(self, tmp_path, rng):
         for f in (abs_grid(n=101),
                   GridSampled(GridFn([-1, -1], [1, 1],
                                      rng.normal(size=(7, 9)).cumsum(axis=0)))):
             path = tmp_path / "g.csv"
-            f.to_csv(path)
+            self.write_table(path, f)
             g = GridSampled.from_csv(path)
             assert g.dim == f.dim
             assert np.allclose(g.grid.values, f.grid.values)
@@ -471,9 +433,10 @@ class TestValueGrad:
         f = Sum([Quadratic(0.5 * np.eye(2)), PowerNorm(4.0, 0.1, dim=2), affine([0.3, -0.1])])
         self.assert_fused(f, rng.uniform(-2, 2, (15, 2)))
 
-    def test_moreau_envelope_of_2d_grid(self, rng):
-        env = MoreauEnvelope(grid_hamiltonian().fn, 0.1)
-        self.assert_fused(env, rng.uniform(-3, 3, (4, 2)))
+    def test_envelope_conjugate_of_2d_grid(self, rng):
+        dual = Sum([grid_hamiltonian().fn, squared_norm(2, 0.05)]).conjugate()
+        assert isinstance(dual, EnvelopeConjugate)
+        self.assert_fused(dual, rng.uniform(-3, 3, (4, 2)))
 
 
 class TestGridValueGrad:

@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 from hampath.grid import (
     PathGrid,
     interval_data,
-    poincare_margin,
-    random_path,
     sbp_residual,
     sobolev_norm,
 )
+
+from oracles import poincare_margin, random_path
 
 finite_nodes = arrays(np.float64, (9, 2), elements=st.floats(-50, 50))
 

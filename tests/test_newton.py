@@ -30,7 +30,7 @@ from hampath.convex import (
     Sum,
     affine,
 )
-from hampath.grid import PathGrid, random_path
+from hampath.grid import PathGrid
 from hampath.legendre import GridFn
 from hampath.regularize import EpsPerturbed, InfConvolved
 from hampath.rootfind import RootFindError
@@ -43,6 +43,7 @@ from hampath.solver import (
 )
 
 from conftest import coupled_hamiltonian, decline_march, mixed_hamiltonian
+from oracles import random_path
 
 ROOT = Path(__file__).parent.parent
 CONFIG_DIR = ROOT / "configs"

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from hampath.convex import (
+    EnvelopeConjugate,
     GridConjugate,
     GridSampled,
-    MoreauEnvelope,
     PowerNorm,
     Quadratic,
     SeparableSum,
     Sum,
+    affine,
     simplify_sum,
+    squared_norm,
 )
 from hampath.legendre import GridFn
 from hampath.polyhedral import MidpointStep, _affine, facet_argmin, midpoint_march
@@ -140,28 +142,29 @@ def full_box(env, pts):
 def stage_fn(f, eps=0.05, lam=0.3):
     """The inf-convolution primal of the eps stage, as ``InfConvolved(EpsPerturbed(.))``
     builds it for a grid-backed H, for tabulated data of any dimension."""
-    P, D = f.conjugate_pair()
+    P = f.conjugate_pair()[0]
     primal = simplify_sum([P, Quadratic(eps * np.eye(f.dim), box=P.box)])
-    return _InfConvFn(primal, MoreauEnvelope(D, eps), lam, 4.0)
+    return _InfConvFn(primal, primal.conjugate(), lam, 4.0)
 
 
 class TestEnumerationMatchesUnpruned:
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("step", [0.05, 0.5])
-    def test_dual_prox(self, case, step):
-        P, D = CASES[case]().conjugate_pair()
-        # u = (y - prox(y)) / step is the envelope's argmin at slope about y: inside the
-        # box below the largest facet slope, on its boundary beyond it
+    def test_envelope_conjugate(self, case, step):
+        P = CASES[case]().conjugate_pair()[0]
+        D = simplify_sum([P, Quadratic(step * np.eye(P.dim), box=P.box)]).conjugate()
+        assert isinstance(D, EnvelopeConjugate)
+        # the gradient u is the envelope's argmin at slope about y: inside the box below
+        # the largest facet slope, on its boundary beyond it
         gmax = P.facets.grad_bound.max()
         y = rows(P.dim, 0.5 * gmax, gmax, 3.0 * gmax)
-        got = D._prox(y, step)
         u = facet_argmin(P.facets, np.full(P.dim, step), -y, *full_box(P, y))
-        assert np.array_equal(got, y - step * u)
+        assert np.array_equal(D._eval(y)[1], u)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_inf_convolution(self, case):
         fn = stage_fn(CASES[case]())
-        env, a, b = fn.base_primal.envelope_form()
+        env, a, b, _ = fn.base_primal.envelope_form()
         edge = env.box.hi[0]
         x = rows(env.dim, 0.8 * edge, edge, 2.0 * edge)
         got = fn.minimizers(x)
@@ -169,15 +172,6 @@ class TestEnumerationMatchesUnpruned:
                             fn.power, x)
         assert np.array_equal(got, want)
         assert np.all(np.abs(got) <= edge)
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_envelope_prox(self, case):
-        P, _ = CASES[case]().conjugate_pair()
-        edge = P.box.hi[0]
-        x = rows(P.dim, 0.8 * edge, edge, 2.0 * edge)
-        got = P.prox(x, 0.1)
-        want = facet_argmin(P.facets, np.full(P.dim, 1.0 / 0.1), -x / 0.1, *full_box(P, x))
-        assert np.array_equal(got, want)
 
 
 class TestLocalOptimality:
@@ -196,16 +190,18 @@ class TestLocalOptimality:
             assert best[0] <= vals.min() + 1e-12 * (1.0 + abs(best[0]))
 
 
-class TestGridSampledProx:
+class TestEnvelopeConjugateArgmin:
     @pytest.mark.parametrize("case", ["1d", "2d"])
     def test_beats_a_fine_local_grid(self, rng, case):
         f = CASES[case]()
         step = 0.3
-        # rows inside, on and beyond the box [-edge, edge]^dim
+        # the gradient of (f + |.|^2 / (2 step))* at x / step minimizes
+        # f(u) + |u - x|^2 / (2 step), for rows x inside, on and beyond the box
+        dual = Sum([f, Quadratic(np.eye(f.dim) / step)]).conjugate()
         edge = f.box.hi[0]
         x = (edge / 3.0) * np.concatenate([rng.uniform(-3.5, 3.5, (6, f.dim)),
                                            np.array([[3.0, 3.0], [5.0, -1.0]])[:, :f.dim]])
-        u = f._prox(x, step)
+        u = dual.grad(x / step)
         d = np.linspace(-0.05, 0.05, 101)
         offsets = np.column_stack([a.ravel() for a in np.meshgrid(*[d] * f.dim, indexing="ij")])
         for uk, xk in zip(u, x):
@@ -213,6 +209,59 @@ class TestGridSampledProx:
             best = f.value(uk) + np.sum((uk - xk) ** 2) / (2 * step)
             vals = f.value(cand) + np.sum((cand - xk) ** 2, axis=1) / (2 * step)
             assert best <= vals.min() + 1e-12 * (1.0 + abs(best))
+
+
+class TestJointTableAndQuadratic:
+    """A table plus a quadratic of positive diagonal curvature pairs with its exact
+    conjugate, read off the table itself."""
+
+    JOINT = {
+        "2d": lambda: Sum([grid_hamiltonian().fn, Quadratic(np.diag([0.3, 0.2]))]),
+        "1d": lambda: Sum([samples_1d(), Quadratic([[0.2]])]),
+        # a shifted quadratic and an offset: the conjugate carries their constants
+        "shifted": lambda: Sum([grid_hamiltonian().fn, squared_norm(2, 0.1, [1.0, -0.5]),
+                                affine([0.3, 0.0], 2.5)]),
+    }
+
+    def joint(self):
+        return self.JOINT["2d"]()
+
+    def test_pairs_without_resampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("resampled the sum")
+        monkeypatch.setattr(GridSampled, "from_samples", refuse)
+        P, D = self.joint().conjugate_pair()
+        assert isinstance(D, EnvelopeConjugate)
+        assert D.conjugate() is P
+
+    @pytest.mark.parametrize("case", list(JOINT))
+    def test_fenchel_young_gap(self, rng, case):
+        P, D = self.JOINT[case]().conjugate_pair()
+        assert isinstance(D, EnvelopeConjugate)
+        x = P.box.sample(rng, 200)
+        y = rng.uniform(-1.5, 1.5, (200, P.dim)) * np.maximum(np.abs(D.box.lo),
+                                                              np.abs(D.box.hi))
+        g, scale = gap(P, D, x, y)
+        assert np.all(g >= -1e-12 * scale)
+        # zero at x = grad f*(y), where y is a subgradient of f
+        u = D.grad(y)
+        g, scale = gap(P, D, u, y)
+        assert np.all(np.abs(g) <= 1e-12 * scale)
+
+    def test_matches_a_brute_force_max(self, rng):
+        P, D = self.joint().conjugate_pair()
+        s = np.linspace(-4.0, 4.0, 401)
+        U = np.column_stack([c.ravel() for c in np.meshgrid(s, s, indexing="ij")])
+        F = P.value(U)
+        y = rng.uniform(-5.0, 5.0, (10, 2))
+        brute = np.max(y @ U.T - F[None], axis=1)
+        want = D.value(y)
+        # the grid's maximum is a lower bound; its nearest node to the maximizer is at most
+        # h / sqrt(2) away, where y . u - f(u) drops by at most its slope bound times that
+        h = s[1] - s[0]
+        slope = np.abs(y).sum(axis=1) + np.sum(D.envelope.facets.grad_bound + 4.0 * D.a)
+        assert np.all(brute <= want + 1e-12 * (1.0 + np.abs(want)))
+        assert np.all(want - brute <= slope * h / np.sqrt(2.0))
 
 
 class TestSubgradient:
@@ -372,7 +421,7 @@ def kinked(fn, half=2.0, n=21):
 def inclusion_gaps(form, nodes, h):
     """Per interval, env(x) + env*(s) - x.s for the slope s = y - a x - b that the step
     needs at the midpoint x (zero exactly when s is a subgradient there), and its scale."""
-    env, a, b = form
+    env, a, b, _ = form
     P, D = env.conjugate_pair()
     x = 0.5 * (nodes[1:] + nodes[:-1])
     dz = (nodes[1:] - nodes[:-1]) / h
@@ -403,7 +452,7 @@ class TestMidpointMarch:
     @pytest.mark.parametrize("case", list(MARCHES))
     def test_every_step_solves_the_inclusion(self, monkeypatch, case):
         fn, a, z0, T, branches = MARCHES[case]
-        form = (kinked(fn), np.array(a), np.zeros(2))
+        form = (kinked(fn), np.array(a), np.zeros(2), 0.0)
         hits = {"facet": 0, "edge": 0, "vertex": 0, "box_face": 0}
         facet, edge, vertex = MidpointStep.facet, MidpointStep.edge, MidpointStep.vertex
 
@@ -426,7 +475,8 @@ class TestMidpointMarch:
     @pytest.mark.parametrize("case", list(MARCHES))
     def test_reruns_are_bitwise_equal(self, case):
         fn, a, z0, T, _ = MARCHES[case]
-        runs = [midpoint_march((kinked(fn), np.array(a), np.zeros(2)), np.array(z0), T / 40, 40)
+        runs = [midpoint_march((kinked(fn), np.array(a), np.zeros(2), 0.0), np.array(z0),
+                               T / 40, 40)
                 for _ in range(2)]
         assert runs[0].tobytes() == runs[1].tobytes()
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hampath.convex import (
+    EnvelopeConjugate,
     GridSampled,
     Hamiltonian,
-    MoreauEnvelope,
     PowerNorm,
     Quadratic,
     SeparableSum,
@@ -280,11 +280,13 @@ STENCIL = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])  # with si
 class TestInnerSolveAccuracy:
     """Every row of a per-row inner solve is a local minimum of its own objective."""
 
-    def test_grid_prox_rows(self, rng):
+    def test_envelope_conjugate_rows(self, rng):
+        # the gradient of (f + |.|^2 / (2 step))* at x / step minimizes
+        # f(u) + |u - x|^2 / (2 step)
         f = grid_hamiltonian().fn
         step = 0.1
         x = rng.uniform(-3, 3, (20, 2))
-        u = f._prox(x, step)
+        u = Sum([f, Quadratic(np.eye(2) / step)]).conjugate().grad(x / step)
 
         def objective(u, x):
             return f.value(u) + np.sum((u - x) ** 2) / (2 * step)
@@ -324,7 +326,12 @@ def test_eps_stage_of_a_grid_block_perturbs_each_block():
     grid_block, q_block = primal.parts
     assert grid_block.envelope_form() is not None
     assert isinstance(q_block, Quadratic) and q_block.A[0, 0] == 1.05
-    assert isinstance(dual, MoreauEnvelope) and dual.inner is H.pair()[1]
+    # each block pairs with its own exact conjugate, read off the base table
+    assert isinstance(dual, SeparableSum)
+    grid_dual, q_dual = dual.parts
+    assert isinstance(grid_dual, EnvelopeConjugate) and grid_dual.conjugate() is grid_block
+    assert grid_dual.envelope is H.pair()[0].parts[0]
+    assert isinstance(q_dual, Quadratic)
 
 
 class TestCoupledQuadraticInnerSolve:
@@ -504,7 +511,7 @@ class TestEpsPerturbedPair:
         base = Hamiltonian(Sum([Quadratic([[1.0, 0.3], [0.3, 1.0]]),
                                 PowerNorm(4.0, 0.1, dim=2)]), 1)
         primal, dual = EpsPerturbed(base, 0.1).pair()
-        assert isinstance(dual, MoreauEnvelope) and dual.inner is base.pair()[1]
+        assert isinstance(dual, EnvelopeConjugate) and dual.envelope is base.pair()[0]
         assert not primal.smooth and dual.smooth
         self.evaluate(primal, dual, rng)
         assert calls == {"tabulate": 1, "facets": 1}

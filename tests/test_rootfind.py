@@ -54,18 +54,22 @@ class TestNewtonBisect:
         assert u[0] == pytest.approx(0.25, abs=1e-12)
         assert u[1] == pytest.approx(np.pi / 10, abs=1e-14)
 
-    def test_prox_of_power_conjugate_at_every_scale(self):
-        # PowerNorm(4, 1/4)* = PowerNorm(4/3, 3/4): the prox residual
-        # u - x + step f'(u) has unbounded slope at u = 0, where in-bracket
-        # Newton steps stay short; x ~ 1e-2 needs the bisection fallback
-        from hampath.convex import PowerNorm
+    def test_argsup_of_power_conjugate_at_every_scale(self):
+        # PowerNorm(4, 1/4)* = PowerNorm(4/3, 3/4): the inversion residual
+        # f'(u) - y = sign(u)|u|^(1/3) - y has unbounded slope at u = 0, where
+        # in-bracket Newton steps overshoot; small y need the bisection fallback.
+        # Each element meets the residual tolerance, or its bracket has shrunk to
+        # rounding around the root y^3
+        from hampath.convex import PowerNorm, ScalarConjugate
 
         f = PowerNorm(4.0, 0.25).conjugate()
         assert (f.r, f.scale) == pytest.approx((4.0 / 3.0, 0.75))
+        argsup = ScalarConjugate(f)._argsup
         for scale in np.logspace(-8, 1, 19):
-            x = scale * np.array([[1.0], [-3.0], [0.7]])
-            u = f._prox(x, 0.1)
-            assert np.all(np.abs(u - x + 0.1 * f._grad(u)) <= 1e-6 * (1.0 + np.abs(x)))
+            y = scale * np.array([[1.0], [-3.0], [0.7]])
+            u = argsup(y)
+            assert np.all((np.abs(f._grad(u) - y) <= 1e-6 * (1.0 + np.abs(y)))
+                          | (np.abs(u - y**3) <= 1e-15 * (1.0 + np.abs(u))))
 
     def test_iteration_cap_raises(self, monkeypatch):
         # no usable derivative forces bisection, far too slow for four iterations
@@ -166,11 +170,11 @@ class TestBatchIndependence:
         argsup = ScalarConjugate(PowerNorm(4.0, 0.1, dim=1))._argsup
         self.assert_elementwise(lambda y: argsup(y[:, None])[:, 0])
 
-    def test_separable_prox(self):
-        from hampath.convex import PowerNorm
+    def test_argsup_with_unbounded_slope(self):
+        from hampath.convex import PowerNorm, ScalarConjugate
 
-        f = PowerNorm(4.0 / 3.0, 0.75)
-        self.assert_elementwise(lambda x: f._prox(x[:, None], 0.1)[:, 0])
+        argsup = ScalarConjugate(PowerNorm(4.0 / 3.0, 0.75))._argsup
+        self.assert_elementwise(lambda y: argsup(y[:, None])[:, 0])
 
     def test_separable_inf_convolution(self):
         from hampath.regularize import InfConvolved
@@ -208,12 +212,12 @@ class TestColumnIndependence:
         # the value is <u, y> - f(u) of the whole function, summed in another order
         assert np.all(np.abs(value - total) <= 1e-15 * (1.0 + np.abs(total)))
 
-    def test_separable_prox(self):
-        from hampath.convex import PowerNorm
+    def test_argsup_with_unbounded_slope(self):
+        from hampath.convex import PowerNorm, ScalarConjugate
 
-        u = PowerNorm(4.0 / 3.0, 0.75, dim=3)._prox(self.Y, 0.1)
+        u = ScalarConjugate(PowerNorm(4.0 / 3.0, 0.75, dim=3))._argsup(self.Y)
         for i in range(3):
-            col = PowerNorm(4.0 / 3.0, 0.75)._prox(self.Y[:, i:i + 1], 0.1)
+            col = ScalarConjugate(PowerNorm(4.0 / 3.0, 0.75))._argsup(self.Y[:, i:i + 1])
             assert u[:, i].tobytes() == col[:, 0].tobytes()
 
     def test_separable_inf_convolution(self):

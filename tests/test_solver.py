@@ -607,7 +607,7 @@ class TestGradientAction:
         assert max(np.abs(g.p_nodes[1:]).max(), np.abs(g.q_nodes[1:]).max()) <= 1e-3
 
     def test_finite_difference_with_smoothing(self, rng):
-        from hampath.grid import random_path
+        from oracles import random_path
 
         spec = harmonic_cauchy_spec()
         g = random_path(rng, 1.0, 1, 6)
