@@ -162,6 +162,65 @@ class TestSubgradient:
             assert abs(gap) < 1e-8
 
 
+def shrink(z):
+    """Soft thresholding at 1: the minimizer of |u| + (u - z)^2 / 2, coordinate by coordinate."""
+    return np.sign(z) * np.maximum(np.abs(z) - 1.0, 0.0)
+
+
+class TestEnvelopeConjugate:
+    """The conjugate of table + sum_i a_i/2 u_i^2 + b . u + c: its gradient minimizes
+    table(u) + sum_i a_i/2 u_i^2 + (b - y) . u."""
+
+    A, B, C = np.array([0.3, 0.2]), np.array([0.1, -0.5]), 0.25
+
+    def joint(self, table):
+        d = table.dim
+        f = Sum([table, Quadratic(np.diag(self.A[:d]), self.B[:d], self.C)])
+        dual = f.conjugate()
+        assert isinstance(dual, EnvelopeConjugate)
+        return f, dual
+
+    @pytest.mark.parametrize("name", ["zero", "abs", "l1"])
+    def test_closed_form(self, name, rng):
+        # separable tables whose envelope is exact: the minimizer is a clipped
+        # (soft-thresholded, for |u|) shift, and the value is y . u - f(u) there
+        x = np.linspace(-2.0, 2.0, 41)
+        table, solve = {
+            "zero": (GridSampled(GridFn([-2.0, -1.0], [2.0, 3.0], np.zeros((5, 7)))),
+                     lambda z: z),
+            "abs": (GridSampled(GridFn([-2.0], [2.0], np.abs(x))), shrink),
+            "l1": (GridSampled(GridFn([-2.0, -2.0], [2.0, 2.0],
+                                      np.abs(x)[:, None] + np.abs(x)[None, :])), shrink),
+        }[name]
+        f, dual = self.joint(table)
+        a, b = self.A[:f.dim], self.B[:f.dim]
+        y = rng.uniform(-3, 3, size=(200, f.dim))
+        u = np.clip(solve(y - b) / a, table.box.lo, table.box.hi)
+        assert np.max(np.abs(dual.grad(y) - u)) < 1e-12
+        expect = np.sum(y * u, axis=1) - f.value(u)
+        assert np.max(np.abs(dual.value(y) - expect)) < 1e-12 * (1.0 + np.max(np.abs(expect)))
+
+    def test_gradient_meets_first_order_optimality(self, rng):
+        # p = y - b - a u is a subgradient of the table's envelope at u = grad f*(y):
+        # the bare table's Fenchel-Young gap at (u, p) vanishes to rounding
+        table = grid_hamiltonian().fn
+        _, dual = self.joint(table)
+        y = rng.uniform(-6, 6, size=(200, 2))
+        u = dual.grad(y)
+        p = y - self.B - self.A * u
+        terms = (table.value(u), table.conjugate().value(p), np.sum(p * u, axis=1))
+        gap = terms[0] + terms[1] - terms[2]
+        assert np.all(np.abs(gap) <= 1e-12 * (1.0 + sum(np.abs(t) for t in terms)))
+
+    def test_gradient_is_cocoercive(self, rng):
+        # f - sum_i a_i/2 u_i^2 is convex, so (du) . (dy) >= sum_i a_i du_i^2
+        _, dual = self.joint(grid_hamiltonian().fn)
+        y1, y2 = rng.uniform(-6, 6, size=(2, 200, 2))
+        du = dual.grad(y1) - dual.grad(y2)
+        lhs = np.sum(du * (y1 - y2), axis=1)
+        assert np.all(lhs >= np.sum(self.A * du * du, axis=1) - 1e-12 * (1.0 + np.abs(lhs)))
+
+
 class TestScalarConjugate:
     def mixed_piece(self):
         return Sum([Quadratic([[1.0]]), PowerNorm(4.0, 0.1, dim=1)])
