@@ -131,11 +131,13 @@ def slope_range(f: GridFn, axis: int = 0) -> tuple[float, float]:
 
 def _default_dual_axis(f: GridFn, axis: int) -> tuple[float, float, int]:
     mlo, mhi = slope_range(f, axis)
-    if mhi - mlo <= 0:
-        pad = max(1e-8, abs(mlo) * 1e-8)
-        return mlo - pad, mhi + pad, 3
     # nudge inside the slope range so every dual node keeps an interior argmax
     nudge = 1e-9 * (1.0 + max(abs(mlo), abs(mhi)))
+    if mhi - mlo <= 2.0 * nudge:
+        # a flat range, or one whose slopes differ only by rounding, which the nudge
+        # would invert: pad it instead
+        pad = max(1e-8, abs(mlo) * 1e-8)
+        return mlo - pad, mhi + pad, 3
     return mlo + nudge, mhi - nudge, f.values.shape[axis]
 
 

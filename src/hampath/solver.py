@@ -16,7 +16,9 @@ limited-memory quasi-Newton method, as if nothing had been tried.
 A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
 closed-form quadratic pairs is exact: its action is a convex quadratic in the
 nodes, which one Newton step on a once-factored Hessian minimizes from any
-start, refined once by a back-substitution.  When the final stage is not
+start, refined once by a back-substitution.  That Hessian has the same blocks
+at every node but the two ends, and cyclic reduction keeps that constant form,
+so it is factored in O(log M) block operations.  When the final stage is not
 exact, no stage is.  On any other pair with Hessians Newton reassembles the
 Gauss-Newton matrix at every accepted path: each interval gap is the Bregman
 divergence D_{H*}(y, grad H(x)), so near a solution the action is a
@@ -239,13 +241,13 @@ def _tmm(a, b):
 
 
 def _mv(a, v):
-    """Blockwise a @ v for vectors v of shape (n, B)."""
-    return np.einsum("ijb,jb->ib", a, v)
+    """Blockwise a @ v for vectors v of shape (n, B); one (n, n) block acts on every vector."""
+    return a @ v if a.ndim == 2 else np.einsum("ijb,jb->ib", a, v)
 
 
 def _tmv(a, v):
     """Blockwise a' @ v."""
-    return np.einsum("jib,jb->ib", a, v)
+    return a.T @ v if a.ndim == 2 else np.einsum("jib,jb->ib", a, v)
 
 
 def _invert(D):
@@ -267,21 +269,46 @@ def _invert(D):
     return D
 
 
+def _odd_solve(Dinv, end, v):
+    """The odd blocks' inverses applied to v; ``end``, when not None, is the inverse of
+    the last odd block and replaces ``Dinv`` on the last column."""
+    x = _mv(Dinv, v)
+    if end is not None:
+        x[:, -1] = end @ v[:, -1]
+    return x
+
+
 class BlockTridiagonalFactor:
     """Cyclic-reduction factorization of a symmetric positive definite block-tridiagonal
     matrix; ``solve`` is the back-substitution for one right-hand side.
 
-    ``D`` (n, n, K) holds the diagonal blocks and ``U`` (n, n, K-1) the blocks
-    (k, k+1), whose transposes are the blocks below the diagonal; the block
-    index is the last axis.  Each level eliminates the odd-indexed blocks
-    through their own diagonal blocks and halves the system
-    (Buzbee-Golub-Nielson).  A level keeps the inverses of its odd blocks and
-    their couplings, so every further right-hand side costs only block
-    products.  The inputs are not modified.
+    The blocks come in one of two forms, and the form decides how they are
+    reduced.  Per block: ``D`` (n, n, K) holds the diagonal blocks and ``U``
+    (n, n, K-1) the blocks (k, k+1), whose transposes are the blocks below the
+    diagonal; the block index is the last axis.  Constant: ``D`` is a tuple
+    (first, interior, last) of (n, n) blocks, block 0 being ``first``, block
+    K-1 ``last`` (the only block when K = 1) and every other ``interior``, and
+    ``U`` (n, n, K-1) is constant along its block axis, as a zero-stride
+    broadcast of the one coupling block is; only its length and first block
+    are read.
+
+    Each level eliminates the odd-indexed blocks through their own diagonal
+    blocks and halves the system (Buzbee-Golub-Nielson).  A level keeps the
+    inverses of its odd blocks and their couplings, so every further
+    right-hand side costs only block products.  A constant system stays
+    constant under the elimination (Heller 1976): every level has one
+    interior block, one coupling and new ends, so it inverts at most two
+    blocks (an interior one and, when K is even, the last) and keeps O(n^2)
+    numbers, and the whole factorization costs O(n^3 log K).  Its
+    back-substitution applies each level's blocks as one (n, n) product over
+    all columns and patches the odd end column.  The inputs are not modified.
     """
 
     def __init__(self, D, U):
         self.levels = []
+        if isinstance(D, tuple):
+            self.base = self._reduce_constant(*D, U)
+            return
         while D.shape[-1] > 1:
             Dinv = _invert(D[:, :, 1::2].copy())
             # odd block 2t+1 couples to block 2t through Ue[t]' and to block 2t+2 through Uo[t]
@@ -292,28 +319,51 @@ class BlockTridiagonalFactor:
             XU = _mm(Dinv[:, :, :me - 1], Uo)
             D2[:, :, 1:] -= _tmm(Uo, XU)
             U = -_mm(Ue[:, :, :me - 1], XU)
-            self.levels.append((Dinv, Ue, Uo))
+            self.levels.append((Dinv, Ue, Uo, None))
             D = D2
         self.base = _invert(D.copy())
+
+    def _reduce_constant(self, first, interior, last, U):
+        """Appends the levels of a constant system and returns the inverse of its last
+        remaining block."""
+        K = U.shape[-1] + 1
+        C = U[:, :, 0].copy() if K > 1 else None
+        if K == 1:
+            first = last
+        while K > 1:
+            # the odd blocks are interior ones, except the last block when K is even
+            odd = ([interior] if K > 2 else []) + ([last] if K % 2 == 0 else [])
+            inv = _invert(np.stack(odd, axis=-1))
+            Ainv, Linv = inv[:, :, 0], inv[:, :, -1]
+            self.levels.append((Ainv, C, C, Linv if len(odd) == 2 else None))
+            CA, CtA = C @ Ainv, C.T @ Ainv
+            first = first - CA @ C.T
+            if K > 2:
+                # the new last block is the old last (K odd) or the interior block before it
+                last = last - CtA @ C if K % 2 else interior - C @ Linv @ C.T - CtA @ C
+                interior = interior - CA @ C.T - CtA @ C
+                C = -CA @ C
+            K = (K + 1) // 2
+        return _invert(first[:, :, None].copy())[:, :, 0]
 
     def solve(self, r):
         """The solution x (n, K) of the factored system for the right-hand side ``r`` (n, K)."""
         odd = []
-        for Dinv, Ue, Uo in self.levels:
-            mo, me = Dinv.shape[-1], (r.shape[1] + 1) // 2
-            xr = _mv(Dinv, r[:, 1::2])
+        for Dinv, Ue, Uo, end in self.levels:
+            mo, me = r.shape[1] // 2, (r.shape[1] + 1) // 2
+            xr = _odd_solve(Dinv, end, r[:, 1::2])
             r2 = r[:, 0::2].copy()
             r2[:, :mo] -= _mv(Ue, xr)
             r2[:, 1:] -= _tmv(Uo, xr[:, :me - 1])
             odd.append(xr)
             r = r2
         x = _mv(self.base, r)
-        for (Dinv, Ue, Uo), xr in zip(reversed(self.levels), reversed(odd)):
-            mo, me = Dinv.shape[-1], x.shape[1]
+        for (Dinv, Ue, Uo, end), xr in zip(reversed(self.levels), reversed(odd)):
+            mo, me = xr.shape[1], x.shape[1]
             v = _tmv(Ue, x[:, :mo])
             v[:, :me - 1] += _mv(Uo, x[:, 1:])
             xe, x = x, np.empty((x.shape[0], mo + me))
-            x[:, 0::2], x[:, 1::2] = xe, xr - _mv(Dinv, v)
+            x[:, 0::2], x[:, 1::2] = xe, xr - _odd_solve(Dinv, end, v)
         return x
 
 
@@ -328,7 +378,8 @@ def _quadratic_stage(spec: ProblemSpec, H: Hamiltonian) -> bool:
 
 
 def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
-    """Diagonal and upper blocks of the stage action's Hessian in the nodes z_k = (p_k, q_k).
+    """The stage action's Hessian in the nodes z_k = (p_k, q_k), as the blocks that
+    ``BlockTridiagonalFactor`` takes.
 
     Interval k contributes h J' W J, where J = (P, Q) is the Jacobian of
     F = y - grad H(x) in (z_k, z_{k+1}) and W the dual Hessian at y; each
@@ -336,6 +387,13 @@ def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
     ``action_for(..., hessians=True)`` at g.  On a quadratic action this is the
     exact Hessian; on any other it is the Gauss-Newton matrix, exact where every
     gap vanishes.  Cauchy mode drops the fixed node 0.
+
+    When both sides' Hessians are constant (length 1), as a quadratic pair's
+    are, so is every interval's contribution, and the blocks come in constant
+    form: the first, interior and last diagonal blocks and the coupling as a
+    zero-stride broadcast.  In Cauchy mode the first block is an interior one;
+    otherwise both ends also carry B' W B.  Any other Hessians give the
+    diagonal and upper blocks per block.
     """
     b = spec.boundary
     d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
@@ -347,26 +405,35 @@ def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
     # Copied once so that the block axis has unit stride: every block array derived
     # from them (P, Q, W, the products, every level of the factorization) then keeps
     # that layout, which the einsum products and their slices walk 2-3x faster than
-    # the d^2-strided axis that moveaxis leaves.  A constant U stays a zero-stride
-    # broadcast: a contiguous copy of it only costs the exact stages time.
+    # the d^2-strided axis that moveaxis leaves.
     (Hx, Hy), *ends = hessians
     Hx, W = (np.ascontiguousarray(np.moveaxis(H, 0, -1)) for H in (Hx, Hy))
     P = 0.5 * (F[:, :, None] - Hx) - E[:, :, None]
     Q = P + 2.0 * E[:, :, None]
     WQ = _mm(W, Q)
-    D = np.zeros((2 * N, 2 * N, g.M + 1))
-    D[:, :, :-1] = _tmm(P, _mm(W, P))
-    D[:, :, 1:] += _tmm(Q, WQ)
-    D *= h
+    PWP, QWQ = _tmm(P, _mm(W, P)), _tmm(Q, WQ)
     U = np.broadcast_to(h * _tmm(P, WQ), (2 * N, 2 * N, g.M))
-    if isinstance(b, Cauchy):
+    cauchy = isinstance(b, Cauchy)
+    if not cauchy:
+        (sp, sd), (ep, ed) = ends
+        # r0 = q0 - grad psi1(p0), rT = -pT - grad psi2(qT)
+        B0 = np.hstack([-sp[0], I])
+        BT = np.hstack([-I, -ep[0]])
+        S0, ST = B0.T @ sd[0] @ B0, BT.T @ ed[0] @ BT
+    if PWP.shape[-1] == 1:
+        PWP, QWQ = PWP[:, :, 0], QWQ[:, :, 0]
+        interior = h * (PWP + QWQ)
+        if cauchy:
+            return (interior, interior, h * QWQ), U[:, :, 1:]
+        return (h * PWP + S0, interior, h * QWQ + ST), U
+    D = np.zeros((2 * N, 2 * N, g.M + 1))
+    D[:, :, :-1] = PWP
+    D[:, :, 1:] += QWQ
+    D *= h
+    if cauchy:
         return D[:, :, 1:], U[:, :, 1:]
-    (sp, sd), (ep, ed) = ends
-    # r0 = q0 - grad psi1(p0), rT = -pT - grad psi2(qT)
-    B0 = np.hstack([-sp[0], I])
-    BT = np.hstack([-I, -ep[0]])
-    D[:, :, 0] += B0.T @ sd[0] @ B0
-    D[:, :, -1] += BT.T @ ed[0] @ BT
+    D[:, :, 0] += S0
+    D[:, :, -1] += ST
     return D, U
 
 
@@ -379,7 +446,9 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
     stage is exact is decided once, by ``_quadratic_stage``.
 
     On an exact (quadratic) stage the node Hessian does not depend on the
-    path, so it is assembled and factored once, at the first step.  The step
+    path, so it is assembled and factored once, at the first step; its
+    Hessians are constant, so ``_node_hessian`` gives it in constant form and
+    the factorization costs O(n^3 log M).  The step
     that meets ``ftarget`` is followed by one refinement back-substitution on
     the same factorization: on a quadratic action the new gradient is exactly
     the linear residual the step left in rounding (iterative refinement), and

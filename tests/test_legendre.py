@@ -103,6 +103,20 @@ class TestConjugate2D:
             - vals[None, None], axis=(2, 3))
         assert np.max(np.abs(g.values - brute)) < 1e-12
 
+    @pytest.mark.parametrize("a, c, rounded", [((0.7, -0.3), 0.4, True),
+                                               ((0.5, 0.0), 0.5, False)])
+    def test_affine_table_pads_its_dual_box(self, a, c, rounded):
+        """An affine table's node slopes differ by rounding (0.7 x1 - 0.3 x2 + 0.4) or
+        not at all (0.5 x1 + 0.5); either way the dual box is padded around the
+        slope, where the conjugate is -c."""
+        f = sample_2d(lambda x1, x2: a[0] * x1 + a[1] * x2 + c, (-2.0, -1.0), (2.0, 3.0),
+                      (5, 7))
+        widths = [hi - lo for lo, hi in (slope_range(f, axis) for axis in (0, 1))]
+        assert (max(widths) > 0) == rounded
+        conj = GridSampled(f).conjugate()
+        assert np.all(conj.box.lo < a) and np.all(np.array(a) < conj.box.hi)
+        assert conj.value(np.array(a)) == pytest.approx(-c, abs=1e-12)
+
 
 class TestDefect:
     def test_convex_square_zero(self):

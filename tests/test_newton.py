@@ -64,6 +64,39 @@ def _random_system(rng, n, K):
     return D, U, dense
 
 
+def _constant_system(rng, n, K, cauchy):
+    """A node-like SPD system J'J + I / 10 in constant form, with its blocks materialized.
+
+    Block row k of J puts P on node k and Q on node k+1, as an interval does;
+    Cauchy ends drop the first node, so the first diagonal block is an interior
+    one, and connecting ends add a random boundary row on each end node.
+    Returns ((first, interior, last), U, D, U materialized)."""
+    P = 3.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+    Q = rng.normal(size=(n, n)) / np.sqrt(n)
+    B0, BT = rng.normal(size=(2, n, n))
+    R = 0.1 * np.eye(n)
+    interior = P.T @ P + Q.T @ Q + R
+    if cauchy:
+        first, last = interior, Q.T @ Q + R
+    else:
+        first, last = P.T @ P + B0.T @ B0 + R, Q.T @ Q + BT.T @ BT + R
+    U = np.broadcast_to((P.T @ Q)[:, :, None], (n, n, K - 1))
+    # a one-block system is its last block
+    D = np.stack(([first] + [interior] * (K - 2) + [last])[-K:], axis=-1)
+    return (first, interior, last), U, D, np.ascontiguousarray(U)
+
+
+def _dense(D, U):
+    n, K = D.shape[1:]
+    dense = np.zeros((n * K, n * K))
+    for k in range(K):
+        dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = D[:, :, k]
+        if k + 1 < K:
+            dense[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = U[:, :, k]
+            dense[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = U[:, :, k].T
+    return dense
+
+
 class TestBlockTridiagonal:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 33, 64])
@@ -96,23 +129,54 @@ class TestBlockTridiagonal:
         assert Ds.strides[-1] == Us.strides[-1] == 16 * D.itemsize
         got = BlockTridiagonalFactor(Ds, Us).solve(r)
         assert got.tobytes() == want.tobytes()
-        # a constant coupling, as exact stages pass it: a zero-stride broadcast
+        # a constant coupling given per block as a zero-stride broadcast
         Ub = np.broadcast_to(U[:, :, :1], U.shape)
         want = BlockTridiagonalFactor(D, np.ascontiguousarray(Ub)).solve(r)
         assert BlockTridiagonalFactor(D, Ub).solve(r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cauchy", [True, False], ids=["cauchy", "connecting"])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 8, 33, 64, 1000])
+    def test_constant_form_matches_dense_and_per_block_solves(self, rng, K, n, cauchy):
+        """The constant-form reduction solves the same system as the per-block one on
+        the materialized blocks and, up to 2048 unknowns, as a dense solve; it
+        modifies none of its inputs and stores only (n, n) blocks, whatever K."""
+        blocks, U, D, Ud = _constant_system(rng, n, K, cauchy)
+        r = rng.normal(size=(n, K))
+        copies = [a.copy() for a in (*blocks, U, r)]
+        factor = BlockTridiagonalFactor(blocks, U)
+        x = factor.solve(r)
+        for a, b in zip((*blocks, U, r), copies):
+            assert np.array_equal(a, b)
+        per_block = BlockTridiagonalFactor(D, Ud).solve(r)
+        assert np.abs(x - per_block).max() <= 1e-12 * np.abs(per_block).max()
+        if n * K <= 2048:
+            want = np.linalg.solve(_dense(D, Ud), r.T.ravel()).reshape(K, n).T
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        stored = [factor.base] + [a for level in factor.levels for a in level
+                                  if a is not None]
+        assert len(factor.levels) == int(np.ceil(np.log2(K)))
+        assert all(a.shape == (n, n) for a in stored)
+        assert all((a if a.base is None else a.base).size <= 2 * n * n for a in stored)
 
     @pytest.mark.parametrize("case, stride", [("mixed", 1), ("harmonic", 0)])
     def test_node_blocks_have_a_unit_stride_block_axis(self, case, stride):
         """Per-interval blocks are laid out block axis last with unit stride, which the
         block products walk 2-3x faster than the d^2 stride of a moveaxis'd stack;
-        constant blocks stay zero-stride broadcasts."""
+        constant Hessians give the constant form: the first, interior and last diagonal
+        blocks, the first an interior one in Cauchy mode, and a zero-stride coupling."""
         H = mixed_hamiltonian() if case == "mixed" else Hamiltonian(Quadratic(np.eye(2)), 1)
         spec = ProblemSpec(H, 1.0, Cauchy([1.0], [0.0]), None)
         g = PathGrid.constant(spec.T, [1.0], [0.0], 50)
         D, U = _node_hessian(spec, g, action_for(spec, g, hessians=True).hessians)
-        assert D.shape == (2, 2, 50) and U.shape == (2, 2, 49)
-        assert D.strides[-1] == D.itemsize
+        assert U.shape == (2, 2, 49)
         assert U.strides[-1] == stride * U.itemsize
+        if stride:
+            assert D.shape == (2, 2, 50) and D.strides[-1] == D.itemsize
+        else:
+            first, interior, last = D
+            assert first.shape == interior.shape == last.shape == (2, 2)
+            assert np.array_equal(first, interior) and not np.array_equal(last, interior)
 
 
 class TestCompletedSquare:
