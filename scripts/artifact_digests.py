@@ -6,9 +6,14 @@ exit code.  The source tree next to this script is imported, so running it in
 two checkouts and diffing the outputs shows whether a change keeps the
 artifacts byte-identical.
 
-Run:  python scripts/artifact_digests.py
+With ``--keep DIR`` the artifacts are written to DIR/<config>/ and left there, so that a
+moved digest line can be read back: the largest node difference and the
+action before and after, from the kept trees of two checkouts.
+
+Run:  python scripts/artifact_digests.py [--keep DIR]
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,10 +29,14 @@ from hampath.cli import main as hampath_main  # noqa: E402
 ARTIFACTS = ("trajectory.csv", "report.txt", "residuals.csv")
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the artifacts to DIR/<config>/ and leave them there")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in sorted((ROOT / "configs").glob("*.yaml")):
-            out = Path(tmp) / cfg.stem
+            out = Path(args.keep or tmp) / cfg.stem
             with contextlib.redirect_stdout(io.StringIO()):
                 code = hampath_main(["solve", str(cfg), "--out", str(out)])
             for name in ARTIFACTS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hampath.action import Cauchy, ProblemSpec, SemiConvex, action_for, pairing
-from hampath.convex import Hamiltonian
+from hampath.convex import Hamiltonian, Quadratic
 from hampath.grid import PathGrid
 
 
@@ -71,7 +71,9 @@ def certify(spec: ProblemSpec, g: PathGrid, tol: float | None = None,
     """Certificate of the path against the spec (or an explicit Hamiltonian).
 
     Pass criterion: every h-weighted interior gap and both boundary gaps are
-    at most ``tol``; default tol is 1e-6 * (1 + path magnitude).
+    at most ``tol``; default tol is 1e-6 * (1 + path magnitude).  In Cauchy mode
+    the energy drift max H - min H over the nodes is reported too, read from
+    ``g.nodes`` when H is quadratic.
     """
     H = H if H is not None else spec.hamiltonian
     if tol is None:
@@ -82,8 +84,10 @@ def certify(spec: ProblemSpec, g: PathGrid, tol: float | None = None,
         inclusions = _subgradient_inclusions(H, spec.boundary, g)
     energy = None
     if isinstance(spec.boundary, Cauchy):
-        nodes = np.concatenate([g.p_nodes, g.q_nodes], axis=1)
-        vals = H.value(nodes)
+        if isinstance(H.fn, Quadratic):
+            vals = H.fn._column_values(g.nodes)
+        else:
+            vals = H.value(np.concatenate([g.p_nodes, g.q_nodes], axis=1))
         energy = float(vals.max() - vals.min())
     ok = (breakdown.h * float(np.max(breakdown.interior, initial=0.0)) <= tol
           and breakdown.boundary_start <= tol

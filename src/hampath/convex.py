@@ -272,6 +272,14 @@ class Quadratic(ConvexFn):
     def _grad(self, pts):
         return pts @ self.A + self.b
 
+    def _column_values(self, Z):
+        """Values at the columns of Z (dim, K), each sum running along K."""
+        v = np.multiply(self.A @ Z, Z).sum(axis=0)
+        v *= 0.5
+        v += self.b @ Z
+        v += self.c
+        return v
+
     def _curvature(self, pts):
         return np.broadcast_to(np.diag(self.A), pts.shape)
 

@@ -12,13 +12,23 @@ without quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Paths (p, q) sampled at M+1 nodes over [0, T]; arrays are (M+1, N)."""
+    """Paths (p, q) sampled at M+1 nodes over [0, T]; arrays are (M+1, N).
+
+    ``nodes`` holds the same path component-major: a C-ordered (2N, M+1) array,
+    p above q, that runs along time with unit stride.  A path built from p and
+    q builds it once, at first use, and keeps it; ``from_nodes`` is handed it
+    whole, and its ``p_nodes`` and ``q_nodes`` are views of it.  Either way it
+    holds the same numbers in the same layout, whatever layout p and q had.
+    A path is a value: its arrays are not to be written, and ``nodes`` is never
+    rebuilt.
+    """
 
     T: float
     p_nodes: np.ndarray
@@ -39,6 +49,25 @@ class PathGrid:
             raise ValueError("horizon must be positive")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise ValueError("path nodes must be finite")
+
+    @staticmethod
+    def from_nodes(T: float, nodes) -> "PathGrid":
+        """The path whose component-major (2N, M+1) node array is ``nodes``; a C-ordered
+        float array is kept as it is, not copied."""
+        Z = np.ascontiguousarray(nodes, dtype=float)
+        if Z.ndim != 2 or Z.shape[0] % 2:
+            raise ValueError("nodes need the shape (2N, M+1)")
+        N = Z.shape[0] // 2
+        g = PathGrid(T, Z[:N].T, Z[N:].T)
+        g.__dict__["nodes"] = Z  # the slot that cached_property fills
+        return g
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        Z = np.empty((2 * self.N, self.M + 1))
+        Z[:self.N] = self.p_nodes.T
+        Z[self.N:] = self.q_nodes.T
+        return Z
 
     @property
     def M(self) -> int:
@@ -61,14 +90,16 @@ class PathGrid:
 
     @staticmethod
     def zeros(T: float, N: int, M: int) -> "PathGrid":
-        z = np.zeros((M + 1, N))
-        return PathGrid(T, z, z.copy())
+        return PathGrid.from_nodes(T, np.zeros((2 * N, M + 1)))
 
     @staticmethod
     def constant(T: float, p0, q0, M: int) -> "PathGrid":
         p0 = np.atleast_1d(np.asarray(p0, dtype=float))
         q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-        return PathGrid(T, np.tile(p0, (M + 1, 1)), np.tile(q0, (M + 1, 1)))
+        if p0.shape != q0.shape:
+            raise ValueError("p and q need matching shapes (M+1, N) with M >= 1")
+        return PathGrid.from_nodes(T, np.repeat(np.concatenate([p0, q0])[:, None], M + 1,
+                                                axis=1))
 
     def csv_text(self) -> str:
         """Columns t, p_1..p_N, q_1..q_N with 17 significant digits, one row per node."""

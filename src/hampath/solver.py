@@ -14,9 +14,10 @@ the final target, the whole schedule runs from the initial path under a
 limited-memory quasi-Newton method, as if nothing had been tried.
 
 A stage whose Fenchel pair, and outside Cauchy mode both boundary pairs, are
-closed-form quadratic pairs is exact: its action is a convex quadratic in the
-nodes, which one Newton step on a once-factored Hessian minimizes from any
-start, refined once by a back-substitution.  That Hessian has the same blocks
+closed-form quadratic pairs is exact: its action is a weighted linear
+least-squares objective in the nodes, which one Newton step on a once-factored
+Hessian (the normal equations) minimizes from any start, refined once by a
+back-substitution.  That Hessian has the same blocks
 at every node but the two ends, and cyclic reduction keeps that constant form,
 so it is factored in O(log M) block operations.  When the final stage is not
 exact, no stage is.  On any other pair with Hessians Newton reassembles the
@@ -36,6 +37,7 @@ import numpy as np
 
 from hampath.action import (
     Cauchy,
+    LinearResidual,
     ProblemSpec,
     SemiConvex,
     action_for,
@@ -382,34 +384,39 @@ def _node_hessian(spec: ProblemSpec, g: PathGrid, hessians):
     ``BlockTridiagonalFactor`` takes.
 
     Interval k contributes h J' W J, where J = (P, Q) is the Jacobian of
-    F = y - grad H(x) in (z_k, z_{k+1}) and W the dual Hessian at y; each
+    r = y - grad H(x) in (z_k, z_{k+1}) and W the dual Hessian at y; each
     boundary gap contributes B' W B on its end node.  ``hessians`` are those of
     ``action_for(..., hessians=True)`` at g.  On a quadratic action this is the
     exact Hessian; on any other it is the Gauss-Newton matrix, exact where every
     gap vanishes.  Cauchy mode drops the fixed node 0.
 
-    When both sides' Hessians are constant (length 1), as a quadratic pair's
-    are, so is every interval's contribution, and the blocks come in constant
-    form: the first, interior and last diagonal blocks and the coupling as a
-    zero-stride broadcast.  In Cauchy mode the first block is an interior one;
-    otherwise both ends also carry B' W B.  Any other Hessians give the
-    diagonal and upper blocks per block.
+    A closed-form quadratic pair hands over its ``LinearResidual``, whose
+    constant P = G/2 - S/h, Q = G/2 + S/h and W make every interval's
+    contribution the same, and the blocks come in constant form: the first,
+    interior and last diagonal blocks and the coupling as a zero-stride
+    broadcast.  In Cauchy mode the first block is an interior one; otherwise
+    both ends also carry B' W B.  Any other pair hands over its Hessians, and
+    the blocks come per block.
     """
     b = spec.boundary
-    d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
     N, h = g.N, g.h
-    I, O = np.eye(N), np.zeros((N, N))
-    E = np.block([[O, -I], [I, O]]) / h  # slope part of y: (-dq, dp)
-    F = np.block([[-d2 * I, O], [O, -d1 * I]])  # feedback part of y, on the midpoint
-    # per-interval Hessians broadcast along the last axis: constant ones have length 1.
-    # Copied once so that the block axis has unit stride: every block array derived
-    # from them (P, Q, W, the products, every level of the factorization) then keeps
-    # that layout, which the einsum products and their slices walk 2-3x faster than
-    # the d^2-strided axis that moveaxis leaves.
-    (Hx, Hy), *ends = hessians
-    Hx, W = (np.ascontiguousarray(np.moveaxis(H, 0, -1)) for H in (Hx, Hy))
-    P = 0.5 * (F[:, :, None] - Hx) - E[:, :, None]
-    Q = P + 2.0 * E[:, :, None]
+    I = np.eye(N)
+    interior, *ends = hessians
+    # block arrays carry the interval axis last, of length 1 when constant
+    if isinstance(interior, LinearResidual):
+        P, Q, W = (a[:, :, None] for a in (interior.P, interior.Q, interior.W))
+    else:
+        d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
+        O = np.zeros((N, N))
+        E = np.block([[O, -I], [I, O]]) / h  # slope part of y: (-dq, dp)
+        F = np.block([[-d2 * I, O], [O, -d1 * I]])  # feedback part of y, on the midpoint
+        # Copied once so that the interval axis has unit stride: every block array
+        # derived from them (P, Q, W, the products, every level of the factorization)
+        # then keeps that layout, which the einsum products and their slices walk 2-3x
+        # faster than the d^2-strided axis that moveaxis leaves.
+        Hx, W = (np.ascontiguousarray(np.moveaxis(H, 0, -1)) for H in interior)
+        P = 0.5 * (F[:, :, None] - Hx) - E[:, :, None]
+        Q = P + 2.0 * E[:, :, None]
     WQ = _mm(W, Q)
     PWP, QWQ = _tmm(P, _mm(W, P)), _tmm(Q, WQ)
     U = np.broadcast_to(h * _tmm(P, WQ), (2 * N, 2 * N, g.M))
@@ -442,13 +449,17 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
     """Minimize a stage action by Newton steps on the block-tridiagonal node system.
 
     The right-hand side is the exact node gradient from ``action_for``, and a
-    step is kept only when ``action_for`` confirms a decrease.  Whether the
-    stage is exact is decided once, by ``_quadratic_stage``.
+    step is kept only when ``action_for`` confirms a decrease.  Both are
+    component-major (2N, M+1) arrays, like ``PathGrid.nodes``: the factor
+    takes the free columns as they are, and each trial path is
+    ``PathGrid.from_nodes`` of the stepped nodes.  Whether the stage is exact
+    is decided once, by ``_quadratic_stage``.
 
-    On an exact (quadratic) stage the node Hessian does not depend on the
-    path, so it is assembled and factored once, at the first step; its
-    Hessians are constant, so ``_node_hessian`` gives it in constant form and
-    the factorization costs O(n^3 log M).  The step
+    On an exact (quadratic) stage the action is a linear least-squares
+    objective in the nodes (``action.LinearResidual``), so the node Hessian
+    does not depend on the path: it is assembled and factored once, at the
+    first step, from the residual map's constant Jacobians, in constant form,
+    and the factorization costs O(n^3 log M).  The step
     that meets ``ftarget`` is followed by one refinement back-substitution on
     the same factorization: on a quadratic action the new gradient is exactly
     the linear residual the step left in rounding (iterative refinement), and
@@ -465,7 +476,7 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
     Returns (path, action, gradient, iterations, reason) with reason
     ``ftarget``, ``max_iters`` or ``no_decrease``: a step that does not lower
     the action, a non-finite matrix or step, or a trial point whose inner
-    solve fails.  The gradient covers the free nodes.
+    solve fails.  The gradient covers the free nodes, component-major.
     """
     free = slice(1, None) if isinstance(spec.boundary, Cauchy) else slice(None)
     exact = _quadratic_stage(spec, H)
@@ -473,17 +484,16 @@ def newton_stage(spec: ProblemSpec, H: Hamiltonian, path: PathGrid, max_iters: i
     def evaluate(g):
         # an exact stage reads its constant Hessians once, at the first path
         ev = action_for(spec, g, H=H, hessians=not exact or factor is None)
-        gp, gq = ev.gradient()
-        return ev.total, np.hstack([gp, gq])[free], ev.hessians
+        return ev.total, ev.node_gradient()[:, free], ev.hessians
 
     def newton_step(g, grad):
         with np.errstate(all="ignore"):
-            step = factor.solve(-grad.T).T
-        z = np.hstack([g.p_nodes, g.q_nodes])
-        z[free] += step
+            step = factor.solve(-grad)
+        z = g.nodes.copy()
+        z[:, free] += step
         if not np.all(np.isfinite(z)):
             return None
-        return PathGrid(g.T, z[:, :g.N], z[:, g.N:])
+        return PathGrid.from_nodes(g.T, z)
 
     factor = None
     f, grad, hess = evaluate(path)

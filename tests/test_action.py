@@ -4,16 +4,19 @@ import pytest
 from hampath.action import (
     Cauchy,
     Connecting,
+    LinearResidual,
     ProblemSpec,
     SemiConvex,
     action_for,
     action_gradient,
+    pairing,
     witness_lagrangian,
 )
-from hampath.convex import GridSampled, squared_norm
+from hampath.convex import GridSampled, Hamiltonian, Quadratic, squared_norm
 from hampath.legendre import GridFn
 from hampath.grid import PathGrid
 from hampath.regularize import EpsPerturbed
+from hampath.solver import SolveParams, solve
 
 from conftest import (
     coupled_hamiltonian,
@@ -259,3 +262,111 @@ class TestCatalogNonnegativity:
                 g = random_path(rng, 1.0, N, 9, smooth=not smooth_only)
                 br = action_for(ProblemSpec(H, g.T, Connecting(half_square(N), half_square(N))), g)
                 assert br.total >= gap_floor(br)
+
+
+def _affine_quadratic(rng, n, lo=0.5, hi=1.5):
+    """x'Ax/2 + b.x + c with A coupled SPD (spectrum in [lo, hi]), b and c nonzero."""
+    Qm, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = Qm @ np.diag(np.linspace(lo, hi, n)) @ Qm.T
+    return Quadratic(0.5 * (A + A.T), rng.normal(size=n), float(rng.normal()))
+
+
+def _quadratic_spec(rng, mode, N=2, T=1.0):
+    H = Hamiltonian(_affine_quadratic(rng, 2 * N), N)
+    psi1, psi2 = _affine_quadratic(rng, N), _affine_quadratic(rng, N)
+    boundary = {
+        "cauchy": lambda: Cauchy(rng.normal(size=N), rng.normal(size=N)),
+        "connecting": lambda: Connecting(psi1, psi2, 1),
+        "semiconvex": lambda: SemiConvex(psi1, psi2, 0.3 / T, -0.2 / T),
+    }[mode]()
+    return ProblemSpec(H, T, boundary)
+
+
+def _random_nodes(rng, spec, M):
+    """Component-major random nodes; node 0 carries the Cauchy data in Cauchy mode."""
+    Z = rng.uniform(-2.0, 2.0, size=(2 * spec.hamiltonian.N, M + 1))
+    if isinstance(spec.boundary, Cauchy):
+        Z[:, 0] = np.concatenate([spec.boundary.p0, spec.boundary.q0])
+    return Z
+
+
+MODES = ["cauchy", "connecting", "semiconvex"]
+
+
+class TestLinearResidual:
+    """A closed-form quadratic pair's interior is read from one linear residual map on
+    the component-major nodes; the generic route evaluates the same pair two-sided."""
+
+    @staticmethod
+    def _two_sided(monkeypatch, spec, g):
+        # with the gap factor bypassed, every side goes through _eval and the gaps are
+        # primal(x) + dual(y) - x.y, as for any other pair
+        with monkeypatch.context() as m:
+            m.setattr(Quadratic, "gap_factor", lambda self, dual: None)
+            br = action_for(spec, g, hessians=True)
+            assert not isinstance(br.hessians[0], LinearResidual)
+            return br
+
+    @staticmethod
+    def _term_scale(spec, g):
+        """Per interval, 1 + |H(x)| + |H*(y)| + |x.y|: the size of the terms a two-sided
+        gap cancels."""
+        b = spec.boundary
+        d1, d2 = (b.delta1, b.delta2) if isinstance(b, SemiConvex) else (0.0, 0.0)
+        primal, dual = spec.hamiltonian.pair()
+        _, x, y = pairing(g, d1, d2)
+        return 1.0 + np.abs(primal.value(x)) + np.abs(dual.value(y)) + np.abs(np.sum(x * y, 1))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_generic_two_sided_evaluation(self, monkeypatch, rng, mode):
+        spec = _quadratic_spec(rng, mode)
+        for M in (1, 2, 17):
+            g = PathGrid.from_nodes(spec.T, _random_nodes(rng, spec, M))
+            br = action_for(spec, g, hessians=True)
+            assert isinstance(br.hessians[0], LinearResidual)
+            ref = self._two_sided(monkeypatch, spec, g)
+            scale = self._term_scale(spec, g)
+            assert np.all(np.abs(br.interior - ref.interior) <= 1e-13 * scale)
+            assert np.all(np.abs(br.inclusion - ref.inclusion) <= 1e-13 * scale)
+            total_scale = g.h * scale.sum() + 1.0 + abs(br.boundary_start) + abs(br.boundary_end)
+            assert abs(br.total - ref.total) <= 1e-13 * total_scale
+            assert np.abs(br.grad - ref.grad).max() <= 1e-13 * (1.0 + np.abs(ref.grad).max())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gradient_matches_central_differences(self, rng, mode):
+        spec = _quadratic_spec(rng, mode)
+        Z = _random_nodes(rng, spec, 12)
+        grad = action_for(spec, PathGrid.from_nodes(spec.T, Z)).node_gradient()
+        assert grad.shape == Z.shape and grad.flags.c_contiguous
+        num = np.zeros_like(Z)
+        step = 1e-5
+        first = 1 if mode == "cauchy" else 0  # node 0 is fixed in Cauchy mode
+        for i in range(Z.shape[0]):
+            for k in range(first, Z.shape[1]):
+                vals = []
+                for s in (step, -step):
+                    Zs = Z.copy()
+                    Zs[i, k] += s
+                    vals.append(action_for(spec, PathGrid.from_nodes(spec.T, Zs)).total)
+                num[i, k] = (vals[0] - vals[1]) / (2.0 * step)
+        # the action is quadratic: central differences are exact up to rounding
+        assert np.abs(grad[:, first:] - num[:, first:]).max() <= 1e-7 * (1 + np.abs(grad).max())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gaps_are_never_negative(self, rng, mode):
+        spec = _quadratic_spec(rng, mode)
+        solved = solve(spec, SolveParams(M=64)).path
+        assert solved.nodes.flags.c_contiguous
+        paths = [solved] + [PathGrid.from_nodes(spec.T, _random_nodes(rng, spec, 30))
+                            for _ in range(5)]
+        for g in paths:
+            br = action_for(spec, g)
+            assert np.all(br.interior >= 0.0) and br.total >= 0.0
+        # the solved path sits at rounding level, where a two-sided gap may not
+        assert action_for(spec, solved).total <= 1e-20
+
+    def test_grad_views(self, rng):
+        spec = _quadratic_spec(rng, "connecting")
+        br = action_for(spec, PathGrid.from_nodes(spec.T, _random_nodes(rng, spec, 5)))
+        gp, gq = br.gradient()
+        assert np.array_equal(gp, br.grad[:2].T) and np.array_equal(gq, br.grad[2:].T)

@@ -3,19 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hampath.action import Cauchy, Connecting, ProblemSpec
+from hampath.action import Cauchy, Connecting, ProblemSpec, SemiConvex
 from hampath.certify import certify, fitted_order, residual_order
 from hampath.conditions import GrowthCert
-from hampath.convex import GridSampled, squared_norm
+from hampath.convex import GridSampled, Hamiltonian, PowerNorm, Quadratic, Sum, squared_norm
 from hampath.grid import PathGrid
 from hampath.legendre import GridFn
+from hampath.solver import SolveParams, solve
 
 from conftest import (
+    coupled_hamiltonian,
     harmonic_cauchy_spec,
     harmonic_hamiltonian,
     p1_connecting_spec,
     scaled_hamiltonian,
 )
+from oracles import random_path
 
 
 def harmonic_sampler(M):
@@ -98,6 +101,60 @@ class TestCertify:
         b = certify(spec, g)
         assert a.action_value == b.action_value
         assert np.array_equal(a.interior_residuals, b.interior_residuals)
+
+
+def _layouts(g):
+    """The path g with its nodes in four layouts: C- and Fortran-ordered (M+1, N) arrays,
+    the strided column slices of one np.hstack, and a component-major from_nodes array."""
+    N, P, Q = g.N, g.p_nodes, g.q_nodes
+    # a parsed trajectory.csv is C-ordered, and so is its hstack
+    stacked = np.hstack([np.ascontiguousarray(P), np.ascontiguousarray(Q)])
+    return {
+        "C": PathGrid(g.T, np.ascontiguousarray(P), np.ascontiguousarray(Q)),
+        "Fortran": PathGrid(g.T, np.asfortranarray(P), np.asfortranarray(Q)),
+        "hstack": PathGrid(g.T, stacked[:, :N], stacked[:, N:]),
+        "from_nodes": PathGrid.from_nodes(g.T, np.vstack([P.T, Q.T])),
+    }
+
+
+class TestLayout:
+    """perfbench recomputes each certificate from the trajectory it parsed and requires
+    the same text, so a certificate must not depend on how the nodes are laid out."""
+
+    @pytest.mark.parametrize("mode", ["cauchy", "connecting", "semiconvex"])
+    @pytest.mark.parametrize("kind", ["quadratic", "mixed"])
+    def test_certificate_text_is_bitwise_the_same_in_every_layout(self, rng, mode, kind):
+        N, T = 2, 1.0
+        # a coupled quadratic reads its interior from the residual map; a separable
+        # quadratic plus a quartic goes through fenchel_young
+        H = coupled_hamiltonian() if kind == "quadratic" else Hamiltonian(
+            Sum([Quadratic(np.diag([1.0, 0.8, 0.9, 1.1])), PowerNorm(4.0, 0.1, dim=2 * N)]), N)
+        psi1, psi2 = squared_norm(N, 0.5, [1.0, -0.5]), squared_norm(N, 0.7, [0.2, 0.3])
+        boundary = {"cauchy": Cauchy([1.0, -0.5], [0.3, 0.2]),
+                    "connecting": Connecting(psi1, psi2, 1),
+                    "semiconvex": SemiConvex(psi1, psi2, 0.2, -0.3)}[mode]
+        spec = ProblemSpec(H, T, boundary)
+        if kind == "quadratic":
+            # a solved path, whose gaps sit at rounding level, as the solver returns it
+            g = solve(spec, SolveParams(M=97)).path
+            assert certify(spec, g).action_value <= 1e-20
+        else:
+            g = random_path(rng, T, N, 97, smooth=True)
+            if mode == "cauchy":
+                g = PathGrid(T, np.vstack([boundary.p0, g.p_nodes[1:]]),
+                             np.vstack([boundary.q0, g.q_nodes[1:]]))
+        layouts = _layouts(g)
+        assert not layouts["Fortran"].p_nodes.flags.c_contiguous
+        assert not any(layouts["hstack"].p_nodes.flags[k] for k in ("C", "F"))
+        texts = {name: certify(spec, g, tol=1e-6).to_text() for name, g in layouts.items()}
+        texts["given"] = certify(spec, g, tol=1e-6).to_text()
+        assert len(set(texts.values())) == 1, texts
+
+    def test_quadratic_values_at_node_columns_match_the_rowwise_ones(self, rng):
+        # certify reads a quadratic H's energy drift from the component-major nodes
+        fn = Quadratic(coupled_hamiltonian().fn.A, [0.3, -0.2, 0.1, 0.4], 0.7)
+        Z = rng.uniform(-2.0, 2.0, size=(4, 50))
+        assert np.allclose(fn._column_values(Z), fn.value(Z.T), rtol=1e-14, atol=1e-14)
 
 
 class TestResidualOrder:

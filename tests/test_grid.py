@@ -46,6 +46,47 @@ class TestIntervalData:
         assert np.max(np.abs(rebuilt - g.p_nodes[1:])) <= 4e-16 * g.scale()
 
 
+class TestNodes:
+    def test_nodes_are_component_major_whatever_the_layout(self, rng):
+        g = random_path(rng, 1.5, 2, 20)
+        want = np.vstack([g.p_nodes.T, g.q_nodes.T])
+        for p, q in ((g.p_nodes, g.q_nodes),
+                     (np.asfortranarray(g.p_nodes), np.asfortranarray(g.q_nodes))):
+            Z = PathGrid(g.T, p, q).nodes
+            assert Z.flags.c_contiguous and Z.shape == (4, 21)
+            assert Z.tobytes() == want.tobytes()
+
+    def test_nodes_are_built_once(self, rng):
+        g = random_path(rng, 1.0, 1, 5)
+        assert g.nodes is g.nodes
+
+    def test_from_nodes_keeps_the_array_and_views_it(self, rng):
+        Z = rng.normal(size=(4, 9))
+        g = PathGrid.from_nodes(2.0, Z)
+        assert g.nodes is Z and (g.M, g.N, g.T) == (8, 2, 2.0)
+        assert np.shares_memory(g.p_nodes, Z) and np.shares_memory(g.q_nodes, Z)
+        assert np.array_equal(g.p_nodes, Z[:2].T) and np.array_equal(g.q_nodes, Z[2:].T)
+        # a Fortran-ordered array is copied into the C-ordered layout
+        F = np.asfortranarray(Z)
+        assert PathGrid.from_nodes(2.0, F).nodes.tobytes() == Z.tobytes()
+
+    def test_from_nodes_validates(self):
+        with pytest.raises(ValueError):
+            PathGrid.from_nodes(1.0, np.zeros((3, 5)))
+        with pytest.raises(ValueError):
+            PathGrid.from_nodes(1.0, np.array([[0.0, np.nan], [1.0, 2.0]]))
+        with pytest.raises(ValueError):
+            PathGrid.from_nodes(1.0, np.zeros((2, 1)))
+
+    def test_zeros_and_constant(self):
+        c = PathGrid.constant(1.0, [1.0, 2.0], [3.0, 4.0], 3)
+        assert c.nodes.tolist() == [[1.0] * 4, [2.0] * 4, [3.0] * 4, [4.0] * 4]
+        assert np.array_equal(c.p_nodes, [[1.0, 2.0]] * 4)
+        assert not PathGrid.zeros(1.0, 2, 3).nodes.any()
+        with pytest.raises(ValueError):
+            PathGrid.constant(1.0, [1.0], [3.0, 4.0], 3)
+
+
 class TestSbp:
     def test_zero_path(self):
         assert sbp_residual(PathGrid.zeros(1.0, 2, 8)) == 0.0
